@@ -1,9 +1,10 @@
 #include "src/core/simulation.h"
 
-#include <algorithm>
-#include <utility>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/sink_drive.h"
+#include "src/core/validate.h"
 #include "src/obs/metrics.h"
 
 namespace ebs {
@@ -57,39 +58,50 @@ WorkloadResult TimedGenerate(const Fleet& fleet, const WorkloadConfig& config) {
 
 }  // namespace
 
+OverlaySinks::OverlaySinks(const Fleet& fleet, const SimulationConfig& config) {
+  const std::string problem = ValidateSimulationConfig(config);
+  if (!problem.empty()) {
+    throw std::invalid_argument(problem);
+  }
+  if (config.queueing.enabled) {
+    qmodel_.emplace(config.queueing, config.workload.sampling_rate);
+  }
+  if (config.control.enabled) {
+    fault_driver_.emplace(fleet, config.workload.faults, config.workload.window_steps,
+                          config.workload.step_seconds);
+    plane_.emplace(fleet, config.control, qmodel_ ? &*qmodel_ : nullptr);
+    plane_->set_fault_driver(&*fault_driver_);
+  }
+}
+
+std::vector<ReplaySink*> OverlaySinks::Sinks() {
+  std::vector<ReplaySink*> sinks;
+  if (qmodel_) {
+    sinks.push_back(&*qmodel_);
+  }
+  if (plane_) {
+    const std::vector<ReplaySink*> plane_sinks = plane_->Sinks();
+    sinks.insert(sinks.end(), plane_sinks.begin(), plane_sinks.end());
+  }
+  return sinks;
+}
+
 EbsSimulation::EbsSimulation(SimulationConfig config)
     : config_(config),
       fleet_(TimedBuildFleet(config.fleet)),
-      workload_(TimedGenerate(fleet_, config.workload)) {
+      workload_(TimedGenerate(fleet_, config.workload)),
+      rollups_(fleet_, workload_.metrics) {
   if (config_.control.enabled) {
     // Closed-loop mode: drive the control plane's sink chain over the batch
     // datasets in the streaming engine's canonical order, so the decision log
     // (and, with queueing on, the qmodel result the loop steered) is
     // bit-identical to StreamingSimulation's for the same config.
     obs::ScopedTimer timer(obs::MetricRegistry::Global().GetTimer("core.batch_control"));
-    if (config_.queueing.enabled) {
-      control_qmodel_sink_.emplace(config_.queueing, config_.workload.sampling_rate);
-    }
-    control_plane_.emplace(
-        fleet_, config_.control,
-        control_qmodel_sink_.has_value() ? &*control_qmodel_sink_ : nullptr);
-    if (!config_.workload.faults.empty()) {
-      control_fault_driver_.emplace(fleet_, config_.workload.faults,
-                                    config_.workload.window_steps,
-                                    config_.workload.step_seconds);
-      control_plane_->set_fault_driver(&*control_fault_driver_);
-    }
-    std::vector<ReplaySink*> sinks;
-    if (control_qmodel_sink_.has_value()) {
-      sinks.push_back(&*control_qmodel_sink_);
-    }
-    for (ReplaySink* sink : control_plane_->Sinks()) {
-      sinks.push_back(sink);
-    }
+    overlays_.emplace(fleet_, config_);
     DriveSinksOverResult(fleet_, workload_, config_.workload.window_steps,
-                         config_.workload.step_seconds, sinks);
-    if (control_qmodel_sink_.has_value()) {
-      queue_result_ = control_qmodel_sink_->result();
+                         config_.workload.step_seconds, overlays_->Sinks());
+    if (overlays_->qmodel() != nullptr) {
+      queue_result_ = overlays_->qmodel()->result();
     }
   } else if (config_.queueing.enabled) {
     obs::ScopedTimer timer(obs::MetricRegistry::Global().GetTimer("core.batch_qmodel"));
@@ -97,63 +109,6 @@ EbsSimulation::EbsSimulation(SimulationConfig config)
         fleet_, config_.queueing, workload_.traces,
         static_cast<double>(config_.workload.window_steps) * config_.workload.step_seconds);
   }
-}
-
-namespace {
-
-// Fills `cache.value` exactly once under its mutex. The returned reference
-// stays valid after the lock is released: a filled cache is never reset. If
-// the fill throws, the cache stays empty and the next caller retries —
-// matching the std::call_once semantics this replaces.
-template <typename Cache, typename Fill>
-const std::vector<RwSeries>& FillOnce(Cache& cache, Fill&& fill) {
-  util::MutexLock lock(&cache.mu);
-  if (!cache.value.has_value()) {
-    cache.value = fill();
-  }
-  return *cache.value;
-}
-
-}  // namespace
-
-const std::vector<RwSeries>& EbsSimulation::VdSeries() const {
-  return FillOnce(vd_, [&] { return RollupToVd(fleet_, metrics()); });
-}
-
-const std::vector<RwSeries>& EbsSimulation::VmSeries() const {
-  return FillOnce(vm_, [&] { return RollupToVm(fleet_, metrics()); });
-}
-
-const std::vector<RwSeries>& EbsSimulation::UserSeries() const {
-  return FillOnce(user_, [&] { return RollupToUser(fleet_, metrics()); });
-}
-
-const std::vector<RwSeries>& EbsSimulation::WtSeries() const {
-  return FillOnce(wt_, [&] { return RollupToWt(fleet_, metrics()); });
-}
-
-const std::vector<RwSeries>& EbsSimulation::CnSeries() const {
-  return FillOnce(cn_, [&] { return RollupToComputeNode(fleet_, metrics()); });
-}
-
-const std::vector<RwSeries>& EbsSimulation::BsSeries() const {
-  return FillOnce(bs_, [&] { return RollupToBlockServer(fleet_, metrics()); });
-}
-
-const std::vector<RwSeries>& EbsSimulation::SnSeries() const {
-  return FillOnce(sn_, [&] { return RollupToStorageNode(fleet_, metrics()); });
-}
-
-const std::vector<RwSeries>& EbsSimulation::SegSeries() const {
-  return FillOnce(seg_, [&] {
-    // Flatten in ascending segment-id order so the result does not depend on
-    // the map's population history.
-    std::vector<RwSeries> flat;
-    flat.reserve(metrics().segment_series.size());
-    metrics().segment_series.ForEachSorted(
-        [&flat](uint32_t, const RwSeries& series) { flat.push_back(series); });
-    return flat;
-  });
 }
 
 }  // namespace ebs

@@ -16,10 +16,11 @@
 #include "src/fault/driver.h"
 #include "src/qmodel/queue_model.h"
 #include "src/qmodel/sink.h"
+#include "src/replay/sink.h"
 #include "src/topology/fleet.h"
 #include "src/trace/aggregate.h"
 #include "src/trace/records.h"
-#include "src/util/thread_annotations.h"
+#include "src/trace/rollup_dense.h"
 #include "src/workload/generator.h"
 
 namespace ebs {
@@ -47,6 +48,35 @@ SimulationConfig DcPreset(int dc_index);
 // (Fig 4/5 need a population of clusters for their CDFs).
 SimulationConfig StorageStudyPreset(uint64_t seed = 5);
 
+// The optional sinks both facades chain after the dataset producer: the qmodel
+// sink (config.queueing) and the closed-loop control plane (config.control)
+// with the fault driver that feeds it the down-BS signal. The driver is built
+// from config.workload.faults — a pure function of the schedule — so live,
+// store-replay and batch runs hand the loop the same signal. The constructor
+// validates `config` first and throws std::invalid_argument with the
+// validator's message.
+class OverlaySinks {
+ public:
+  OverlaySinks(const Fleet& fleet, const SimulationConfig& config);
+  // The plane points at the qmodel sink and the driver: pin it.
+  OverlaySinks(const OverlaySinks&) = delete;
+  OverlaySinks& operator=(const OverlaySinks&) = delete;
+
+  // Registration order: qmodel, then the plane's lending -> cache -> wt-cov ->
+  // control.
+  std::vector<ReplaySink*> Sinks();
+
+  // nullptr unless config.queueing.enabled / config.control.enabled.
+  const qmodel::QueueModelSink* qmodel() const { return qmodel_ ? &*qmodel_ : nullptr; }
+  const control::ControlPlane* plane() const { return plane_ ? &*plane_ : nullptr; }
+  control::ControlPlane* plane() { return plane_ ? &*plane_ : nullptr; }
+
+ private:
+  std::optional<qmodel::QueueModelSink> qmodel_;
+  std::optional<FaultDriver> fault_driver_;
+  std::optional<control::ControlPlane> plane_;
+};
+
 class EbsSimulation {
  public:
   explicit EbsSimulation(SimulationConfig config = DcPreset(1));
@@ -71,57 +101,34 @@ class EbsSimulation {
   // window) and bit-identical to the streaming facade's log for the same
   // config, at any worker count — the decision-audit contract.
   const control::ControlPlane* control_plane() const {
-    return control_plane_.has_value() ? &*control_plane_ : nullptr;
+    return overlays_.has_value() ? overlays_->plane() : nullptr;
   }
   const control::DecisionLog* control_log() const {
-    return control_plane_.has_value() ? &control_plane_->log() : nullptr;
+    return overlays_.has_value() ? &overlays_->plane()->log() : nullptr;
   }
 
-  // Cached rollups, computed once on first use. Safe to call from multiple
-  // threads concurrently (each cache fills under its own annotated mutex;
-  // concurrent first readers serialize on the fill, later readers pay one
-  // uncontended lock).
-  const std::vector<RwSeries>& VdSeries() const;
-  const std::vector<RwSeries>& VmSeries() const;
-  const std::vector<RwSeries>& UserSeries() const;
-  const std::vector<RwSeries>& WtSeries() const;
-  const std::vector<RwSeries>& CnSeries() const;
-  const std::vector<RwSeries>& BsSeries() const;
-  const std::vector<RwSeries>& SnSeries() const;
+  // Rollups, each level computed once on first use (RollupCache). Safe to
+  // call from multiple threads concurrently.
+  const std::vector<RwSeries>& VdSeries() const { return rollups_.vd(); }
+  const std::vector<RwSeries>& VmSeries() const { return rollups_.vm(); }
+  const std::vector<RwSeries>& UserSeries() const { return rollups_.user(); }
+  const std::vector<RwSeries>& WtSeries() const { return rollups_.wt(); }
+  const std::vector<RwSeries>& CnSeries() const { return rollups_.cn(); }
+  const std::vector<RwSeries>& BsSeries() const { return rollups_.bs(); }
+  const std::vector<RwSeries>& SnSeries() const { return rollups_.sn(); }
   // Active-segment series as a flat vector in ascending segment-id order
   // (copies the map values once).
-  const std::vector<RwSeries>& SegSeries() const;
+  const std::vector<RwSeries>& SegSeries() const { return rollups_.seg(); }
 
  private:
-  // One lazily-filled rollup cache. The mutex guards the fill; once set, the
-  // value is never reset or reassigned, so the reference handed back outlives
-  // the lock. Was a std::once_flag — the annotated mutex lets the clang
-  // thread-safety gate prove the discipline instead of trusting the comment.
-  struct RollupCache {
-    util::Mutex mu;
-    std::optional<std::vector<RwSeries>> value EBS_GUARDED_BY(mu);
-  };
-
   SimulationConfig config_;
   Fleet fleet_;
   WorkloadResult workload_;
+  RollupCache rollups_;
   std::optional<qmodel::QueueModelResult> queue_result_;
-  // Control-mode state (engaged iff config.control.enabled). The qmodel sink
-  // replaces the RunOverTraces call so the control loop can actuate the live
-  // simulator; the fault driver is the down-BS signal source (the datasets
-  // already carry the generation-side fault effects).
-  std::optional<qmodel::QueueModelSink> control_qmodel_sink_;
-  std::optional<FaultDriver> control_fault_driver_;
-  std::optional<control::ControlPlane> control_plane_;
-
-  mutable RollupCache vd_;
-  mutable RollupCache vm_;
-  mutable RollupCache user_;
-  mutable RollupCache wt_;
-  mutable RollupCache cn_;
-  mutable RollupCache bs_;
-  mutable RollupCache sn_;
-  mutable RollupCache seg_;
+  // Engaged iff config.control.enabled: the qmodel sink replaces the
+  // RunOverTraces call so the control loop can actuate the live simulator.
+  std::optional<OverlaySinks> overlays_;
 };
 
 }  // namespace ebs

@@ -1,9 +1,7 @@
 #include "src/core/streaming.h"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/replay/store_source.h"
@@ -23,20 +21,11 @@ StreamingSimulation::StreamingSimulation(SimulationConfig config, ReplayOptions 
     : config_(config),
       fleet_(TimedBuildFleet(config.fleet)),
       collector_(config.workload.sampling_rate),
+      overlays_(fleet_, config_),
       engine_(fleet_, config.workload, options) {
   engine_.AddSink(&collector_);
-  engine_.AddSink(&rollups_);
-  if (config_.queueing.enabled) {
-    qmodel_sink_.emplace(config_.queueing, config_.workload.sampling_rate);
-    engine_.AddSink(&*qmodel_sink_);
-  }
-  if (config_.control.enabled) {
-    control_plane_.emplace(fleet_, config_.control,
-                           qmodel_sink_.has_value() ? &*qmodel_sink_ : nullptr);
-    control_plane_->set_fault_driver(engine_.fault_driver());
-    for (ReplaySink* sink : control_plane_->Sinks()) {
-      engine_.AddSink(sink);
-    }
+  for (ReplaySink* sink : overlays_.Sinks()) {
+    engine_.AddSink(sink);
   }
 }
 
@@ -45,28 +34,11 @@ StreamingSimulation::StreamingSimulation(const std::string& store_path, Simulati
     : config_(config),
       fleet_(TimedBuildFleet(config.fleet)),
       collector_(config.workload.sampling_rate),
+      overlays_(fleet_, config_),
       engine_(fleet_, std::make_unique<StoreReplaySource>(fleet_, store_path), options) {
   engine_.AddSink(&collector_);
-  engine_.AddSink(&rollups_);
-  if (config_.queueing.enabled) {
-    qmodel_sink_.emplace(config_.queueing, config_.workload.sampling_rate);
-    engine_.AddSink(&*qmodel_sink_);
-  }
-  if (config_.control.enabled) {
-    control_plane_.emplace(fleet_, config_.control,
-                           qmodel_sink_.has_value() ? &*qmodel_sink_ : nullptr);
-    // The engine's fault driver is nullptr on store replay; rebuild the
-    // signal source from the config's schedule so the loop sees the same
-    // down-BS timeline the recorded run saw.
-    if (!config_.workload.faults.empty()) {
-      control_fault_driver_.emplace(fleet_, config_.workload.faults,
-                                    config_.workload.window_steps,
-                                    config_.workload.step_seconds);
-      control_plane_->set_fault_driver(&*control_fault_driver_);
-    }
-    for (ReplaySink* sink : control_plane_->Sinks()) {
-      engine_.AddSink(sink);
-    }
+  for (ReplaySink* sink : overlays_.Sinks()) {
+    engine_.AddSink(sink);
   }
 }
 
@@ -88,10 +60,7 @@ void StreamingSimulation::Run() {
   }
   obs::ScopedTimer finalize_timer(registry.GetTimer("core.streaming_finalize"));
   workload_.traces = collector_.TakeDataset();
-
-  seg_.reserve(workload_.metrics.segment_series.size());
-  workload_.metrics.segment_series.ForEachSorted(
-      [this](uint32_t, const RwSeries& series) { seg_.push_back(series); });
+  rollups_.emplace(fleet_, workload_.metrics);
   ran_ = true;
 }
 
@@ -106,14 +75,9 @@ const WorkloadResult& StreamingSimulation::workload() const {
   return workload_;
 }
 
-const std::vector<RwSeries>& StreamingSimulation::SegSeries() const {
+const RollupCache& StreamingSimulation::rollups() const {
   RequireRan();
-  return seg_;
-}
-
-const StreamingAggregator& StreamingSimulation::aggregator() const {
-  RequireRan();
-  return rollups_.aggregator();
+  return *rollups_;
 }
 
 }  // namespace ebs

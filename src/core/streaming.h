@@ -1,11 +1,12 @@
 // Streaming counterpart of EbsSimulation.
 //
 // StreamingSimulation builds the same fleet and datasets, but through the
-// sharded replay engine: generation runs on worker threads, the merged IO
-// stream drives any registered sinks online, and the entity-level rollups are
-// folded incrementally as each second completes. For a fixed config the
-// resulting metrics, traces, and rollups are bit-identical to the batch
-// EbsSimulation, independent of the worker-thread count.
+// sharded replay engine: generation runs on worker threads and the merged IO
+// stream drives any registered sinks online. The entity-level rollups are
+// folded after the run, each level on first access, by the same RollupCache
+// the batch facade uses. For a fixed config the resulting metrics, traces,
+// and rollups are bit-identical to the batch EbsSimulation, independent of
+// the worker-thread count.
 //
 //   ebs::StreamingSimulation sim(ebs::DcPreset(1), {.worker_threads = 8});
 //   ebs::OnlineLendingSink lending(sim.fleet(), groups, throttle_config);
@@ -20,12 +21,10 @@
 #include <string>
 #include <vector>
 
-#include "src/control/plane.h"
 #include "src/core/simulation.h"
-#include "src/fault/driver.h"
-#include "src/qmodel/sink.h"
 #include "src/replay/engine.h"
 #include "src/replay/sinks.h"
+#include "src/trace/rollup_dense.h"
 
 namespace ebs {
 
@@ -44,12 +43,12 @@ class StreamingSimulation {
   StreamingSimulation(const std::string& store_path, SimulationConfig config,
                       ReplayOptions options = {});
 
-  // Self-referential (the engine and aggregator point at fleet_): pin it.
+  // Self-referential (the engine and the sinks point at fleet_): pin it.
   StreamingSimulation(const StreamingSimulation&) = delete;
   StreamingSimulation& operator=(const StreamingSimulation&) = delete;
 
   // Registers an extra observer (not owned); runs after the built-in trace
-  // collector and rollup sinks. Must be called before Run().
+  // collector, qmodel and control sinks. Must be called before Run().
   void AddSink(ReplaySink* sink);
 
   // Generates the observation window through the replay engine. Call once.
@@ -73,50 +72,43 @@ class StreamingSimulation {
   // Valid after Run(); bit-identical to the batch facade's queue_result() at
   // any worker count (the sink consumes the merged stream's canonical order).
   const qmodel::QueueModelResult* queue_result() const {
-    return qmodel_sink_.has_value() ? &qmodel_sink_->result() : nullptr;
+    return overlays_.qmodel() != nullptr ? &overlays_.qmodel()->result() : nullptr;
   }
   // Closed-loop control plane; nullptr unless config.control.enabled. The
   // decision log is final after Run() and bit-identical to the batch facade's
-  // for the same config, at any worker count. Live replay feeds the loop the
-  // engine's fault driver; store replay rebuilds one from config.workload's
-  // schedule (the engine's is nullptr there), keeping crash-heavy store
-  // replay log-identical to the recorded run.
-  const control::ControlPlane* control_plane() const {
-    return control_plane_.has_value() ? &*control_plane_ : nullptr;
-  }
-  control::ControlPlane* control_plane() {
-    return control_plane_.has_value() ? &*control_plane_ : nullptr;
-  }
+  // for the same config, at any worker count. The loop's fault signal comes
+  // from config.workload's schedule on live and store replay alike, keeping
+  // crash-heavy store replay log-identical to the recorded run.
+  const control::ControlPlane* control_plane() const { return overlays_.plane(); }
+  control::ControlPlane* control_plane() { return overlays_.plane(); }
   const control::DecisionLog* control_log() const {
-    return control_plane_.has_value() ? &control_plane_->log() : nullptr;
+    return overlays_.plane() != nullptr ? &overlays_.plane()->log() : nullptr;
   }
 
-  // Rollups assembled incrementally during the run.
-  const std::vector<RwSeries>& VdSeries() const { return aggregator().vd(); }
-  const std::vector<RwSeries>& VmSeries() const { return aggregator().vm(); }
-  const std::vector<RwSeries>& UserSeries() const { return aggregator().user(); }
-  const std::vector<RwSeries>& WtSeries() const { return aggregator().wt(); }
-  const std::vector<RwSeries>& CnSeries() const { return aggregator().cn(); }
-  const std::vector<RwSeries>& BsSeries() const { return aggregator().bs(); }
-  const std::vector<RwSeries>& SnSeries() const { return aggregator().sn(); }
+  // Rollups, each level folded once on first access after Run() (the same
+  // RollupCache as EbsSimulation's). Safe to call from multiple threads.
+  const std::vector<RwSeries>& VdSeries() const { return rollups().vd(); }
+  const std::vector<RwSeries>& VmSeries() const { return rollups().vm(); }
+  const std::vector<RwSeries>& UserSeries() const { return rollups().user(); }
+  const std::vector<RwSeries>& WtSeries() const { return rollups().wt(); }
+  const std::vector<RwSeries>& CnSeries() const { return rollups().cn(); }
+  const std::vector<RwSeries>& BsSeries() const { return rollups().bs(); }
+  const std::vector<RwSeries>& SnSeries() const { return rollups().sn(); }
   // Active-segment series, ascending segment id (same order as
   // EbsSimulation::SegSeries).
-  const std::vector<RwSeries>& SegSeries() const;
+  const std::vector<RwSeries>& SegSeries() const { return rollups().seg(); }
 
  private:
-  const StreamingAggregator& aggregator() const;
+  const RollupCache& rollups() const;
   void RequireRan() const;
 
   SimulationConfig config_;
   Fleet fleet_;
   TraceCollectorSink collector_;
-  RollupAggregatorSink rollups_;
-  std::optional<qmodel::QueueModelSink> qmodel_sink_;
-  std::optional<FaultDriver> control_fault_driver_;  // store replay only
-  std::optional<control::ControlPlane> control_plane_;
+  OverlaySinks overlays_;
   ReplayEngine engine_;
   WorkloadResult workload_;
-  std::vector<RwSeries> seg_;
+  std::optional<RollupCache> rollups_;  // engaged by Run()
   bool ran_ = false;
 };
 

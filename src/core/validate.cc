@@ -75,10 +75,13 @@ std::string ValidateWorkloadConfig(const WorkloadConfig& config) {
 
 std::string ValidateSimulationConfig(const SimulationConfig& config) {
   std::string error = ValidateFleetConfig(config.fleet);
-  if (!error.empty()) {
-    return error;
+  if (error.empty()) {
+    error = ValidateWorkloadConfig(config.workload);
   }
-  return ValidateWorkloadConfig(config.workload);
+  if (error.empty() && config.control.enabled && config.control.period_steps == 0) {
+    error = "control: period_steps must be >= 1";
+  }
+  return error;
 }
 
 }  // namespace ebs

@@ -1,5 +1,8 @@
 #include "src/replay/sinks.h"
 
+#include <utility>
+#include <vector>
+
 #include "src/obs/metrics.h"
 
 namespace ebs {
@@ -16,20 +19,26 @@ void TraceCollectorSink::OnEvent(const ReplayEvent& event) {
   collected_->Increment();
 }
 
-void RollupAggregatorSink::OnStart(const Fleet& fleet, size_t window_steps, double step_seconds) {
-  aggregator_.emplace(fleet, window_steps, step_seconds);
-  segments_registered_ = false;
+void RollupAggregatorSink::OnStart(const Fleet& fleet, size_t window_steps,
+                                   double /*step_seconds*/) {
+  fleet_ = &fleet;
+  window_steps_ = window_steps;
+  aggregator_.reset();
 }
 
 void RollupAggregatorSink::OnStepComplete(const ReplayStepView& view) {
-  obs::ScopedTimer timer(fold_timer_);
-  if (!segments_registered_) {
-    // The registry is frozen once shards finish Init, so the first step
-    // boundary already sees every segment that will ever carry traffic.
-    aggregator_->RegisterSegments(view.segments);
-    segments_registered_ = true;
+  if (view.step + 1 < window_steps_) {
+    return;  // later columns may still be written by the shards
   }
-  aggregator_->IngestStep(view.qp_series, view.step);
+  std::vector<std::pair<uint32_t, const RwSeries*>> segments;
+  segments.reserve(view.segments.size());
+  for (const auto& [id, series] : view.segments) {
+    segments.emplace_back(id.value(), series);
+  }
+  aggregator_.emplace(*fleet_, RollupSources(window_steps_, view.step_seconds, view.qp_series,
+                                             std::move(segments)));
+  // Fold now: the view's references die when the engine's Run() returns.
+  aggregator_->FillAll();
 }
 
 void StoreWriterSink::OnStart(const Fleet& /*fleet*/, size_t window_steps,

@@ -2,9 +2,9 @@
 //
 //  - TraceCollectorSink materializes the per-IO trace dataset (the piece
 //    ReplayEngine::Run deliberately does not build) for offline analyses.
-//  - RollupAggregatorSink folds each completed second into the incremental
-//    entity-level rollups (StreamingAggregator), bit-identical to the batch
-//    Rollup* functions.
+//  - RollupAggregatorSink folds every entity-level rollup once, at the last
+//    step boundary, through the shared RollupCache (bit-identical to the
+//    batch Rollup* functions). The facades own their own cache instead.
 //  - ThroughputProbeSink counts the stream — cheap observer for benchmarks
 //    and smoke checks.
 //  - StoreWriterSink streams the merged events into an EBST trace store
@@ -23,7 +23,7 @@
 #include "src/replay/sink.h"
 #include "src/trace/records.h"
 #include "src/trace/store.h"
-#include "src/trace/streaming_aggregate.h"
+#include "src/trace/rollup_dense.h"
 
 namespace ebs {
 
@@ -46,18 +46,23 @@ class TraceCollectorSink : public ReplaySink {
       obs::MetricRegistry::Global().GetCounter("sink.trace_collector.records");
 };
 
+// The rollup type RollupAggregatorSink hands out. Callers written against
+// the former per-step aggregator (the perf ledger's traced run among them)
+// still name it, so it stays as an alias of the one shared implementation.
+using StreamingAggregator = RollupCache;
+
 class RollupAggregatorSink : public ReplaySink {
  public:
   void OnStart(const Fleet& fleet, size_t window_steps, double step_seconds) override;
   void OnStepComplete(const ReplayStepView& view) override;
 
-  // Valid after OnStart; rollup columns <= the last completed step are final.
+  // Valid once the final step completed (every level is filled by then).
   const StreamingAggregator& aggregator() const { return *aggregator_; }
 
  private:
+  const Fleet* fleet_ = nullptr;
+  size_t window_steps_ = 0;
   std::optional<StreamingAggregator> aggregator_;
-  bool segments_registered_ = false;
-  obs::ObsHistogram* fold_timer_ = obs::MetricRegistry::Global().GetTimer("sink.rollup.fold_step");
 };
 
 // Streams every merged event into an EBST trace store, chunk by chunk —

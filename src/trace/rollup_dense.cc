@@ -1,5 +1,7 @@
 #include "src/trace/rollup_dense.h"
 
+#include <utility>
+
 namespace ebs {
 
 RwMatrix::RwMatrix(size_t entities, size_t steps, double step_seconds)
@@ -28,14 +30,6 @@ void RwMatrix::AccumulateRow(size_t e, const RwSeries& src) {
   AddInto(WriteOps(e), src.write_ops);
 }
 
-void RwMatrix::AccumulateColumn(size_t e, const RwSeries& src, size_t t) {
-  const size_t at = e * steps_ + t;
-  read_bytes_[at] += src.read_bytes[t];
-  write_bytes_[at] += src.write_bytes[t];
-  read_ops_[at] += src.read_ops[t];
-  write_ops_[at] += src.write_ops[t];
-}
-
 RwSeries RwMatrix::ExtractSeries(size_t e) const {
   RwSeries series(steps_, step_seconds_);
   const auto copy = [&](TimeSeries& dst, std::span<const double> src) {
@@ -59,74 +53,113 @@ std::vector<RwSeries> RwMatrix::ToSeriesVector() const {
   return out;
 }
 
+RollupSources::RollupSources(const MetricDataset& metrics)
+    : RollupSources(metrics.window_steps, metrics.step_seconds, metrics.qp_series,
+                    metrics.segment_series.SortedItems()) {}
+
+RollupSources::RollupSources(size_t window_steps, double dt, const std::vector<RwSeries>& qps,
+                             std::vector<std::pair<uint32_t, const RwSeries*>> sorted_segments)
+    : steps(window_steps),
+      step_seconds(dt),
+      qp_series(&qps),
+      segments(std::move(sorted_segments)) {}
+
 namespace {
 
 // Sums QP-level series into buckets chosen by `bucket_of(qp)`.
 template <typename BucketFn>
-RwMatrix RollupComputeSide(const Fleet& fleet, const MetricDataset& metrics,
+RwMatrix RollupComputeSide(const Fleet& fleet, const RollupSources& sources,
                            size_t bucket_count, BucketFn bucket_of) {
-  RwMatrix out(bucket_count, metrics.window_steps, metrics.step_seconds);
+  RwMatrix out(bucket_count, sources.steps, sources.step_seconds);
   for (const Qp& qp : fleet.qps) {
-    out.AccumulateRow(bucket_of(qp), metrics.qp_series[qp.id.value()]);
+    out.AccumulateRow(bucket_of(qp), (*sources.qp_series)[qp.id.value()]);
   }
   return out;
 }
 
 // Sums segment-level series into buckets chosen by `bucket_of(segment)`.
-// Active segments are visited in ascending id order — SegmentSeriesMap offers
-// no other order — so the per-bucket float sums are deterministic and
+// Active segments are visited in ascending id order — the only order
+// SegmentSeriesMap offers — so the per-bucket float sums are deterministic and
 // independent of how the map was populated. This is what lets the streaming
 // replay engine, whose shards insert segments in a different order than the
 // batch generator, produce bit-identical rollups.
 template <typename BucketFn>
-RwMatrix RollupStorageSide(const Fleet& fleet, const MetricDataset& metrics,
+RwMatrix RollupStorageSide(const Fleet& fleet, const RollupSources& sources,
                            size_t bucket_count, BucketFn bucket_of) {
-  RwMatrix out(bucket_count, metrics.window_steps, metrics.step_seconds);
-  metrics.segment_series.ForEachSorted([&](uint32_t seg_value, const RwSeries& src) {
-    const Segment& segment = fleet.segments[seg_value];
-    out.AccumulateRow(bucket_of(segment), src);
-  });
+  RwMatrix out(bucket_count, sources.steps, sources.step_seconds);
+  for (const auto& [seg_value, src] : sources.segments) {
+    out.AccumulateRow(bucket_of(fleet.segments[seg_value]), *src);
+  }
   return out;
 }
 
 }  // namespace
 
-RwMatrix RollupMatrixToVd(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupComputeSide(fleet, metrics, fleet.vds.size(),
+RwMatrix RollupMatrixToVd(const Fleet& fleet, const RollupSources& sources) {
+  return RollupComputeSide(fleet, sources, fleet.vds.size(),
                            [](const Qp& qp) { return qp.vd.value(); });
 }
 
-RwMatrix RollupMatrixToVm(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupComputeSide(fleet, metrics, fleet.vms.size(),
+RwMatrix RollupMatrixToVm(const Fleet& fleet, const RollupSources& sources) {
+  return RollupComputeSide(fleet, sources, fleet.vms.size(),
                            [](const Qp& qp) { return qp.vm.value(); });
 }
 
-RwMatrix RollupMatrixToUser(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupComputeSide(fleet, metrics, fleet.users.size(), [&fleet](const Qp& qp) {
+RwMatrix RollupMatrixToUser(const Fleet& fleet, const RollupSources& sources) {
+  return RollupComputeSide(fleet, sources, fleet.users.size(), [&fleet](const Qp& qp) {
     return fleet.vms[qp.vm.value()].user.value();
   });
 }
 
-RwMatrix RollupMatrixToWt(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupComputeSide(fleet, metrics, fleet.wts.size(),
+RwMatrix RollupMatrixToWt(const Fleet& fleet, const RollupSources& sources) {
+  return RollupComputeSide(fleet, sources, fleet.wts.size(),
                            [](const Qp& qp) { return qp.bound_wt.value(); });
 }
 
-RwMatrix RollupMatrixToComputeNode(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupComputeSide(fleet, metrics, fleet.nodes.size(),
+RwMatrix RollupMatrixToComputeNode(const Fleet& fleet, const RollupSources& sources) {
+  return RollupComputeSide(fleet, sources, fleet.nodes.size(),
                            [](const Qp& qp) { return qp.node.value(); });
 }
 
-RwMatrix RollupMatrixToBlockServer(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupStorageSide(fleet, metrics, fleet.block_servers.size(),
+RwMatrix RollupMatrixToBlockServer(const Fleet& fleet, const RollupSources& sources) {
+  return RollupStorageSide(fleet, sources, fleet.block_servers.size(),
                            [](const Segment& segment) { return segment.server.value(); });
 }
 
-RwMatrix RollupMatrixToStorageNode(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupStorageSide(fleet, metrics, fleet.storage_nodes.size(),
+RwMatrix RollupMatrixToStorageNode(const Fleet& fleet, const RollupSources& sources) {
+  return RollupStorageSide(fleet, sources, fleet.storage_nodes.size(),
                            [&fleet](const Segment& segment) {
                              return fleet.block_servers[segment.server.value()].node.value();
                            });
+}
+
+const std::vector<RwSeries>& RollupCache::Get(Level level) const {
+  // Indexed by Level, in declaration order.
+  static constexpr RwMatrix (*kFolds[])(const Fleet&, const RollupSources&) = {
+      RollupMatrixToVd, RollupMatrixToVm,          RollupMatrixToUser,
+      RollupMatrixToWt, RollupMatrixToComputeNode, RollupMatrixToBlockServer,
+      RollupMatrixToStorageNode};
+  Slot& slot = slots_[level];
+  util::MutexLock lock(&slot.mu);
+  if (!slot.value.has_value()) {
+    if (level == kSeg) {
+      std::vector<RwSeries> flat;
+      flat.reserve(sources_.segments.size());
+      for (const auto& segment : sources_.segments) {
+        flat.push_back(*segment.second);
+      }
+      slot.value = std::move(flat);
+    } else {
+      slot.value = kFolds[level](fleet_, sources_).ToSeriesVector();
+    }
+  }
+  return *slot.value;
+}
+
+void RollupCache::FillAll() const {
+  for (int level = 0; level < kLevelCount; ++level) {
+    Get(static_cast<Level>(level));
+  }
 }
 
 }  // namespace ebs

@@ -13,17 +13,23 @@
 // order, segments in ascending id order), and each accumulator element sees
 // the same addition sequence — so Row(e) of the matrix is bit-identical to
 // rollup[e] of the legacy path. ToSeriesVector() is the bridge for consumers
-// that still want per-entity RwSeries.
+// that still want per-entity RwSeries. RollupCache is the one holder of a
+// finished run's rollups that both facades and the replay rollup sink use.
 
 #ifndef SRC_TRACE_ROLLUP_DENSE_H_
 #define SRC_TRACE_ROLLUP_DENSE_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/topology/fleet.h"
 #include "src/trace/records.h"
+#include "src/util/thread_annotations.h"
 
 namespace ebs {
 
@@ -49,10 +55,6 @@ class RwMatrix {
   // rollup[e] += src, channel by channel (the RwSeries::Accumulate order).
   void AccumulateRow(size_t e, const RwSeries& src);
 
-  // rollup[e][t] += src[t] for all four channels (the streaming AddColumn
-  // order).
-  void AccumulateColumn(size_t e, const RwSeries& src, size_t t);
-
   // Materializes row `e` as a standalone RwSeries (bit-identical copies).
   RwSeries ExtractSeries(size_t e) const;
 
@@ -76,15 +78,69 @@ class RwMatrix {
   std::vector<double> write_ops_;
 };
 
+// What a rollup folds: the per-QP series (compute domain, indexed by
+// QpId::value()) and the active segments' series in ascending id order
+// (storage domain). A MetricDataset converts implicitly; the replay rollup
+// sink builds one from the step view's columns and segment registry.
+struct RollupSources {
+  RollupSources(const MetricDataset& metrics);
+  RollupSources(size_t window_steps, double dt, const std::vector<RwSeries>& qps,
+                std::vector<std::pair<uint32_t, const RwSeries*>> sorted_segments);
+
+  size_t steps;
+  double step_seconds;
+  const std::vector<RwSeries>* qp_series;
+  std::vector<std::pair<uint32_t, const RwSeries*>> segments;
+};
+
 // Matrix-native rollups; RollupTo*(fleet, metrics) in aggregate.h are thin
 // ToSeriesVector() wrappers over these.
-RwMatrix RollupMatrixToVd(const Fleet& fleet, const MetricDataset& metrics);
-RwMatrix RollupMatrixToVm(const Fleet& fleet, const MetricDataset& metrics);
-RwMatrix RollupMatrixToUser(const Fleet& fleet, const MetricDataset& metrics);
-RwMatrix RollupMatrixToWt(const Fleet& fleet, const MetricDataset& metrics);
-RwMatrix RollupMatrixToComputeNode(const Fleet& fleet, const MetricDataset& metrics);
-RwMatrix RollupMatrixToBlockServer(const Fleet& fleet, const MetricDataset& metrics);
-RwMatrix RollupMatrixToStorageNode(const Fleet& fleet, const MetricDataset& metrics);
+RwMatrix RollupMatrixToVd(const Fleet& fleet, const RollupSources& sources);
+RwMatrix RollupMatrixToVm(const Fleet& fleet, const RollupSources& sources);
+RwMatrix RollupMatrixToUser(const Fleet& fleet, const RollupSources& sources);
+RwMatrix RollupMatrixToWt(const Fleet& fleet, const RollupSources& sources);
+RwMatrix RollupMatrixToComputeNode(const Fleet& fleet, const RollupSources& sources);
+RwMatrix RollupMatrixToBlockServer(const Fleet& fleet, const RollupSources& sources);
+RwMatrix RollupMatrixToStorageNode(const Fleet& fleet, const RollupSources& sources);
+
+// The entity-level rollups of one finished run, each level folded once on
+// first access and cached. Thread-safe: each level fills under its own
+// annotated mutex, so concurrent first readers serialize on the fill and later
+// readers pay one uncontended lock. A filled level is never reset, so the
+// returned reference outlives the lock; a fill that throws leaves the level
+// empty for the next reader to retry.
+class RollupCache {
+ public:
+  // `fleet` and everything `sources` points at must stay alive and unchanged
+  // until every level has been read once (FillAll() ends that dependency).
+  RollupCache(const Fleet& fleet, RollupSources sources)
+      : fleet_(fleet), sources_(std::move(sources)) {}
+
+  const std::vector<RwSeries>& vd() const { return Get(kVd); }
+  const std::vector<RwSeries>& vm() const { return Get(kVm); }
+  const std::vector<RwSeries>& user() const { return Get(kUser); }
+  const std::vector<RwSeries>& wt() const { return Get(kWt); }
+  const std::vector<RwSeries>& cn() const { return Get(kCn); }
+  const std::vector<RwSeries>& bs() const { return Get(kBs); }
+  const std::vector<RwSeries>& sn() const { return Get(kSn); }
+  // Active-segment series (copies), ascending segment id.
+  const std::vector<RwSeries>& seg() const { return Get(kSeg); }
+
+  void FillAll() const;
+
+ private:
+  enum Level { kVd, kVm, kUser, kWt, kCn, kBs, kSn, kSeg, kLevelCount };
+  struct Slot {
+    util::Mutex mu;
+    std::optional<std::vector<RwSeries>> value EBS_GUARDED_BY(mu);
+  };
+
+  const std::vector<RwSeries>& Get(Level level) const;
+
+  const Fleet& fleet_;
+  RollupSources sources_;
+  mutable std::array<Slot, kLevelCount> slots_;
+};
 
 }  // namespace ebs
 

@@ -1,7 +1,7 @@
 // Clang thread-safety annotation macros and an annotated mutex wrapper.
 //
 // The concurrent stack (obs::MetricRegistry, replay::BoundedQueue, the
-// replay sources' cross-thread error slots, EbsSimulation's rollup caches)
+// replay sources' cross-thread error slots, the facades' RollupCache)
 // declares its lock discipline with these macros so `clang -Wthread-safety`
 // can prove — at compile time, for every code path — that guarded state is
 // only touched with the right mutex held. CI builds the tree with

@@ -17,6 +17,7 @@
 //      against the identical open-loop run.
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "src/control/signal.h"
 #include "src/core/simulation.h"
 #include "src/core/streaming.h"
+#include "src/core/validate.h"
 #include "src/fault/schedule.h"
 #include "src/trace/store.h"
 #include "tests/test_helpers.h"
@@ -318,6 +320,16 @@ TEST(ControlDeterminismTest, CrashHeavyScheduleChangesTheDecisions) {
   EXPECT_TRUE(healthy.control_log()->Filtered(ActionKind::kEvacuateSegment).empty());
   EXPECT_FALSE(faulty.control_log()->Filtered(ActionKind::kEvacuateSegment).empty());
   EXPECT_FALSE(faulty.control_log()->Filtered(ActionKind::kSetPressure).empty());
+}
+
+TEST(ControlConfigTest, ZeroPeriodIsRejectedByBothFacades) {
+  // period_steps == 0 used to pass validation and then divide by zero in the
+  // lending sink's period check.
+  SimulationConfig config = BatteryConfig(false);
+  config.control.period_steps = 0;
+  EXPECT_NE(ValidateSimulationConfig(config), "");
+  EXPECT_THROW(EbsSimulation{config}, std::invalid_argument);
+  EXPECT_THROW(StreamingSimulation{config}, std::invalid_argument);
 }
 
 // --- Properties ---------------------------------------------------------------

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <type_traits>
 
 #include "src/cache/policy.h"
 #include "src/fault/schedule.h"
@@ -116,15 +118,20 @@ INSTANTIATE_TEST_SUITE_P(Alphas, ZipfPropertyTest, ::testing::Values(0.6, 0.9, 1
 
 // --- Cache invariants over policies and seeds --------------------------------
 
+// gtest names each case by a byte dump of the parameter, so the struct spells
+// out its padding: uninitialized padding bytes would change the names per run.
 struct CacheCase {
   CachePolicy policy;
+  std::array<uint8_t, 7> zero_pad;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<CacheCase>);
 
 class CachePropertyTest : public ::testing::TestWithParam<CacheCase> {};
 
 TEST_P(CachePropertyTest, ColdMissesThenDeterministicReplay) {
-  const auto [policy, seed] = GetParam();
+  const CachePolicy policy = GetParam().policy;
+  const uint64_t seed = GetParam().seed;
   auto a = MakeCache(policy, 32);
   auto b = MakeCache(policy, 32);
   Rng rng(seed);
@@ -146,9 +153,9 @@ TEST_P(CachePropertyTest, ColdMissesThenDeterministicReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, CachePropertyTest,
-    ::testing::Values(CacheCase{CachePolicy::kFifo, 1}, CacheCase{CachePolicy::kLru, 2},
-                      CacheCase{CachePolicy::kLfu, 3}, CacheCase{CachePolicy::kClock, 4},
-                      CacheCase{CachePolicy::kTwoQ, 5}));
+    ::testing::Values(CacheCase{CachePolicy::kFifo, {}, 1}, CacheCase{CachePolicy::kLru, {}, 2},
+                      CacheCase{CachePolicy::kLfu, {}, 3}, CacheCase{CachePolicy::kClock, {}, 4},
+                      CacheCase{CachePolicy::kTwoQ, {}, 5}));
 
 // --- Workload invariants over seeds -------------------------------------------
 

@@ -313,6 +313,27 @@ TEST(ReplayEngineTest, SinkLifecycleAndStreamOrder) {
   EXPECT_EQ(result.metrics.qp_series.size(), fleet.qps.size());
 }
 
+// The rollup sink folds every level once, at its final step boundary; the
+// result must equal the batch facade's rollups at any worker count.
+TEST(ReplayEngineTest, RollupSinkMatchesBatchRollups) {
+  const SimulationConfig config = SmallConfig();
+  const EbsSimulation batch(config);
+  for (const size_t workers : {1u, 3u}) {
+    ReplayEngine engine(batch.fleet(), config.workload, {.worker_threads = workers});
+    RollupAggregatorSink rollups;
+    engine.AddSink(&rollups);
+    engine.Run();
+    const StreamingAggregator& agg = rollups.aggregator();
+    ExpectRollupEqual(agg.vd(), batch.VdSeries(), "vd");
+    ExpectRollupEqual(agg.vm(), batch.VmSeries(), "vm");
+    ExpectRollupEqual(agg.user(), batch.UserSeries(), "user");
+    ExpectRollupEqual(agg.wt(), batch.WtSeries(), "wt");
+    ExpectRollupEqual(agg.cn(), batch.CnSeries(), "cn");
+    ExpectRollupEqual(agg.bs(), batch.BsSeries(), "bs");
+    ExpectRollupEqual(agg.sn(), batch.SnSeries(), "sn");
+  }
+}
+
 TEST(StreamingSimulationTest, GuardsAgainstMisuse) {
   SimulationConfig config = SmallConfig();
   config.fleet.user_count = 4;
@@ -327,30 +348,34 @@ TEST(StreamingSimulationTest, GuardsAgainstMisuse) {
   EXPECT_EQ(sim.VdSeries().size(), sim.fleet().vds.size());
 }
 
-TEST(SimulationTest, RollupCachesAreThreadSafe) {
-  SimulationConfig config = SmallConfig();
-  config.fleet.user_count = 10;
-  config.workload.window_steps = 30;
-  const EbsSimulation sim(config);
-
-  // Hammer every lazy accessor from many threads; under EBS_SANITIZE=thread
-  // this is the regression test for the once_flag-guarded caches.
+// Hammers every lazy rollup accessor of `sim` from many threads; under
+// EBS_SANITIZE=thread this is the regression test for the shared RollupCache.
+template <typename Sim>
+void HammerRollupAccessors(const Sim& sim) {
+  const auto sizes = [&sim] {
+    return sim.VdSeries().size() + sim.VmSeries().size() + sim.UserSeries().size() +
+           sim.WtSeries().size() + sim.CnSeries().size() + sim.BsSeries().size() +
+           sim.SnSeries().size() + sim.SegSeries().size();
+  };
   std::atomic<size_t> total{0};
   std::vector<std::thread> threads;
   for (int i = 0; i < 8; ++i) {
-    threads.emplace_back([&] {
-      total += sim.VdSeries().size() + sim.VmSeries().size() + sim.UserSeries().size() +
-               sim.WtSeries().size() + sim.CnSeries().size() + sim.BsSeries().size() +
-               sim.SnSeries().size() + sim.SegSeries().size();
-    });
+    threads.emplace_back([&] { total += sizes(); });
   }
   for (std::thread& thread : threads) {
     thread.join();
   }
-  const size_t once = sim.VdSeries().size() + sim.VmSeries().size() + sim.UserSeries().size() +
-                      sim.WtSeries().size() + sim.CnSeries().size() + sim.BsSeries().size() +
-                      sim.SnSeries().size() + sim.SegSeries().size();
-  EXPECT_EQ(total.load(), once * 8);
+  EXPECT_EQ(total.load(), sizes() * 8);
+}
+
+TEST(SimulationTest, RollupCachesAreThreadSafe) {
+  SimulationConfig config = SmallConfig();
+  config.fleet.user_count = 10;
+  config.workload.window_steps = 30;
+  HammerRollupAccessors(EbsSimulation(config));
+  StreamingSimulation stream(config, {.worker_threads = 2});
+  stream.Run();
+  HammerRollupAccessors(stream);
 }
 
 }  // namespace

@@ -247,19 +247,6 @@ TEST(RwMatrixTest, AccumulateRowMatchesRwSeriesAccumulate) {
   }
 }
 
-TEST(RwMatrixTest, AccumulateColumnOnlyTouchesOneStep) {
-  RwSeries src(3, 1.0);
-  src.read_bytes[1] = 7.0;
-  src.write_ops[1] = 2.0;
-
-  RwMatrix matrix(1, 3, 1.0);
-  matrix.AccumulateColumn(0, src, 1);
-  EXPECT_EQ(matrix.ReadBytes(0)[0], 0.0);
-  EXPECT_EQ(matrix.ReadBytes(0)[1], 7.0);
-  EXPECT_EQ(matrix.ReadBytes(0)[2], 0.0);
-  EXPECT_EQ(matrix.WriteOps(0)[1], 2.0);
-}
-
 TEST(RwMatrixTest, ToSeriesVectorRoundTrips) {
   RwMatrix matrix(3, 2, 0.5);
   matrix.ReadBytes(2)[1] = 9.0;
