@@ -76,10 +76,14 @@ inline constexpr size_t kStoreTrailerBytes = 24;
 inline constexpr size_t kMaxVarintBytes = 10;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), computed
+// slicing-by-8: eight bytes per step through eight lookup tables.
 // ---------------------------------------------------------------------------
 
-uint32_t Crc32(const uint8_t* data, size_t size);
+// Extends `crc`, the CRC of some bytes, over data[0, size):
+// Crc32Extend(Crc32(a), b) == Crc32(a followed by b).
+uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size);
+inline uint32_t Crc32(const uint8_t* data, size_t size) { return Crc32Extend(0, data, size); }
 inline uint32_t Crc32(const std::vector<uint8_t>& data) {
   return Crc32(data.data(), data.size());
 }
@@ -191,6 +195,10 @@ struct ByteReader {
   // Rejects overruns AND over-long encodings: a varint must fit 10 bytes and
   // the 10th byte may only contribute the top bit of the u64.
   bool GetVarint(uint64_t* out) {
+    if (pos != end && *pos < 0x80) {  // one byte: always minimal
+      *out = *pos++;
+      return true;
+    }
     uint64_t value = 0;
     const uint8_t* p = pos;
     for (size_t i = 0; i < kMaxVarintBytes; ++i) {

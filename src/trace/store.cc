@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 namespace ebs {
@@ -67,50 +66,146 @@ enum ColumnEncoding : uint8_t {
 }
 
 // ---------------------------------------------------------------------------
-// Delta transforms. All arithmetic wraps through uint64_t, so any value —
+// Prediction state. All arithmetic wraps through uint64_t, so any value —
 // including UINT64_MAX offsets and arbitrary double bit patterns — survives
 // the delta round trip exactly.
 // ---------------------------------------------------------------------------
 
-std::vector<int64_t> GlobalDeltas(const std::vector<uint64_t>& values) {
-  std::vector<int64_t> deltas(values.size());
-  uint64_t prev = 0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    deltas[i] = static_cast<int64_t>(values[i] - prev);
-    prev = values[i];
+// Dense slot index over one chunk's keys (VD or segment ids): records with
+// equal keys share a slot. Built once per chunk and key, then shared by every
+// column predicted against that key.
+struct KeySlots {
+  std::vector<uint32_t> slot;  // per record
+  size_t count = 0;            // distinct keys
+};
+
+// Slots are numbered in first-seen order through an open-addressing table of
+// (key << 32 | slot + 1) entries, 0 = empty, at most half full. n fits u32
+// (the chunk header's record count), so slot + 1 does too.
+template <typename Key>
+KeySlots SlotsOf(size_t n, Key key) {
+  size_t capacity = 16;
+  while (capacity < 2 * n) {
+    capacity *= 2;
   }
-  return deltas;
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<uint64_t> table(capacity, 0);
+  KeySlots slots;
+  slots.slot.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = key(i);
+    size_t h = static_cast<size_t>((k * 0x9E3779B97F4A7C15ull) >> shift);
+    while (table[h] != 0 && (table[h] >> 32) != k) {
+      h = (h + 1) & (capacity - 1);
+    }
+    if (table[h] == 0) {
+      table[h] = k << 32 | ++slots.count;
+    }
+    slots.slot[i] = static_cast<uint32_t>(table[h]) - 1;
+  }
+  return slots;
 }
 
-void GlobalIntegrate(const std::vector<int64_t>& deltas, std::vector<uint64_t>* values) {
-  values->resize(deltas.size());
-  uint64_t prev = 0;
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    prev += static_cast<uint64_t>(deltas[i]);
-    (*values)[i] = prev;
+// Predicts each record from the previous record of the same key. `state` is
+// working storage shared by the predictors of one chunk (one column runs at
+// a time).
+class KeyedPrediction {
+ public:
+  KeyedPrediction(const KeySlots& slots, std::vector<uint64_t>* state)
+      : slots_(slots), state_(state) {}
+  void Reset() {
+    state_->assign(slots_.count, 0);
+    last_ = state_->data();
   }
+  uint64_t& operator()(size_t i) { return last_[slots_.slot[i]]; }
+
+ private:
+  const KeySlots& slots_;
+  std::vector<uint64_t>* state_;
+  uint64_t* last_ = nullptr;
+};
+
+// Predicts each value from the previous one (steps, VD ids, the time-sorted
+// timestamps, metric series).
+struct GlobalPrediction {
+  uint64_t last = 0;
+  void Reset() { last = 0; }
+  uint64_t& operator()(size_t) { return last; }
+};
+
+// ---------------------------------------------------------------------------
+// Zigzag-list sizes and emission.
+// ---------------------------------------------------------------------------
+
+size_t VarintSize(uint64_t v) { return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7; }
+
+size_t ZigzagSize(int64_t x) { return VarintSize(ZigzagEncode(x)); }
+
+uint8_t* PutVarintAt(uint8_t* p, uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<uint8_t>(v);
+  return p;
 }
 
-std::vector<int64_t> PerVdDeltas(const std::vector<uint64_t>& values,
-                                 const std::vector<uint32_t>& vds) {
-  std::vector<int64_t> deltas(values.size());
-  std::unordered_map<uint32_t, uint64_t> last;
-  for (size_t i = 0; i < values.size(); ++i) {
-    uint64_t& prev = last[vds[i]];
-    deltas[i] = static_cast<int64_t>(values[i] - prev);
-    prev = values[i];
+// Plain and RLE ((run-count varint, zigzag value) pairs) byte counts of one
+// zigzag list, fed value by value — the list itself is never built.
+class ListSize {
+ public:
+  void Add(int64_t x) {
+    plain_ += ZigzagSize(x);
+    if (run_ > 0 && x == value_) {
+      ++run_;
+      return;
+    }
+    rle_ += RunBytes();
+    value_ = x;
+    run_ = 1;
   }
-  return deltas;
-}
+  size_t plain() const { return plain_; }
+  size_t rle() const { return rle_ + RunBytes(); }
 
-void PerVdIntegrate(const std::vector<int64_t>& deltas, const std::vector<uint32_t>& vds,
-                    std::vector<uint64_t>* values) {
-  values->resize(deltas.size());
-  std::unordered_map<uint32_t, uint64_t> last;
-  for (size_t i = 0; i < deltas.size(); ++i) {
-    uint64_t& prev = last[vds[i]];
-    prev += static_cast<uint64_t>(deltas[i]);
-    (*values)[i] = prev;
+ private:
+  size_t RunBytes() const { return run_ > 0 ? VarintSize(run_) + ZigzagSize(value_) : 0; }
+
+  size_t plain_ = 0;
+  size_t rle_ = 0;
+  size_t run_ = 0;
+  int64_t value_ = 0;
+};
+
+// Writes next(0), ..., next(n - 1) at `p`, which has room for exactly its
+// sized bytes, as a zigzag list in plain or RLE layout.
+template <typename Next>
+void WriteList(uint8_t* p, size_t n, bool rle, Next next) {
+  if (!rle) {
+    for (size_t i = 0; i < n; ++i) {
+      p = PutVarintAt(p, ZigzagEncode(next(i)));
+    }
+    return;
+  }
+  size_t run = 0;
+  int64_t value = 0;
+  const auto flush = [&] {
+    p = PutVarintAt(p, run);
+    p = PutVarintAt(p, ZigzagEncode(value));
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t x = next(i);
+    if (run > 0 && x == value) {
+      ++run;
+      continue;
+    }
+    if (run > 0) {
+      flush();
+    }
+    value = x;
+    run = 1;
+  }
+  if (run > 0) {
+    flush();
   }
 }
 
@@ -118,84 +213,126 @@ void PerVdIntegrate(const std::vector<int64_t>& deltas, const std::vector<uint32
 // Block encode/decode.
 // ---------------------------------------------------------------------------
 
-void AppendBlock(std::vector<uint8_t>* out, uint8_t encoding,
-                 const std::vector<uint8_t>& payload) {
-  out->push_back(encoding);
-  PutVarint(out, payload.size());
-  out->insert(out->end(), payload.begin(), payload.end());
+void AppendAllZero(std::vector<uint8_t>* out) {
+  out->push_back(kEncAllZero);
+  out->push_back(0);  // empty payload
 }
 
-std::vector<uint8_t> EncodePlain(const std::vector<int64_t>& xs) {
-  std::vector<uint8_t> payload;
-  for (const int64_t x : xs) {
-    PutZigzag(&payload, x);
-  }
-  return payload;
-}
-
-std::vector<uint8_t> EncodeRle(const std::vector<int64_t>& xs) {
-  std::vector<uint8_t> payload;
-  for (size_t i = 0; i < xs.size();) {
-    size_t run = 1;
-    while (i + run < xs.size() && xs[i + run] == xs[i]) {
-      ++run;
-    }
-    PutVarint(&payload, run);
-    PutZigzag(&payload, xs[i]);
-    i += run;
-  }
-  return payload;
-}
-
-struct Candidate {
-  uint8_t tag = kEncAllZero;
-  std::vector<uint8_t> payload;
+// Plain tags of a block type's candidate lists (each RLE tag is plain + 1);
+// 0 = no such candidate.
+struct BlockTags {
+  uint8_t delta = 0;  // deltas against the prediction
+  uint8_t raw = 0;    // the values themselves, prediction disabled
+  uint8_t shift = 0;  // [shift u8] + deltas of value >> shift
 };
 
-// Emits the smallest candidate block.
-void EmitBest(std::vector<uint8_t>* out, std::vector<Candidate> candidates) {
-  size_t best = 0;
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    if (candidates[i].payload.size() < candidates[best].payload.size()) {
-      best = i;
-    }
+constexpr BlockTags kIntTags{kEncPlain, kEncRawPlain, kEncShiftPlain};
+constexpr BlockTags kQuantTags{kEncQuantPlain, kEncQuantRawPlain, 0};
+constexpr BlockTags kExactTags{kEncExactPlain, 0, 0};
+
+// Encodes value(0), ..., value(n - 1) as one block: the all-zero marker, or
+// the smallest candidate list. Every candidate is sized in one pass without
+// being built, and only the winner is written, straight into `out`. The
+// candidates are tried in the order delta, raw, shift — plain before RLE —
+// and the first smallest wins; that order is part of the file format's
+// bytes.
+template <typename Value, typename Predict>
+void AppendZigzagBlock(std::vector<uint8_t>* out, size_t n, Value value, BlockTags tags,
+                       Predict& predict) {
+  uint64_t low_bits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    low_bits |= value(i);
   }
-  AppendBlock(out, candidates[best].tag, candidates[best].payload);
-}
-
-void AddPlainRle(std::vector<Candidate>* candidates, const std::vector<int64_t>& xs,
-                 uint8_t plain_tag, uint8_t rle_tag) {
-  candidates->push_back({plain_tag, EncodePlain(xs)});
-  candidates->push_back({rle_tag, EncodeRle(xs)});
-}
-
-// Emits the smaller of the plain and RLE delta encodings (or the all-zero
-// marker) — the fixed two-candidate form used by metric series blocks.
-void AppendDeltaBlock(std::vector<uint8_t>* out, const std::vector<int64_t>& deltas,
-                      uint8_t base) {
-  const bool all_zero =
-      std::all_of(deltas.begin(), deltas.end(), [](int64_t d) { return d == 0; });
-  if (all_zero) {
-    AppendBlock(out, kEncAllZero, {});
+  if (low_bits == 0) {
+    AppendAllZero(out);
     return;
   }
-  std::vector<Candidate> candidates;
-  AddPlainRle(&candidates, deltas, base, static_cast<uint8_t>(base + 1));
-  EmitBest(out, std::move(candidates));
-}
+  // Values sharing trailing zero bits (aligned offsets, power-of-two sizes).
+  const int shift = tags.shift != 0 ? std::countr_zero(low_bits) : 0;
+  ListSize delta;
+  ListSize raw;
+  ListSize shifted;
+  predict.Reset();
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t v = value(i);
+    uint64_t& prev = predict(i);
+    delta.Add(static_cast<int64_t>(v - prev));
+    if (tags.raw != 0) {
+      raw.Add(static_cast<int64_t>(v));
+    }
+    if (shift != 0) {
+      shifted.Add(static_cast<int64_t>((v >> shift) - (prev >> shift)));
+    }
+    prev = v;
+  }
 
-void AppendBitmapBlock(std::vector<uint8_t>* out, const std::vector<bool>& bits) {
-  if (std::none_of(bits.begin(), bits.end(), [](bool b) { return b; })) {
-    AppendBlock(out, kEncAllZero, {});
+  enum class List { kDelta, kRaw, kShift };
+  struct Choice {
+    List list;
+    bool rle;
+    size_t size;
+  };
+  Choice best{List::kDelta, false, delta.plain()};
+  const auto consider = [&best](List list, const ListSize& sizes, size_t prefix) {
+    if (prefix + sizes.plain() < best.size) {
+      best = {list, false, prefix + sizes.plain()};
+    }
+    if (prefix + sizes.rle() < best.size) {
+      best = {list, true, prefix + sizes.rle()};
+    }
+  };
+  consider(List::kDelta, delta, 0);
+  if (tags.raw != 0) {
+    consider(List::kRaw, raw, 0);
+  }
+  if (shift != 0) {
+    consider(List::kShift, shifted, 1);  // the shift amount byte
+  }
+
+  const uint8_t plain_tag = best.list == List::kDelta ? tags.delta
+                            : best.list == List::kRaw ? tags.raw
+                                                      : tags.shift;
+  const size_t at = out->size();
+  out->resize(at + 1 + VarintSize(best.size) + best.size);
+  (*out)[at] = static_cast<uint8_t>(plain_tag + (best.rle ? 1 : 0));
+  uint8_t* p = PutVarintAt(out->data() + at + 1, best.size);
+  if (best.list == List::kRaw) {
+    WriteList(p, n, best.rle, [&](size_t i) { return static_cast<int64_t>(value(i)); });
     return;
   }
-  std::vector<uint8_t> payload((bits.size() + 7) / 8, 0);
-  for (size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) {
-      payload[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+  const int by = best.list == List::kShift ? shift : 0;  // a delta list is unshifted
+  if (by != 0) {
+    *p++ = static_cast<uint8_t>(by);
+  }
+  predict.Reset();
+  WriteList(p, n, best.rle, [&](size_t i) {
+    const uint64_t v = value(i);
+    uint64_t& prev = predict(i);
+    const auto x = static_cast<int64_t>((v >> by) - (prev >> by));
+    prev = v;
+    return x;
+  });
+}
+
+// bit(i) for i in [0, n) as packed bits, LSB-first, or the all-zero marker.
+template <typename Bit>
+void AppendBitmapBlock(std::vector<uint8_t>* out, size_t n, Bit bit) {
+  const size_t bytes = (n + 7) / 8;
+  const size_t at = out->size();
+  out->resize(at + 1 + VarintSize(bytes) + bytes);
+  (*out)[at] = kEncBitmap;
+  uint8_t* bits = PutVarintAt(out->data() + at + 1, bytes);
+  bool any = false;
+  for (size_t i = 0; i < n; ++i) {
+    if (bit(i)) {
+      bits[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+      any = true;
     }
   }
-  AppendBlock(out, kEncBitmap, payload);
+  if (!any) {
+    out->resize(at);
+    AppendAllZero(out);
+  }
 }
 
 struct DecodedBlock {
@@ -213,70 +350,59 @@ DecodedBlock NextBlock(ByteReader* reader, const char* column) {
   return block;
 }
 
-// Decodes `n` zigzag values in plain or RLE layout from `payload`. The caller
-// checks payload.exhausted() afterwards (shift blocks carry a prefix byte, so
-// the list is not always the whole payload).
-std::vector<int64_t> DecodeZigzagList(ByteReader* payload, bool rle, size_t n,
-                                      const char* column) {
-  std::vector<int64_t> xs;
-  xs.reserve(n);
-  if (rle) {
-    while (xs.size() < n) {
-      uint64_t run = 0;
-      int64_t value = 0;
-      if (!payload->GetVarint(&run) || !payload->GetZigzag(&value)) {
-        DecodeFail(std::string("RLE overrun in column: ") + column);
-      }
-      if (run == 0 || run > n - xs.size()) {
-        DecodeFail(std::string("RLE run count out of range in column: ") + column);
-      }
-      xs.insert(xs.end(), static_cast<size_t>(run), value);
-    }
-  } else {
+// Decodes `n` zigzag values in plain or RLE layout from `payload`, handing
+// each to next(i, x) — the caller integrates it straight into its
+// destination. The caller checks payload.exhausted() afterwards (shift blocks
+// carry a prefix byte, so the list is not always the whole payload).
+template <typename Next>
+void ReadList(ByteReader* payload, size_t n, bool rle, const char* column, Next next) {
+  if (!rle) {
     for (size_t i = 0; i < n; ++i) {
       int64_t x = 0;
       if (!payload->GetZigzag(&x)) {
         DecodeFail(std::string("varint overrun in column: ") + column);
       }
-      xs.push_back(x);
+      next(i, x);
+    }
+    return;
+  }
+  for (size_t i = 0; i < n;) {
+    uint64_t run = 0;
+    int64_t value = 0;
+    if (!payload->GetVarint(&run) || !payload->GetZigzag(&value)) {
+      DecodeFail(std::string("RLE overrun in column: ") + column);
+    }
+    if (run == 0 || run > n - i) {
+      DecodeFail(std::string("RLE run count out of range in column: ") + column);
+    }
+    for (const size_t end = i + static_cast<size_t>(run); i < end; ++i) {
+      next(i, value);
     }
   }
-  return xs;
 }
 
-// Decodes a delta block in the fixed two-tag form (all-zero / base / base+1)
-// used by metric series.
-std::vector<int64_t> DecodeDeltaBlock(DecodedBlock block, size_t n, uint8_t base,
-                                      const char* column) {
-  std::vector<int64_t> deltas;
-  if (block.encoding == kEncAllZero) {
-    deltas.assign(n, 0);
-  } else if (block.encoding == base || block.encoding == base + 1) {
-    deltas = DecodeZigzagList(&block.payload, block.encoding == base + 1, n, column);
-  } else {
-    DecodeFail(std::string("unexpected encoding tag in column: ") + column);
-  }
-  if (!block.payload.exhausted()) {
+void ExpectExhausted(const ByteReader& payload, const char* column) {
+  if (!payload.exhausted()) {
     DecodeFail(std::string("trailing bytes in column: ") + column);
   }
-  return deltas;
 }
 
-std::vector<bool> DecodeBitmapBlock(DecodedBlock block, size_t n, const char* column) {
-  std::vector<bool> bits(n, false);
+// Decodes a bitmap block into out[0, n) as 0/1.
+void DecodeBitmapBlock(ByteReader* reader, size_t n, const char* column, uint64_t* out) {
+  const DecodedBlock block = NextBlock(reader, column);
   if (block.encoding == kEncAllZero) {
     if (!block.payload.exhausted()) {
       DecodeFail(std::string("all-zero block with payload: ") + column);
     }
-    return bits;
+    std::fill_n(out, n, 0);
+    return;
   }
   if (block.encoding != kEncBitmap || block.payload.remaining() != (n + 7) / 8) {
     DecodeFail(std::string("malformed bitmap column: ") + column);
   }
   for (size_t i = 0; i < n; ++i) {
-    bits[i] = (block.payload.pos[i / 8] >> (i % 8)) & 1u;
+    out[i] = (block.payload.pos[i / 8] >> (i % 8)) & 1u;
   }
-  return bits;
 }
 
 // ---------------------------------------------------------------------------
@@ -295,176 +421,63 @@ double DoubleOf(uint64_t bits) {
   return v;
 }
 
-// Quantizes a whole column; false if any value does not fit the grid (the
-// caller then falls back to the exact bit-pattern encoding for this column).
-bool QuantizeColumn(const std::vector<double>& values, double scale,
-                    std::vector<uint64_t>* out) {
-  out->resize(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    int64_t q = 0;
-    if (!QuantizeScaled(values[i], scale, &q)) {
-      return false;
-    }
-    (*out)[i] = static_cast<uint64_t>(q);
-  }
-  return true;
-}
-
-// Encodes one double column. kExport columns that fit the fixed-point grid
-// get delta AND raw (no-delta) candidates on the grid — raw wins on i.i.d.
-// columns like latency components, where deltas double the entropy range.
-// Everything else falls back to exact bit-pattern deltas.
-void AppendDoubleColumn(std::vector<uint8_t>* out, const std::vector<double>& values,
-                        const std::vector<uint32_t>& vds, bool per_vd, double scale,
-                        StorePrecision precision) {
-  std::vector<uint64_t> raw;
-  const bool quant =
-      precision == StorePrecision::kExport && QuantizeColumn(values, scale, &raw);
-  if (!quant) {
-    raw.resize(values.size());
-    for (size_t i = 0; i < values.size(); ++i) {
-      raw[i] = BitsOf(values[i]);
-    }
-  }
-  if (std::all_of(raw.begin(), raw.end(), [](uint64_t v) { return v == 0; })) {
-    AppendBlock(out, kEncAllZero, {});
-    return;
-  }
-  const std::vector<int64_t> deltas = per_vd ? PerVdDeltas(raw, vds) : GlobalDeltas(raw);
-  std::vector<Candidate> candidates;
-  if (quant) {
-    AddPlainRle(&candidates, deltas, kEncQuantPlain, kEncQuantRle);
-    std::vector<int64_t> grid(raw.size());
-    for (size_t i = 0; i < raw.size(); ++i) {
-      grid[i] = static_cast<int64_t>(raw[i]);
-    }
-    AddPlainRle(&candidates, grid, kEncQuantRawPlain, kEncQuantRawRle);
-  } else {
-    AddPlainRle(&candidates, deltas, kEncExactPlain, kEncExactRle);
-  }
-  EmitBest(out, std::move(candidates));
-}
-
-std::vector<double> DecodeDoubleColumn(ByteReader* reader, size_t n,
-                                       const std::vector<uint32_t>& vds, bool per_vd,
-                                       double scale, const char* column) {
+// Decodes a double block (tags of kExactTags or kQuantTags) into out[0, n).
+template <typename Predict>
+void DecodeDoubleBlock(ByteReader* reader, size_t n, Predict& predict, double scale,
+                       const char* column, double* out) {
   DecodedBlock block = NextBlock(reader, column);
-  std::vector<uint64_t> raw;
-  bool quantized = false;
-  const auto integrate = [&](const std::vector<int64_t>& deltas) {
-    if (per_vd) {
-      PerVdIntegrate(deltas, vds, &raw);
-    } else {
-      GlobalIntegrate(deltas, &raw);
-    }
-  };
+  predict.Reset();
   switch (block.encoding) {
-    case kEncAllZero:
-      raw.assign(n, 0);  // bits 0 and grid 0 both decode to 0.0
+    case kEncAllZero:  // bits 0 and grid 0 both decode to 0.0
+      std::fill_n(out, n, 0.0);
       break;
     case kEncExactPlain:
     case kEncExactRle:
-      integrate(DecodeZigzagList(&block.payload, block.encoding == kEncExactRle, n, column));
+      ReadList(&block.payload, n, block.encoding == kEncExactRle, column,
+               [&](size_t i, int64_t x) {
+                 out[i] = DoubleOf(predict(i) += static_cast<uint64_t>(x));
+               });
       break;
     case kEncQuantPlain:
     case kEncQuantRle:
-      quantized = true;
-      integrate(DecodeZigzagList(&block.payload, block.encoding == kEncQuantRle, n, column));
+      ReadList(&block.payload, n, block.encoding == kEncQuantRle, column,
+               [&](size_t i, int64_t x) {
+                 const uint64_t grid = predict(i) += static_cast<uint64_t>(x);
+                 out[i] = DequantizeScaled(static_cast<int64_t>(grid), scale);
+               });
       break;
     case kEncQuantRawPlain:
-    case kEncQuantRawRle: {
-      quantized = true;
-      const std::vector<int64_t> grid =
-          DecodeZigzagList(&block.payload, block.encoding == kEncQuantRawRle, n, column);
-      raw.assign(grid.begin(), grid.end());
+    case kEncQuantRawRle:
+      ReadList(&block.payload, n, block.encoding == kEncQuantRawRle, column,
+               [&](size_t i, int64_t x) { out[i] = DequantizeScaled(x, scale); });
       break;
-    }
     default:
       DecodeFail(std::string("unexpected encoding tag in column: ") + column);
   }
-  if (!block.payload.exhausted()) {
-    DecodeFail(std::string("trailing bytes in column: ") + column);
-  }
-  std::vector<double> values(n);
-  for (size_t i = 0; i < n; ++i) {
-    values[i] = quantized ? DequantizeScaled(static_cast<int64_t>(raw[i]), scale)
-                          : DoubleOf(raw[i]);
-  }
-  return values;
+  ExpectExhausted(block.payload, column);
 }
 
-// ---------------------------------------------------------------------------
-// Integer column helpers.
-// ---------------------------------------------------------------------------
-
-// Encodes an integer column, choosing the smallest of: per-VD/global deltas
-// (plain or RLE), raw zigzag values with prediction disabled, and — when every
-// value shares trailing zero bits (aligned offsets, power-of-two sizes) —
-// deltas of value >> shift with the shift amount as a one-byte prefix.
-void AppendIntColumn(std::vector<uint8_t>* out, const std::vector<uint64_t>& values,
-                     const std::vector<uint32_t>& vds, bool per_vd) {
-  if (std::all_of(values.begin(), values.end(), [](uint64_t v) { return v == 0; })) {
-    AppendBlock(out, kEncAllZero, {});
-    return;
-  }
-  const auto deltas_of = [&](const std::vector<uint64_t>& vs) {
-    return per_vd ? PerVdDeltas(vs, vds) : GlobalDeltas(vs);
-  };
-  std::vector<Candidate> candidates;
-  AddPlainRle(&candidates, deltas_of(values), kEncPlain, kEncRle);
-
-  std::vector<int64_t> raw(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    raw[i] = static_cast<int64_t>(values[i]);
-  }
-  AddPlainRle(&candidates, raw, kEncRawPlain, kEncRawRle);
-
-  uint64_t low_bits = 0;
-  for (const uint64_t v : values) {
-    low_bits |= v;
-  }
-  const int shift = std::countr_zero(low_bits);  // low_bits != 0: not all zero
-  if (shift > 0) {
-    std::vector<uint64_t> shifted(values.size());
-    for (size_t i = 0; i < values.size(); ++i) {
-      shifted[i] = values[i] >> shift;
-    }
-    const std::vector<int64_t> shifted_deltas = deltas_of(shifted);
-    for (const bool rle : {false, true}) {
-      Candidate c{rle ? kEncShiftRle : kEncShiftPlain, {static_cast<uint8_t>(shift)}};
-      const std::vector<uint8_t> body =
-          rle ? EncodeRle(shifted_deltas) : EncodePlain(shifted_deltas);
-      c.payload.insert(c.payload.end(), body.begin(), body.end());
-      candidates.push_back(std::move(c));
-    }
-  }
-  EmitBest(out, std::move(candidates));
-}
-
-void AppendU32Column(std::vector<uint8_t>* out, const std::vector<uint64_t>& values,
-                     const std::vector<uint32_t>& vds) {
-  AppendIntColumn(out, values, vds, /*per_vd=*/true);
-}
-
-std::vector<uint64_t> DecodeIntColumn(ByteReader* reader, size_t n,
-                                      const std::vector<uint32_t>& vds, bool per_vd,
-                                      uint64_t max_value, const char* column) {
+// Decodes an integer block (tags of kIntTags) into out[0, n), each value
+// checked against `max_value`.
+template <typename Predict>
+void DecodeIntBlock(ByteReader* reader, size_t n, Predict& predict, uint64_t max_value,
+                    const char* column, uint64_t* out) {
   DecodedBlock block = NextBlock(reader, column);
-  std::vector<uint64_t> values;
-  const auto integrate = [&](const std::vector<int64_t>& deltas) {
-    if (per_vd) {
-      PerVdIntegrate(deltas, vds, &values);
-    } else {
-      GlobalIntegrate(deltas, &values);
+  const auto put = [&](size_t i, uint64_t v) {
+    if (v > max_value) {
+      DecodeFail(std::string("value out of range in column: ") + column);
     }
+    out[i] = v;
   };
+  predict.Reset();
   switch (block.encoding) {
     case kEncAllZero:
-      values.assign(n, 0);
+      std::fill_n(out, n, 0);
       break;
     case kEncPlain:
     case kEncRle:
-      integrate(DecodeZigzagList(&block.payload, block.encoding == kEncRle, n, column));
+      ReadList(&block.payload, n, block.encoding == kEncRle, column,
+               [&](size_t i, int64_t x) { put(i, predict(i) += static_cast<uint64_t>(x)); });
       break;
     case kEncShiftPlain:
     case kEncShiftRle: {
@@ -472,210 +485,173 @@ std::vector<uint64_t> DecodeIntColumn(ByteReader* reader, size_t n,
       if (!block.payload.GetByte(&shift) || shift == 0 || shift >= 64) {
         DecodeFail(std::string("bad shift amount in column: ") + column);
       }
-      integrate(
-          DecodeZigzagList(&block.payload, block.encoding == kEncShiftRle, n, column));
-      for (uint64_t& v : values) {
-        if ((v >> (64 - shift)) != 0) {
-          DecodeFail(std::string("shifted value overflows in column: ") + column);
-        }
-        v <<= shift;
-      }
+      ReadList(&block.payload, n, block.encoding == kEncShiftRle, column,
+               [&](size_t i, int64_t x) {
+                 const uint64_t v = predict(i) += static_cast<uint64_t>(x);
+                 if ((v >> (64 - shift)) != 0) {
+                   DecodeFail(std::string("shifted value overflows in column: ") + column);
+                 }
+                 put(i, v << shift);
+               });
       break;
     }
     case kEncRawPlain:
-    case kEncRawRle: {
-      const std::vector<int64_t> raw =
-          DecodeZigzagList(&block.payload, block.encoding == kEncRawRle, n, column);
-      values.assign(raw.begin(), raw.end());
+    case kEncRawRle:
+      ReadList(&block.payload, n, block.encoding == kEncRawRle, column,
+               [&](size_t i, int64_t x) { put(i, static_cast<uint64_t>(x)); });
       break;
-    }
     default:
       DecodeFail(std::string("unexpected encoding tag in column: ") + column);
   }
-  if (!block.payload.exhausted()) {
-    DecodeFail(std::string("trailing bytes in column: ") + column);
-  }
-  for (const uint64_t v : values) {
-    if (v > max_value) {
-      DecodeFail(std::string("value out of range in column: ") + column);
-    }
-  }
-  return values;
+  ExpectExhausted(block.payload, column);
 }
 
 // ---------------------------------------------------------------------------
 // Chunk payload encode/decode.
 // ---------------------------------------------------------------------------
 
-template <typename Get>
-std::vector<uint64_t> Gather(const std::vector<TraceRecord>& records, Get get) {
-  std::vector<uint64_t> values(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    values[i] = static_cast<uint64_t>(get(records[i]));
-  }
-  return values;
-}
-
 std::vector<uint8_t> EncodeChunkPayload(const std::vector<TraceRecord>& records,
                                         const std::vector<uint32_t>& steps,
                                         StorePrecision precision) {
   const size_t n = records.size();
   std::vector<uint8_t> out;
-  std::vector<uint32_t> vds(n);
-  for (size_t i = 0; i < n; ++i) {
-    vds[i] = records[i].vd.value();
-  }
+  std::vector<uint64_t> column(n);
+  const auto value = [&column](size_t i) { return column[i]; };
 
-  std::vector<uint64_t> step_values(steps.begin(), steps.end());
-  AppendIntColumn(&out, step_values, vds, /*per_vd=*/false);
-  AppendIntColumn(&out,
-                  Gather(records, [](const TraceRecord& r) { return r.vd.value(); }), vds,
-                  /*per_vd=*/false);
-
-  std::vector<double> ts(n);
-  for (size_t i = 0; i < n; ++i) {
-    ts[i] = records[i].timestamp;
-  }
-  AppendDoubleColumn(&out, ts, vds, /*per_vd=*/false, kMicrosPerSecond, precision);
-
-  std::vector<bool> writes(n);
-  for (size_t i = 0; i < n; ++i) {
-    writes[i] = records[i].op == OpType::kWrite;
-  }
-  AppendBitmapBlock(&out, writes);
-
-  AppendU32Column(&out, Gather(records, [](const TraceRecord& r) { return r.size_bytes; }),
-                  vds);
-  AppendIntColumn(&out, Gather(records, [](const TraceRecord& r) { return r.offset; }),
-                  vds, /*per_vd=*/true);
-  AppendU32Column(&out, Gather(records, [](const TraceRecord& r) { return r.user.value(); }),
-                  vds);
-  AppendU32Column(&out, Gather(records, [](const TraceRecord& r) { return r.vm.value(); }),
-                  vds);
-  AppendU32Column(&out, Gather(records, [](const TraceRecord& r) { return r.qp.value(); }),
-                  vds);
-  AppendU32Column(&out, Gather(records, [](const TraceRecord& r) { return r.wt.value(); }),
-                  vds);
-  AppendU32Column(&out, Gather(records, [](const TraceRecord& r) { return r.cn.value(); }),
-                  vds);
-  const std::vector<uint64_t> segments =
-      Gather(records, [](const TraceRecord& r) { return r.segment.value(); });
-  AppendU32Column(&out, segments, vds);
+  GlobalPrediction global;
+  const KeySlots vd_slots = SlotsOf(n, [&](size_t i) { return records[i].vd.value(); });
   // bs and sn are functions of the segment (a segment lives on one block
   // server on one storage node), so predicting them keyed by segment makes
   // their deltas almost always zero.
-  std::vector<uint32_t> seg_keys(segments.begin(), segments.end());
-  AppendU32Column(&out, Gather(records, [](const TraceRecord& r) { return r.bs.value(); }),
-                  seg_keys);
-  AppendU32Column(&out, Gather(records, [](const TraceRecord& r) { return r.sn.value(); }),
-                  seg_keys);
+  const KeySlots seg_slots =
+      SlotsOf(n, [&](size_t i) { return records[i].segment.value(); });
+  std::vector<uint64_t> state;
+  KeyedPrediction by_vd(vd_slots, &state);
+  KeyedPrediction by_seg(seg_slots, &state);
 
-  std::vector<double> lat(n);
-  for (int c = 0; c < kStackComponentCount; ++c) {
+  const auto ints = [&](auto get, auto& predict) {
     for (size_t i = 0; i < n; ++i) {
-      lat[i] = records[i].latency.component_us[c];
+      column[i] = static_cast<uint64_t>(get(records[i]));
     }
-    AppendDoubleColumn(&out, lat, vds, /*per_vd=*/true, kCentiPerMicro, precision);
-  }
+    AppendZigzagBlock(&out, n, value, kIntTags, predict);
+  };
+  // kExport columns that fit the fixed-point grid get delta AND raw
+  // (no-delta) candidates on the grid — raw wins on i.i.d. columns like
+  // latency components, where deltas double the entropy range. Everything
+  // else falls back to exact bit-pattern deltas.
+  const auto doubles = [&](auto get, double scale, auto& predict) {
+    bool quant = precision == StorePrecision::kExport;
+    for (size_t i = 0; i < n && quant; ++i) {
+      int64_t q = 0;
+      quant = QuantizeScaled(get(records[i]), scale, &q);
+      column[i] = static_cast<uint64_t>(q);
+    }
+    if (!quant) {
+      for (size_t i = 0; i < n; ++i) {
+        column[i] = BitsOf(get(records[i]));
+      }
+    }
+    AppendZigzagBlock(&out, n, value, quant ? kQuantTags : kExactTags, predict);
+  };
+  const auto bits = [&](auto get) {
+    AppendBitmapBlock(&out, n, [&](size_t i) { return get(records[i]); });
+  };
 
-  AppendIntColumn(&out,
-                  Gather(records, [](const TraceRecord& r) { return r.fault_retries; }),
-                  vds, /*per_vd=*/true);
-  std::vector<bool> timed_out(n);
-  std::vector<bool> failed_over(n);
-  for (size_t i = 0; i < n; ++i) {
-    timed_out[i] = records[i].fault_timed_out;
-    failed_over[i] = records[i].fault_failed_over;
+  column.assign(steps.begin(), steps.end());
+  AppendZigzagBlock(&out, n, value, kIntTags, global);
+  ints([](const TraceRecord& r) { return r.vd.value(); }, global);
+  doubles([](const TraceRecord& r) { return r.timestamp; }, kMicrosPerSecond, global);
+  bits([](const TraceRecord& r) { return r.op == OpType::kWrite; });
+  ints([](const TraceRecord& r) { return r.size_bytes; }, by_vd);
+  ints([](const TraceRecord& r) { return r.offset; }, by_vd);
+  ints([](const TraceRecord& r) { return r.user.value(); }, by_vd);
+  ints([](const TraceRecord& r) { return r.vm.value(); }, by_vd);
+  ints([](const TraceRecord& r) { return r.qp.value(); }, by_vd);
+  ints([](const TraceRecord& r) { return r.wt.value(); }, by_vd);
+  ints([](const TraceRecord& r) { return r.cn.value(); }, by_vd);
+  ints([](const TraceRecord& r) { return r.segment.value(); }, by_vd);
+  ints([](const TraceRecord& r) { return r.bs.value(); }, by_seg);
+  ints([](const TraceRecord& r) { return r.sn.value(); }, by_seg);
+  for (int c = 0; c < kStackComponentCount; ++c) {
+    doubles([c](const TraceRecord& r) { return r.latency.component_us[c]; }, kCentiPerMicro,
+            by_vd);
   }
-  AppendBitmapBlock(&out, timed_out);
-  AppendBitmapBlock(&out, failed_over);
+  ints([](const TraceRecord& r) { return r.fault_retries; }, by_vd);
+  bits([](const TraceRecord& r) { return r.fault_timed_out; });
+  bits([](const TraceRecord& r) { return r.fault_failed_over; });
   return out;
 }
 
-void DecodeChunkPayload(ByteReader reader, size_t n, uint32_t window_steps,
-                        std::vector<TraceRecord>* records, std::vector<uint32_t>* steps) {
-  const std::vector<uint64_t> step_values =
-      DecodeIntColumn(&reader, n, {}, /*per_vd=*/false,
-                      window_steps == 0 ? 0 : window_steps - 1, "step");
-  for (size_t i = 1; i < n; ++i) {
-    if (step_values[i] < step_values[i - 1]) {
+// Decodes a chunk payload into `out` (n records) and, when not null, `steps`.
+// Each column is decoded into one reused column array, then stored into its
+// record field.
+void DecodeChunkPayload(ByteReader reader, size_t n, uint32_t window_steps, TraceRecord* out,
+                        uint32_t* steps) {
+  constexpr uint64_t kU32Max = std::numeric_limits<uint32_t>::max();
+  std::vector<uint64_t> column(n);
+  std::vector<double> reals(n);
+  GlobalPrediction global;
+  DecodeIntBlock(&reader, n, global, window_steps == 0 ? 0 : window_steps - 1, "step",
+                 column.data());
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && column[i] < column[i - 1]) {
       DecodeFail("step column not non-decreasing");
     }
+    if (steps != nullptr) {
+      steps[i] = static_cast<uint32_t>(column[i]);
+    }
   }
-  const std::vector<uint64_t> vd_values =
-      DecodeIntColumn(&reader, n, {}, /*per_vd=*/false,
-                      std::numeric_limits<uint32_t>::max(), "vd");
-  std::vector<uint32_t> vds(n);
+  const auto ints = [&](auto& predict, uint64_t max_value, const char* name, auto set) {
+    DecodeIntBlock(&reader, n, predict, max_value, name, column.data());
+    for (size_t i = 0; i < n; ++i) {
+      set(out[i], column[i]);
+    }
+  };
+  const auto bits = [&](const char* name, auto set) {
+    DecodeBitmapBlock(&reader, n, name, column.data());
+    for (size_t i = 0; i < n; ++i) {
+      set(out[i], column[i] != 0);
+    }
+  };
+  const auto id = [](uint64_t v) { return static_cast<uint32_t>(v); };  // range-checked
+  ints(global, kU32Max, "vd", [&](TraceRecord& r, uint64_t v) { r.vd = VdId(id(v)); });
+
+  const KeySlots vd_slots = SlotsOf(n, [&](size_t i) { return out[i].vd.value(); });
+  std::vector<uint64_t> state;
+  KeyedPrediction by_vd(vd_slots, &state);
+  DecodeDoubleBlock(&reader, n, global, kMicrosPerSecond, "timestamp", reals.data());
   for (size_t i = 0; i < n; ++i) {
-    vds[i] = static_cast<uint32_t>(vd_values[i]);
+    out[i].timestamp = reals[i];
   }
+  bits("op", [](TraceRecord& r, bool write) { r.op = write ? OpType::kWrite : OpType::kRead; });
+  ints(by_vd, kU32Max, "size", [&](TraceRecord& r, uint64_t v) { r.size_bytes = id(v); });
+  ints(by_vd, std::numeric_limits<uint64_t>::max(), "offset",
+       [](TraceRecord& r, uint64_t v) { r.offset = v; });
+  ints(by_vd, kU32Max, "user", [&](TraceRecord& r, uint64_t v) { r.user = UserId(id(v)); });
+  ints(by_vd, kU32Max, "vm", [&](TraceRecord& r, uint64_t v) { r.vm = VmId(id(v)); });
+  ints(by_vd, kU32Max, "qp", [&](TraceRecord& r, uint64_t v) { r.qp = QpId(id(v)); });
+  ints(by_vd, kU32Max, "wt", [&](TraceRecord& r, uint64_t v) { r.wt = WorkerThreadId(id(v)); });
+  ints(by_vd, kU32Max, "cn", [&](TraceRecord& r, uint64_t v) { r.cn = ComputeNodeId(id(v)); });
+  ints(by_vd, kU32Max, "segment",
+       [&](TraceRecord& r, uint64_t v) { r.segment = SegmentId(id(v)); });
 
-  const std::vector<double> ts =
-      DecodeDoubleColumn(&reader, n, vds, /*per_vd=*/false, kMicrosPerSecond, "timestamp");
-  const std::vector<bool> writes = DecodeBitmapBlock(NextBlock(&reader, "op"), n, "op");
+  const KeySlots seg_slots = SlotsOf(n, [&](size_t i) { return out[i].segment.value(); });
+  KeyedPrediction by_seg(seg_slots, &state);
+  ints(by_seg, kU32Max, "bs", [&](TraceRecord& r, uint64_t v) { r.bs = BlockServerId(id(v)); });
+  ints(by_seg, kU32Max, "sn", [&](TraceRecord& r, uint64_t v) { r.sn = StorageNodeId(id(v)); });
 
-  const uint64_t u32_max = std::numeric_limits<uint32_t>::max();
-  const std::vector<uint64_t> sizes = DecodeIntColumn(&reader, n, vds, true, u32_max, "size");
-  const std::vector<uint64_t> offsets = DecodeIntColumn(
-      &reader, n, vds, true, std::numeric_limits<uint64_t>::max(), "offset");
-  const std::vector<uint64_t> users = DecodeIntColumn(&reader, n, vds, true, u32_max, "user");
-  const std::vector<uint64_t> vms = DecodeIntColumn(&reader, n, vds, true, u32_max, "vm");
-  const std::vector<uint64_t> qps = DecodeIntColumn(&reader, n, vds, true, u32_max, "qp");
-  const std::vector<uint64_t> wts = DecodeIntColumn(&reader, n, vds, true, u32_max, "wt");
-  const std::vector<uint64_t> cns = DecodeIntColumn(&reader, n, vds, true, u32_max, "cn");
-  const std::vector<uint64_t> segments =
-      DecodeIntColumn(&reader, n, vds, true, u32_max, "segment");
-  const std::vector<uint32_t> seg_keys(segments.begin(), segments.end());
-  const std::vector<uint64_t> bss =
-      DecodeIntColumn(&reader, n, seg_keys, true, u32_max, "bs");
-  const std::vector<uint64_t> sns =
-      DecodeIntColumn(&reader, n, seg_keys, true, u32_max, "sn");
-
-  std::array<std::vector<double>, kStackComponentCount> lat;
   for (int c = 0; c < kStackComponentCount; ++c) {
-    lat[c] = DecodeDoubleColumn(&reader, n, vds, /*per_vd=*/true, kCentiPerMicro, "latency");
+    DecodeDoubleBlock(&reader, n, by_vd, kCentiPerMicro, "latency", reals.data());
+    for (size_t i = 0; i < n; ++i) {
+      out[i].latency.component_us[c] = reals[i];
+    }
   }
-
-  const std::vector<uint64_t> retries =
-      DecodeIntColumn(&reader, n, vds, true, std::numeric_limits<uint8_t>::max(), "retries");
-  const std::vector<bool> timed_out =
-      DecodeBitmapBlock(NextBlock(&reader, "timed_out"), n, "timed_out");
-  const std::vector<bool> failed_over =
-      DecodeBitmapBlock(NextBlock(&reader, "failed_over"), n, "failed_over");
-
+  ints(by_vd, std::numeric_limits<uint8_t>::max(), "retries",
+       [](TraceRecord& r, uint64_t v) { r.fault_retries = static_cast<uint8_t>(v); });
+  bits("timed_out", [](TraceRecord& r, bool b) { r.fault_timed_out = b; });
+  bits("failed_over", [](TraceRecord& r, bool b) { r.fault_failed_over = b; });
   if (!reader.exhausted()) {
     DecodeFail("trailing bytes after last column");
-  }
-
-  records->reserve(records->size() + n);
-  if (steps != nullptr) {
-    steps->reserve(steps->size() + n);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    TraceRecord r;
-    r.timestamp = ts[i];
-    r.op = writes[i] ? OpType::kWrite : OpType::kRead;
-    r.size_bytes = static_cast<uint32_t>(sizes[i]);
-    r.offset = offsets[i];
-    r.user = UserId(static_cast<uint32_t>(users[i]));
-    r.vm = VmId(static_cast<uint32_t>(vms[i]));
-    r.vd = VdId(vds[i]);
-    r.qp = QpId(static_cast<uint32_t>(qps[i]));
-    r.wt = WorkerThreadId(static_cast<uint32_t>(wts[i]));
-    r.cn = ComputeNodeId(static_cast<uint32_t>(cns[i]));
-    r.segment = SegmentId(static_cast<uint32_t>(segments[i]));
-    r.bs = BlockServerId(static_cast<uint32_t>(bss[i]));
-    r.sn = StorageNodeId(static_cast<uint32_t>(sns[i]));
-    for (int c = 0; c < kStackComponentCount; ++c) {
-      r.latency.component_us[c] = lat[c][i];
-    }
-    r.fault_retries = static_cast<uint8_t>(retries[i]);
-    r.fault_timed_out = timed_out[i];
-    r.fault_failed_over = failed_over[i];
-    records->push_back(r);
-    if (steps != nullptr) {
-      steps->push_back(static_cast<uint32_t>(step_values[i]));
-    }
   }
 }
 
@@ -683,62 +659,94 @@ void DecodeChunkPayload(ByteReader reader, size_t n, uint32_t window_steps,
 // Metrics section encode/decode.
 // ---------------------------------------------------------------------------
 
-void AppendSeriesBlock(std::vector<uint8_t>* out, const TimeSeries& series) {
-  std::vector<uint64_t> raw(series.size());
-  for (size_t i = 0; i < series.size(); ++i) {
-    raw[i] = BitsOf(series[i]);
-  }
-  AppendDeltaBlock(out, GlobalDeltas(raw), kEncExactPlain);
-}
-
-TimeSeries DecodeSeriesBlock(ByteReader* reader, size_t steps, double step_seconds) {
-  const std::vector<int64_t> deltas =
-      DecodeDeltaBlock(NextBlock(reader, "series"), steps, kEncExactPlain, "series");
-  std::vector<uint64_t> raw;
-  GlobalIntegrate(deltas, &raw);
-  TimeSeries series(steps, step_seconds);
-  for (size_t i = 0; i < steps; ++i) {
-    series[i] = DoubleOf(raw[i]);
-  }
-  return series;
-}
-
+// A metric series travels as exact f64 bit-pattern deltas against the
+// previous step.
 void AppendRwSeries(std::vector<uint8_t>* out, const RwSeries& series) {
-  AppendSeriesBlock(out, series.read_bytes);
-  AppendSeriesBlock(out, series.write_bytes);
-  AppendSeriesBlock(out, series.read_ops);
-  AppendSeriesBlock(out, series.write_ops);
+  for (const TimeSeries* s :
+       {&series.read_bytes, &series.write_bytes, &series.read_ops, &series.write_ops}) {
+    GlobalPrediction global;
+    AppendZigzagBlock(out, s->size(), [s](size_t i) { return BitsOf((*s)[i]); }, kExactTags,
+                      global);
+  }
 }
 
+// Decodes the four series blocks straight into a zero-filled RwSeries.
 RwSeries DecodeRwSeries(ByteReader* reader, size_t steps, double step_seconds) {
-  RwSeries series;
-  series.read_bytes = DecodeSeriesBlock(reader, steps, step_seconds);
-  series.write_bytes = DecodeSeriesBlock(reader, steps, step_seconds);
-  series.read_ops = DecodeSeriesBlock(reader, steps, step_seconds);
-  series.write_ops = DecodeSeriesBlock(reader, steps, step_seconds);
+  RwSeries series(steps, step_seconds);
+  for (TimeSeries* s :
+       {&series.read_bytes, &series.write_bytes, &series.read_ops, &series.write_ops}) {
+    DecodedBlock block = NextBlock(reader, "series");
+    double* values = s->mutable_values().data();
+    uint64_t prev = 0;
+    if (block.encoding == kEncExactPlain || block.encoding == kEncExactRle) {
+      ReadList(&block.payload, steps, block.encoding == kEncExactRle, "series",
+               [&](size_t i, int64_t x) {
+                 prev += static_cast<uint64_t>(x);
+                 values[i] = DoubleOf(prev);
+               });
+    } else if (block.encoding != kEncAllZero) {  // all zero: the series stays 0.0
+      DecodeFail("unexpected encoding tag in column: series");
+    }
+    ExpectExhausted(block.payload, "series");
+  }
   return series;
 }
 
-std::vector<uint8_t> EncodeMetricsSection(const WorkloadResult& result) {
+// Reads an item count and rejects one the rest of the section cannot hold
+// at `min_item_bytes` per item, before anything is reserved for it.
+uint64_t GetCount(ByteReader* reader, size_t min_item_bytes, const char* what) {
+  uint64_t count = 0;
+  if (!reader->GetVarint(&count)) {
+    DecodeFail(std::string("metrics ") + what + " count overrun");
+  }
+  if (count > reader->remaining() / min_item_bytes) {
+    DecodeFail(std::string("metrics ") + what + " count exceeds the section");
+  }
+  return count;
+}
+
+// Smallest encodings: an RwSeries is four blocks of at least [tag][len]; a
+// segment entry adds its id varint; a truth record is flags, four f64 and
+// two varints.
+constexpr size_t kMinRwSeriesBytes = 4 * 2;
+constexpr size_t kMinSegmentBytes = 1 + kMinRwSeriesBytes;
+constexpr size_t kMinTruthBytes = 1 + 4 * 8 + 2 * 1;
+
+// The metrics section leaves in pieces of about this size, so the writer
+// never holds the whole section (127 MB for a full DcPreset(1) run) in
+// memory.
+constexpr size_t kSectionPieceBytes = size_t{1} << 20;
+
+// Encodes the metrics section, handing it to emit(piece) in order, one
+// bounded piece at a time.
+template <typename Emit>
+void EncodeMetricsSection(const WorkloadResult& result, Emit emit) {
   std::vector<uint8_t> out;
+  const auto series = [&](const RwSeries& s) {
+    AppendRwSeries(&out, s);
+    if (out.size() >= kSectionPieceBytes) {
+      emit(out);
+      out.clear();
+    }
+  };
   const MetricDataset& metrics = result.metrics;
   PutVarint(&out, metrics.window_steps);
   PutF64(&out, metrics.step_seconds);
 
   PutVarint(&out, metrics.qp_series.size());
-  for (const RwSeries& series : metrics.qp_series) {
-    AppendRwSeries(&out, series);
+  for (const RwSeries& s : metrics.qp_series) {
+    series(s);
   }
 
   PutVarint(&out, metrics.segment_series.size());
-  metrics.segment_series.ForEachSorted([&out](uint32_t id, const RwSeries& series) {
+  metrics.segment_series.ForEachSorted([&](uint32_t id, const RwSeries& s) {
     PutVarint(&out, id);
-    AppendRwSeries(&out, series);
+    series(s);
   });
 
   PutVarint(&out, result.offered_vd.size());
-  for (const RwSeries& series : result.offered_vd) {
-    AppendRwSeries(&out, series);
+  for (const RwSeries& s : result.offered_vd) {
+    series(s);
   }
 
   PutVarint(&out, result.vd_truth.size());
@@ -762,7 +770,7 @@ std::vector<uint8_t> EncodeMetricsSection(const WorkloadResult& result) {
   PutVarint(&out, result.faults.slowed);
   PutVarint(&out, result.faults.hiccuped);
   PutVarint(&out, result.faults.degraded_steps);
-  return out;
+  emit(out);
 }
 
 void DecodeMetricsSection(ByteReader reader, const TraceStoreMeta& meta,
@@ -780,20 +788,14 @@ void DecodeMetricsSection(ByteReader reader, const TraceStoreMeta& meta,
   metrics.window_steps = steps;
   metrics.step_seconds = step_seconds;
 
-  uint64_t qp_count = 0;
-  if (!reader.GetVarint(&qp_count)) {
-    DecodeFail("metrics qp count overrun");
-  }
+  const uint64_t qp_count = GetCount(&reader, kMinRwSeriesBytes, "qp");
   metrics.qp_series.clear();
   metrics.qp_series.reserve(static_cast<size_t>(qp_count));
   for (uint64_t i = 0; i < qp_count; ++i) {
     metrics.qp_series.push_back(DecodeRwSeries(&reader, steps, step_seconds));
   }
 
-  uint64_t segment_count = 0;
-  if (!reader.GetVarint(&segment_count)) {
-    DecodeFail("metrics segment count overrun");
-  }
+  const uint64_t segment_count = GetCount(&reader, kMinSegmentBytes, "segment");
   metrics.segment_series.clear();
   uint64_t prev_id = 0;
   for (uint64_t i = 0; i < segment_count; ++i) {
@@ -809,20 +811,14 @@ void DecodeMetricsSection(ByteReader reader, const TraceStoreMeta& meta,
                                   DecodeRwSeries(&reader, steps, step_seconds));
   }
 
-  uint64_t vd_count = 0;
-  if (!reader.GetVarint(&vd_count)) {
-    DecodeFail("metrics offered-vd count overrun");
-  }
+  const uint64_t vd_count = GetCount(&reader, kMinRwSeriesBytes, "offered-vd");
   result->offered_vd.clear();
   result->offered_vd.reserve(static_cast<size_t>(vd_count));
   for (uint64_t i = 0; i < vd_count; ++i) {
     result->offered_vd.push_back(DecodeRwSeries(&reader, steps, step_seconds));
   }
 
-  uint64_t truth_count = 0;
-  if (!reader.GetVarint(&truth_count)) {
-    DecodeFail("metrics truth count overrun");
-  }
+  const uint64_t truth_count = GetCount(&reader, kMinTruthBytes, "truth");
   result->vd_truth.clear();
   result->vd_truth.reserve(static_cast<size_t>(truth_count));
   for (uint64_t i = 0; i < truth_count; ++i) {
@@ -956,11 +952,12 @@ bool TraceStoreWriter::FinishImpl(const WorkloadResult* result) {
   uint64_t metrics_size = 0;
   uint32_t metrics_crc = 0;
   if (result != nullptr && ok_) {
-    const std::vector<uint8_t> section = EncodeMetricsSection(*result);
     metrics_offset = offset_;
-    metrics_size = section.size();
-    metrics_crc = Crc32(section);
-    WriteRaw(section.data(), section.size());
+    EncodeMetricsSection(*result, [&](const std::vector<uint8_t>& piece) {
+      metrics_size += piece.size();
+      metrics_crc = Crc32Extend(metrics_crc, piece.data(), piece.size());
+      WriteRaw(piece.data(), piece.size());
+    });
   }
 
   std::vector<uint8_t> footer;
@@ -996,9 +993,13 @@ bool TraceStoreWriter::FinishImpl(const WorkloadResult* result) {
   return wrote_ok && closed_ok;
 }
 
-bool WriteDatasetToStore(const std::string& path, const TraceDataset& traces,
-                         double step_seconds, uint32_t window_steps,
-                         TraceStoreOptions options) {
+namespace {
+
+// The batch conveniences: every record at its derived step, then the footer
+// (with the metrics section when `result` is given).
+bool WriteStore(const std::string& path, const TraceDataset& traces, double step_seconds,
+                uint32_t window_steps, TraceStoreOptions options,
+                const WorkloadResult* result) {
   TraceStoreMeta meta;
   meta.sampling_rate = traces.sampling_rate;
   meta.window_seconds = traces.window_seconds;
@@ -1020,33 +1021,21 @@ bool WriteDatasetToStore(const std::string& path, const TraceDataset& traces,
       return false;
     }
   }
-  return writer.Finish();
+  return result != nullptr ? writer.Finish(*result) : writer.Finish();
+}
+
+}  // namespace
+
+bool WriteDatasetToStore(const std::string& path, const TraceDataset& traces,
+                         double step_seconds, uint32_t window_steps,
+                         TraceStoreOptions options) {
+  return WriteStore(path, traces, step_seconds, window_steps, options, nullptr);
 }
 
 bool WriteWorkloadToStore(const std::string& path, const WorkloadResult& result,
                           double step_seconds, TraceStoreOptions options) {
-  TraceStoreMeta meta;
-  meta.sampling_rate = result.traces.sampling_rate;
-  meta.window_seconds = result.traces.window_seconds;
-  meta.step_seconds = step_seconds;
-  meta.window_steps = static_cast<uint32_t>(result.metrics.window_steps);
-  TraceStoreWriter writer(path, meta, options);
-  uint32_t prev_step = 0;
-  for (const TraceRecord& record : result.traces.records) {
-    uint32_t step = 0;
-    if (step_seconds > 0.0 && record.timestamp > 0.0) {
-      const double raw = std::floor(record.timestamp / step_seconds);
-      step = raw >= static_cast<double>(meta.window_steps)
-                 ? (meta.window_steps == 0 ? 0 : meta.window_steps - 1)
-                 : static_cast<uint32_t>(raw);
-    }
-    step = std::max(step, prev_step);
-    prev_step = step;
-    if (!writer.Append(record, step)) {
-      return false;
-    }
-  }
-  return writer.Finish(result);
+  return WriteStore(path, result.traces, step_seconds,
+                    static_cast<uint32_t>(result.metrics.window_steps), options, &result);
 }
 
 // ---------------------------------------------------------------------------
@@ -1250,8 +1239,25 @@ void TraceStoreReader::ReadChunk(size_t index, std::vector<TraceRecord>* records
   if (Crc32(payload) != payload_crc) {
     throw TraceStoreError(StoreErrorCode::kChunkCorrupt, "chunk CRC mismatch");
   }
-  DecodeChunkPayload(ByteReader(payload.data(), payload.size()), record_count,
-                     info_.meta.window_steps, records, steps);
+  // Decoded in place; a chunk that fails to decode leaves both outputs as
+  // they were.
+  const size_t base = records->size();
+  const size_t step_base = steps != nullptr ? steps->size() : 0;
+  records->resize(base + record_count);
+  if (steps != nullptr) {
+    steps->resize(step_base + record_count);
+  }
+  try {
+    DecodeChunkPayload(ByteReader(payload.data(), payload.size()), record_count,
+                       info_.meta.window_steps, records->data() + base,
+                       steps != nullptr ? steps->data() + step_base : nullptr);
+  } catch (...) {
+    records->resize(base);
+    if (steps != nullptr) {
+      steps->resize(step_base);
+    }
+    throw;
+  }
 }
 
 TraceDataset TraceStoreReader::ReadAll() const {
@@ -1270,12 +1276,14 @@ void TraceStoreReader::ReadMetricsInto(WorkloadResult* result) const {
     throw TraceStoreError(StoreErrorCode::kNoMetrics,
                           "store was written without a metrics section");
   }
-  std::vector<uint8_t> section(static_cast<size_t>(footer_.metrics_size));
-  ReadAt(footer_.metrics_offset, section.data(), section.size());
-  if (Crc32(section) != footer_.metrics_crc) {
+  // Not zero-filled first: the read overwrites every byte (paper scale: ~130 MB).
+  const size_t size = static_cast<size_t>(footer_.metrics_size);
+  const std::unique_ptr<uint8_t[]> section = std::make_unique_for_overwrite<uint8_t[]>(size);
+  ReadAt(footer_.metrics_offset, section.get(), size);
+  if (Crc32(section.get(), size) != footer_.metrics_crc) {
     throw TraceStoreError(StoreErrorCode::kChunkCorrupt, "metrics section CRC mismatch");
   }
-  DecodeMetricsSection(ByteReader(section.data(), section.size()), info_.meta, result);
+  DecodeMetricsSection(ByteReader(section.get(), size), info_.meta, result);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,15 +31,16 @@
 // are 0 or tiny); bs/sn predict against the previous record of the same
 // *segment* (a segment lives on exactly one block server / storage node, so
 // those deltas are almost always zero); timestamps delta against the previous
-// record globally (the stream is time-sorted). Each column block is encoded
-// every way that could win — delta plain/RLE, raw values with prediction
+// record globally (the stream is time-sorted). Each column block has
+// several candidate encodings — delta plain/RLE, raw values with prediction
 // disabled (wins on i.i.d. columns like latencies, where deltas double the
 // entropy range), and for aligned columns a shifted form that drops the
 // trailing zero bits shared by every value (512-aligned offsets, 4K-multiple
-// sizes) — and the smallest candidate is emitted, or a one-byte all-zero
-// marker when the column is entirely zero. Prediction state resets at every
-// chunk boundary, so any chunk can be decoded on its own through the
-// footer's seek index.
+// sizes). All of them are sized in one pass without being built, and only
+// the smallest (the first, on a tie, in that order) is written — or a
+// two-byte all-zero marker when the column is entirely zero. Prediction
+// state resets at every chunk boundary, so any chunk can be decoded on its
+// own through the footer's seek index.
 //
 // Precision: kExact stores timestamps/latencies as IEEE754 bit patterns —
 // read-back is bit-identical to the in-memory dataset. kExport quantizes

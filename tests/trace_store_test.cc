@@ -169,6 +169,45 @@ TEST(StoreFormatTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
 }
 
+// CRC-32 one bit at a time, straight from the reflected polynomial.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(StoreFormatTest, Crc32MatchesBitwiseReference) {
+  std::vector<uint8_t> buffer(size_t{1} << 20);
+  uint64_t x = 0x9E3779B97F4A7C15ull;  // xorshift64
+  for (uint8_t& byte : buffer) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    byte = static_cast<uint8_t>(x >> 56);
+  }
+  // Every length around the 8-byte stride, at every alignment.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      ASSERT_EQ(Crc32(buffer.data() + offset, length),
+                BitwiseCrc32(buffer.data() + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  EXPECT_EQ(Crc32(buffer), BitwiseCrc32(buffer.data(), buffer.size()));
+  // Extending a CRC piece by piece gives the CRC of the whole.
+  for (const size_t split : {size_t{0}, size_t{1}, size_t{4099}, buffer.size()}) {
+    EXPECT_EQ(Crc32Extend(Crc32(buffer.data(), split), buffer.data() + split,
+                          buffer.size() - split),
+              Crc32(buffer))
+        << "split " << split;
+  }
+}
+
 TEST(StoreFormatTest, QuantizeScaledGuardsNonRepresentableValues) {
   int64_t q = 0;
   EXPECT_TRUE(QuantizeScaled(1.5, kMicrosPerSecond, &q));
@@ -340,6 +379,32 @@ TEST_F(TraceStoreFixture, MetricsSectionRoundTripsExactly) {
   EXPECT_EQ(got.faults.degraded_steps, result_->faults.degraded_steps);
 }
 
+// The writer's bytes, pinned: a multi-chunk store with a metrics section at
+// both precisions. Each block's encoding is the first smallest of its
+// candidates in a fixed order (delta plain, delta RLE, raw plain, raw RLE,
+// shift plain, shift RLE), so these digests also pin the tie-breaks. FNV-1a
+// rather than Crc32, so the pin does not depend on the store's own code.
+TEST_F(TraceStoreFixture, WrittenBytesArePinnedAtBothPrecisions) {
+  const struct {
+    StorePrecision precision;
+    uint64_t fnv;
+  } cases[] = {{StorePrecision::kExact, 0x0d47f01765277b59ull},
+               {StorePrecision::kExport, 0x385381f60bb3e2afull}};
+  for (const auto& c : cases) {
+    const std::string path = TempPath("pinned_bytes.ebst");
+    ASSERT_TRUE(WriteWorkloadToStore(path, *result_, 1.0,
+                                     {.precision = c.precision, .chunk_records = 64}));
+    const std::vector<uint8_t> bytes = ReadFileBytes(path);
+    std::remove(path.c_str());
+    uint64_t hash = 0xCBF29CE484222325ull;
+    for (const uint8_t byte : bytes) {
+      hash = (hash ^ byte) * 0x100000001B3ull;
+    }
+    EXPECT_EQ(hash, c.fnv) << "precision " << static_cast<int>(c.precision) << ", "
+                           << bytes.size() << " bytes";
+  }
+}
+
 // Extreme and adversarial values, hand-built: UINT64_MAX offsets, UINT32_MAX
 // sizes, non-finite / denormal / negative doubles (which defeat the
 // fixed-point grid and must fall back to the exact encoding even at export
@@ -492,12 +557,87 @@ class StoreCorruptionTest : public ::testing::Test {
     }
   }
 
+  static void PutU32At(std::vector<uint8_t>* bytes, size_t at, uint32_t value) {
+    for (size_t i = 0; i < 4; ++i) {
+      (*bytes)[at + i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+  }
+
   static void FixHeaderCrc(std::vector<uint8_t>* bytes) {
-    const uint32_t crc = Crc32(bytes->data(), kStoreHeaderBytes - 4);
-    (*bytes)[44] = static_cast<uint8_t>(crc);
-    (*bytes)[45] = static_cast<uint8_t>(crc >> 8);
-    (*bytes)[46] = static_cast<uint8_t>(crc >> 16);
-    (*bytes)[47] = static_cast<uint8_t>(crc >> 24);
+    PutU32At(bytes, kStoreHeaderBytes - 4, Crc32(bytes->data(), kStoreHeaderBytes - 4));
+  }
+
+  // Where the first chunk's payload, the footer and the metrics section of a
+  // store sit, read back through its trailer and footer.
+  struct Layout {
+    size_t chunk_payload = 0;
+    size_t chunk_payload_size = 0;
+    size_t footer = 0;
+    size_t footer_size = 0;
+    size_t metrics = 0;
+    size_t metrics_size = 0;
+  };
+
+  static Layout LayoutOf(const std::vector<uint8_t>& bytes) {
+    Layout layout;
+    ByteReader chunk_header(bytes.data() + kStoreHeaderBytes, kStoreChunkHeaderBytes);
+    uint32_t records = 0;
+    uint32_t payload_size = 0;
+    EXPECT_TRUE(chunk_header.GetU32(&records) && chunk_header.GetU32(&payload_size));
+    layout.chunk_payload = kStoreHeaderBytes + kStoreChunkHeaderBytes;
+    layout.chunk_payload_size = payload_size;
+
+    ByteReader trailer(bytes.data() + bytes.size() - kStoreTrailerBytes, kStoreTrailerBytes);
+    uint64_t footer = 0;
+    uint64_t footer_size = 0;
+    EXPECT_TRUE(trailer.GetU64(&footer) && trailer.GetU64(&footer_size));
+    layout.footer = static_cast<size_t>(footer);
+    layout.footer_size = static_cast<size_t>(footer_size);
+
+    ByteReader index(bytes.data() + layout.footer, layout.footer_size);
+    uint64_t record_count = 0;
+    uint64_t chunk_count = 0;
+    EXPECT_TRUE(index.GetVarint(&record_count) && index.GetVarint(&chunk_count));
+    for (uint64_t i = 0; i < 2 * chunk_count; ++i) {  // (offset delta, records) pairs
+      uint64_t skipped = 0;
+      EXPECT_TRUE(index.GetVarint(&skipped));
+    }
+    uint64_t metrics = 0;
+    uint64_t metrics_size = 0;
+    EXPECT_TRUE(index.GetVarint(&metrics) && index.GetVarint(&metrics_size));
+    layout.metrics = static_cast<size_t>(metrics);
+    layout.metrics_size = static_cast<size_t>(metrics_size);
+    return layout;
+  }
+
+  // A store with no chunks whose metrics section is `section` (for a 10-step
+  // window), every CRC valid.
+  static std::vector<uint8_t> StoreWithMetricsSection(const std::vector<uint8_t>& section) {
+    std::vector<uint8_t> bytes;
+    PutU32(&bytes, kStoreMagic);
+    PutU32(&bytes, kStoreVersion);
+    PutU32(&bytes, 0);     // flags
+    PutU32(&bytes, 4096);  // chunk_target
+    PutF64(&bytes, kTraceSamplingRate);
+    PutF64(&bytes, 10.0);  // window_seconds
+    PutF64(&bytes, 1.0);   // step_seconds
+    PutU32(&bytes, 10);    // window_steps
+    PutU32(&bytes, Crc32(bytes));
+    bytes.insert(bytes.end(), section.begin(), section.end());
+
+    std::vector<uint8_t> footer;
+    PutVarint(&footer, 0);  // records
+    PutVarint(&footer, 0);  // chunks
+    PutVarint(&footer, kStoreHeaderBytes);
+    PutVarint(&footer, section.size());
+    PutU32(&footer, Crc32(section));
+    const uint64_t footer_offset = bytes.size();
+    bytes.insert(bytes.end(), footer.begin(), footer.end());
+    PutU64(&bytes, footer_offset);
+    PutU64(&bytes, footer.size());
+    PutU32(&bytes, Crc32(footer));
+    PutU32(&bytes, kStoreTrailerMagic);
+    return bytes;
   }
 
   static StoreErrorCode CodeOf(const std::string& path) {
@@ -545,6 +685,76 @@ TEST_F(StoreCorruptionTest, ByteFlipSweepAlwaysThrowsTypedError) {
     WriteFileBytes(path, mutated);
     EXPECT_THROW(ReadEverything(path), TraceStoreError) << "byte " << i;
     mutated[i] ^= 0xFF;  // restore
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(StoreCorruptionTest, ResealedByteFlipsReachTheDecoders) {
+  // The sweep above stops at the CRC gates. Here every flip in the first
+  // chunk payload and in the metrics section has its covering CRCs
+  // recomputed, so the column and series decoders see the corrupt bytes
+  // themselves: each full read must either return or throw TraceStoreError.
+  const Layout layout = LayoutOf(*base_);
+  ASSERT_GT(layout.chunk_payload_size, 0u);
+  ASSERT_GT(layout.metrics_size, 0u);
+  const std::string path = TempPath("corruption_resealed.ebst");
+  size_t decode_errors = 0;
+  const auto sweep = [&](size_t begin, size_t size, auto reseal) {
+    std::vector<uint8_t> bytes(*base_);
+    for (size_t i = begin; i < begin + size; ++i) {
+      bytes[i] ^= 0xFF;
+      reseal(&bytes);
+      WriteFileBytes(path, bytes);
+      try {
+        ReadEverything(path);
+      } catch (const TraceStoreError& error) {
+        // A CRC gate firing would mean the reseal missed, not a decoder check.
+        EXPECT_NE(error.code(), StoreErrorCode::kChunkCorrupt) << "byte " << i;
+        decode_errors += error.code() == StoreErrorCode::kDecodeError ? 1 : 0;
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << "byte " << i << ": untyped " << error.what();
+      }
+      bytes[i] ^= 0xFF;
+    }
+  };
+  sweep(layout.chunk_payload, layout.chunk_payload_size, [&](std::vector<uint8_t>* bytes) {
+    PutU32At(bytes, kStoreHeaderBytes + 8,
+             Crc32(bytes->data() + layout.chunk_payload, layout.chunk_payload_size));
+  });
+  sweep(layout.metrics, layout.metrics_size, [&](std::vector<uint8_t>* bytes) {
+    PutU32At(bytes, layout.footer + layout.footer_size - 4,
+             Crc32(bytes->data() + layout.metrics, layout.metrics_size));
+    PutU32At(bytes, bytes->size() - kStoreTrailerBytes + 16,
+             Crc32(bytes->data() + layout.footer, layout.footer_size));
+  });
+  std::remove(path.c_str());
+  EXPECT_GT(decode_errors, 0u);
+}
+
+TEST_F(StoreCorruptionTest, OversizedMetricsCountsAreDecodeErrors) {
+  // CRC-valid sections whose qp, segment, offered-VD or ground-truth count
+  // is 2^39 - 1. A count is bounded by the bytes left in the section, so it
+  // is rejected before anything is reserved for it (reserving the qp count
+  // used to throw std::bad_alloc).
+  constexpr uint64_t kHugeCount = (uint64_t{1} << 39) - 1;
+  const std::string path = TempPath("corruption_counts.ebst");
+  for (int zero_counts = 0; zero_counts < 4; ++zero_counts) {
+    std::vector<uint8_t> section;
+    PutVarint(&section, 10);  // window_steps and step_seconds match the header
+    PutF64(&section, 1.0);
+    for (int i = 0; i < zero_counts; ++i) {
+      PutVarint(&section, 0);
+    }
+    PutVarint(&section, kHugeCount);
+    WriteFileBytes(path, StoreWithMetricsSection(section));
+    EXPECT_EQ(CodeOf(path), StoreErrorCode::kDecodeError) << zero_counts << " counts before";
+    if (zero_counts == 0) {
+      // The qp case is also a fuzz_store corpus input.
+      const std::string corpus =
+          std::string(EBS_TEST_DATA_DIR) + "/fuzz/store/metrics_qp_count_overflow.ebst";
+      EXPECT_TRUE(ReadFileBytes(corpus) == StoreWithMetricsSection(section));
+      EXPECT_EQ(CodeOf(corpus), StoreErrorCode::kDecodeError);
+    }
   }
   std::remove(path.c_str());
 }
@@ -680,6 +890,27 @@ TEST(TraceStoreGoldenTest, CommittedCorpusDecodesWithPinnedFingerprint) {
   WorkloadResult result;
   reader.ReadMetricsInto(&result);
   EXPECT_EQ(result.metrics.window_steps, 30u);
+}
+
+// The writer still produces the committed corpus byte for byte from the
+// inputs `store_tool record --seed 7 --users 1 --steps 30` uses.
+TEST(TraceStoreGoldenTest, WriterReproducesCommittedCorpusByteForByte) {
+  SimulationConfig config = DcPreset(1);
+  config.fleet.seed = 7;
+  config.workload.seed = 7 * 31 + 7;
+  config.fleet.user_count = 1;
+  config.workload.window_steps = 30;
+  const EbsSimulation sim(config);
+  const std::string path = TempPath("golden_rewrite.ebst");
+  ASSERT_TRUE(WriteWorkloadToStore(path, sim.workload(), config.workload.step_seconds,
+                                   {.precision = StorePrecision::kExport}));
+  const std::vector<uint8_t> written = ReadFileBytes(path);
+  std::remove(path.c_str());
+  const std::vector<uint8_t> golden =
+      ReadFileBytes(std::string(EBS_TEST_DATA_DIR) + "/golden_small.ebst");
+  ASSERT_EQ(golden.size(), 14422u);
+  ASSERT_EQ(written.size(), golden.size());
+  EXPECT_TRUE(written == golden);
 }
 
 // ---------------------------------------------------------------------------
