@@ -19,7 +19,10 @@
 # (tests/trace_store_test.cc): its truncation and byte-flip sweeps mutate
 # every byte of a valid store file, so a decoder path that reads out of
 # bounds or shifts past the type width on corrupt input fails here rather
-# than silently passing on well-formed files.
+# than silently passing on well-formed files. They also run the page-cache
+# tests (tests/cache_test.cc): the flat eviction caches do their own slot and
+# probe arithmetic, and the differential test drives every policy hit for hit
+# against the node-based reference over millions of accesses.
 #
 # The final stages re-run the deterministic benches and gate them against
 # their committed baselines via scripts/check_bench.py: bench_latency's tail
@@ -68,14 +71,15 @@ echo "== [4/13] Configure + build: AddressSanitizer (with fuzz harnesses) =="
 cmake -S "${repo_root}" -B "${build_root}/asan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=address -DEBS_FUZZERS=ON >/dev/null
 cmake --build "${build_root}/asan" -j "${jobs}" \
-  --target replay_test fault_test trace_store_test store_replay_test \
+  --target replay_test fault_test trace_store_test store_replay_test cache_test \
            fuzz_scenario fuzz_store
 
-echo "== [5/13] Replay determinism + fault chaos + store corruption tests (ASan) =="
+echo "== [5/13] Replay determinism + fault chaos + store corruption + cache tests (ASan) =="
 "${build_root}/asan/tests/replay_test"
 "${build_root}/asan/tests/fault_test"
 "${build_root}/asan/tests/trace_store_test"
 "${build_root}/asan/tests/store_replay_test"
+"${build_root}/asan/tests/cache_test"
 
 echo "== [6/13] Fuzz harnesses: corpus replay + bounded mutations (ASan) =="
 # Replays the committed corpora (regression crashers must stay fixed), then
@@ -93,9 +97,9 @@ cmake -S "${repo_root}" -B "${build_root}/ubsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=undefined >/dev/null
 cmake --build "${build_root}/ubsan" -j "${jobs}" \
   --target util_container_test util_stats_test trace_test csv_export_test obs_test \
-           fault_test trace_store_test
+           fault_test trace_store_test cache_test
 
-echo "== [8/13] Numeric + export + obs + fault + store corruption tests (UBSan) =="
+echo "== [8/13] Numeric + export + obs + fault + store corruption + cache tests (UBSan) =="
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/util_container_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/util_stats_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/trace_test"
@@ -103,6 +107,7 @@ UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/csv_export_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/obs_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/fault_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/trace_store_test"
+UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/cache_test"
 
 echo "== [9/13] Configure + build: ThreadSanitizer =="
 cmake -S "${repo_root}" -B "${build_root}/tsan" \

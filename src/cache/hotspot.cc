@@ -120,8 +120,8 @@ CacheReplayResult ReplayVdCache(std::span<const TraceRecord* const> vd_traces,
   if (full_hits != nullptr) {
     full_hits->assign(vd_traces.size(), 0);
   }
-  if (vd_traces.empty() || block_bytes == 0) {
-    return result;
+  if (vd_traces.empty() || block_bytes < kPageBytes) {
+    return result;  // no page fits: a zero-page cache
   }
   const size_t capacity_pages = static_cast<size_t>(block_bytes / kPageBytes);
 

@@ -56,7 +56,8 @@ std::optional<HotBlockStats> AnalyzeHottestBlock(std::span<const TraceRecord* co
 // When `full_hits` is non-null it is resized parallel to `vd_traces` with 1
 // for every record whose pages ALL hit (the IO could be served entirely from
 // the cache — the flag the queueing model's cn_cache_hit short-circuit
-// consumes); timed-out IOs never count as hits.
+// consumes); timed-out IOs never count as hits. A block smaller than one page
+// holds no page, so the result is empty (no accesses, hit ratio 0).
 struct CacheReplayResult {
   double hit_ratio = 0.0;
   uint64_t page_accesses = 0;

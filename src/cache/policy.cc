@@ -1,9 +1,8 @@
 #include "src/cache/policy.h"
 
-#include <cassert>
-#include <list>
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace ebs {
@@ -28,75 +27,258 @@ const char* CachePolicyName(CachePolicy policy) {
 
 namespace {
 
-class FifoCache final : public PageCache {
+// Every eviction policy below shares one flat layout: a PageIndex from page to
+// a 32-bit slot, and (except CLOCK, which keeps its frame ring) nodes in one
+// Pool, linked into Lists by 32-bit index. Storage grows on demand up to the
+// capacity and is never preallocated: a fleet holds one cache per VD, and most
+// never fill.
+
+constexpr uint32_t kNil = std::numeric_limits<uint32_t>::max();
+
+// The next slot when `count` are in use. Slots are 32-bit and kNil means
+// "none", so a cache holds fewer than 2^32 - 1 pages at once.
+uint32_t NextSlot(size_t count) {
+  if (count >= kNil) {
+    throw std::length_error("PageCache: too many resident pages for 32-bit slots");
+  }
+  return static_cast<uint32_t>(count);
+}
+
+// Open-addressing map from page to slot: linear probing over a power-of-two
+// table with backward-shift deletion, so erasing leaves no tombstones. The
+// table doubles before it passes half full. A bucket holds only the slot and
+// the page's 32-bit hash; the page itself lives in the caller's node or frame,
+// so Find confirms a match through `page_of(slot)` and Erase takes the slot.
+// Only the rehash walks the table, so no hit or eviction can depend on hash
+// order.
+class PageIndex {
  public:
-  explicit FifoCache(size_t capacity) : capacity_(capacity) {}
+  PageIndex() : buckets_(size_t{1} << kMinBits) {}
+
+  size_t size() const { return size_; }
+
+  // The page's slot, or kNil.
+  template <class PageOf>
+  uint32_t Find(uint64_t page, PageOf page_of) const {
+    const uint32_t hash = Hash(page);
+    for (size_t i = Home(hash);; i = Next(i)) {
+      const Bucket bucket = buckets_[i];
+      if (bucket.slot == kNil || (bucket.hash == hash && page_of(bucket.slot) == page)) {
+        return bucket.slot;
+      }
+    }
+  }
+
+  // `page` must be absent.
+  void Insert(uint64_t page, uint32_t slot) {
+    if (2 * (size_ + 1) > buckets_.size()) {
+      Grow();
+    }
+    Place({slot, Hash(page)});
+    ++size_;
+  }
+
+  // `page` must be present, at `slot`.
+  void Erase(uint64_t page, uint32_t slot) {
+    size_t hole = Home(Hash(page));
+    while (buckets_[hole].slot != slot) {
+      hole = Next(hole);
+    }
+    // Shift each later entry of the run back into the hole unless its home
+    // lies cyclically in (hole, i].
+    for (size_t i = Next(hole); buckets_[i].slot != kNil; i = Next(i)) {
+      if (Distance(Home(buckets_[i].hash), i) >= Distance(hole, i)) {
+        buckets_[hole] = buckets_[i];
+        hole = i;
+      }
+    }
+    buckets_[hole].slot = kNil;
+    --size_;
+  }
+
+ private:
+  static constexpr int kMinBits = 4;
+
+  struct Bucket {
+    uint32_t slot = kNil;  // kNil marks an empty bucket
+    uint32_t hash = 0;
+  };
+
+  // Fibonacci hashing: the top 32 bits of page * 2^64/phi. A table of 2^b
+  // buckets homes a page by the hash's top b bits.
+  static uint32_t Hash(uint64_t page) {
+    return static_cast<uint32_t>((page * 0x9E3779B97F4A7C15ULL) >> 32);
+  }
+  size_t Home(uint32_t hash) const { return hash >> shift_; }
+  size_t Next(size_t i) const { return (i + 1) & (buckets_.size() - 1); }
+  // Probe steps from bucket `from` forward to bucket `to`.
+  size_t Distance(size_t from, size_t to) const { return (to - from) & (buckets_.size() - 1); }
+
+  void Place(Bucket entry) {
+    size_t i = Home(entry.hash);
+    while (buckets_[i].slot != kNil) {
+      i = Next(i);
+    }
+    buckets_[i] = entry;
+  }
+
+  void Grow() {
+    if (shift_ == 0) {
+      throw std::length_error("PageCache: index past 2^32 buckets");
+    }
+    std::vector<Bucket> old(2 * buckets_.size());
+    old.swap(buckets_);
+    --shift_;
+    for (const Bucket& bucket : old) {
+      if (bucket.slot != kNil) {
+        Place(bucket);
+      }
+    }
+  }
+
+  std::vector<Bucket> buckets_;
+  int shift_ = 32 - kMinBits;
+  size_t size_ = 0;
+};
+
+// Nodes linked by 32-bit `prev`/`next` indices. Released nodes are reused
+// before the vector grows.
+template <class Node>
+class Pool {
+ public:
+  Node& operator[](uint32_t n) { return nodes_[n]; }
+
+  uint32_t Acquire() {
+    if (free_ != kNil) {
+      const uint32_t n = free_;
+      free_ = nodes_[n].next;
+      return n;
+    }
+    const uint32_t n = NextSlot(nodes_.size());
+    nodes_.emplace_back();
+    return n;
+  }
+
+  void Release(uint32_t n) {
+    nodes_[n].next = free_;
+    free_ = n;
+  }
+
+ private:
+  std::vector<Node> nodes_;
+  uint32_t free_ = kNil;
+};
+
+// A doubly linked list threaded through a Pool: head is the oldest node (the
+// next victim), tail the newest.
+struct List {
+  uint32_t head = kNil;
+  uint32_t tail = kNil;
+  size_t size = 0;
+
+  // before == kNil appends.
+  template <class Node>
+  void InsertBefore(Pool<Node>& pool, uint32_t n, uint32_t before) {
+    const uint32_t prev = before == kNil ? tail : pool[before].prev;
+    pool[n].prev = prev;
+    pool[n].next = before;
+    (prev == kNil ? head : pool[prev].next) = n;
+    (before == kNil ? tail : pool[before].prev) = n;
+    ++size;
+  }
+
+  template <class Node>
+  void PushBack(Pool<Node>& pool, uint32_t n) {
+    InsertBefore(pool, n, kNil);
+  }
+
+  template <class Node>
+  void Unlink(Pool<Node>& pool, uint32_t n) {
+    const uint32_t prev = pool[n].prev;
+    const uint32_t next = pool[n].next;
+    (prev == kNil ? head : pool[prev].next) = next;
+    (next == kNil ? tail : pool[next].prev) = prev;
+    --size;
+  }
+
+  template <class Node>
+  void MoveToBack(Pool<Node>& pool, uint32_t n) {
+    if (n != tail) {
+      Unlink(pool, n);
+      PushBack(pool, n);
+    }
+  }
+};
+
+struct PageNode {
+  uint64_t page;
+  uint32_t prev;
+  uint32_t next;
+};
+
+// FIFO and LRU: one list, head = next victim. LRU moves each hit to the tail;
+// FIFO never reorders.
+class QueueCache final : public PageCache {
+ public:
+  QueueCache(size_t capacity, bool lru) : capacity_(capacity), lru_(lru) {}
 
   bool Access(uint64_t page) override {
-    if (resident_.count(page) > 0) {
+    const uint32_t n = index_.Find(page, [this](uint32_t s) { return pool_[s].page; });
+    if (n != kNil) {
+      if (lru_) {
+        order_.MoveToBack(pool_, n);
+      }
       return true;
     }
-    if (queue_.size() >= capacity_) {
-      resident_.erase(queue_.front());
-      queue_.pop_front();
+    uint32_t slot;
+    if (order_.size >= capacity_) {
+      slot = order_.head;
+      order_.Unlink(pool_, slot);
+      index_.Erase(pool_[slot].page, slot);
+    } else {
+      slot = pool_.Acquire();
     }
-    queue_.push_back(page);
-    resident_.insert(page);
+    pool_[slot].page = page;
+    order_.PushBack(pool_, slot);
+    index_.Insert(page, slot);
     return false;
   }
 
   size_t capacity_pages() const override { return capacity_; }
-  std::string name() const override { return "FIFO"; }
+  std::string name() const override { return lru_ ? "LRU" : "FIFO"; }
 
  private:
   size_t capacity_;
-  std::list<uint64_t> queue_;
-  std::unordered_set<uint64_t> resident_;
+  bool lru_;
+  PageIndex index_;
+  Pool<PageNode> pool_;
+  List order_;
 };
 
-class LruCache final : public PageCache {
- public:
-  explicit LruCache(size_t capacity) : capacity_(capacity) {}
-
-  bool Access(uint64_t page) override {
-    const auto it = index_.find(page);
-    if (it != index_.end()) {
-      order_.splice(order_.begin(), order_, it->second);
-      return true;
-    }
-    if (order_.size() >= capacity_) {
-      index_.erase(order_.back());
-      order_.pop_back();
-    }
-    order_.push_front(page);
-    index_[page] = order_.begin();
-    return false;
-  }
-
-  size_t capacity_pages() const override { return capacity_; }
-  std::string name() const override { return "LRU"; }
-
- private:
-  size_t capacity_;
-  std::list<uint64_t> order_;  // front = most recent
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> index_;
-};
-
-// O(1) LFU with frequency buckets.
+// O(1) LFU: one list per frequency, its buckets chained in ascending
+// frequency order. The victim is the oldest page of the lowest bucket.
 class LfuCache final : public PageCache {
  public:
   explicit LfuCache(size_t capacity) : capacity_(capacity) {}
 
   bool Access(uint64_t page) override {
-    const auto it = index_.find(page);
-    if (it != index_.end()) {
-      Promote(it->second);
+    const uint32_t n = index_.Find(page, [this](uint32_t s) { return pages_[s].page; });
+    if (n != kNil) {
+      Promote(n);
       return true;
     }
+    uint32_t slot;
     if (index_.size() >= capacity_) {
-      EvictOne();
+      slot = buckets_[chain_.head].pages.head;
+      Detach(slot);
+      index_.Erase(pages_[slot].page, slot);
+    } else {
+      slot = pages_.Acquire();
     }
-    Insert(page);
+    pages_[slot].page = page;
+    const uint32_t first = chain_.head;
+    Attach(slot, first != kNil && buckets_[first].freq == 1 ? first : NewBucket(1, first));
+    index_.Insert(page, slot);
     return false;
   }
 
@@ -104,86 +286,85 @@ class LfuCache final : public PageCache {
   std::string name() const override { return "LFU"; }
 
  private:
-  struct Entry {
+  struct Node {
     uint64_t page;
-    uint64_t freq;
+    uint32_t prev;
+    uint32_t next;
+    uint32_t bucket;
   };
-  using BucketList = std::list<uint64_t>;  // pages sharing one frequency
-
-  struct Handle {
+  struct Bucket {
     uint64_t freq;
-    BucketList::iterator pos;
+    uint32_t prev;
+    uint32_t next;
+    List pages;
   };
 
-  void Insert(uint64_t page) {
-    auto& bucket = buckets_[1];
-    bucket.push_front(page);
-    index_[page] = {1, bucket.begin()};
-    min_freq_ = 1;
+  void Promote(uint32_t n) {
+    const uint32_t bucket = pages_[n].bucket;
+    const uint64_t freq = buckets_[bucket].freq + 1;
+    uint32_t next = buckets_[bucket].next;
+    if (next == kNil || buckets_[next].freq != freq) {
+      next = NewBucket(freq, next);
+    }
+    Detach(n);
+    Attach(n, next);
   }
 
-  void Promote(Handle& handle) {
-    const uint64_t page = *handle.pos;
-    auto& old_bucket = buckets_[handle.freq];
-    old_bucket.erase(handle.pos);
-    if (old_bucket.empty()) {
-      buckets_.erase(handle.freq);
-      if (min_freq_ == handle.freq) {
-        ++min_freq_;
-      }
-    }
-    ++handle.freq;
-    auto& bucket = buckets_[handle.freq];
-    bucket.push_front(page);
-    handle.pos = bucket.begin();
+  // A new empty bucket, chained before `before`.
+  uint32_t NewBucket(uint64_t freq, uint32_t before) {
+    const uint32_t b = buckets_.Acquire();
+    buckets_[b].freq = freq;  // a released bucket's page list is already empty
+    chain_.InsertBefore(buckets_, b, before);
+    return b;
   }
 
-  void EvictOne() {
-    auto bucket_it = buckets_.find(min_freq_);
-    while (bucket_it == buckets_.end() || bucket_it->second.empty()) {
-      ++min_freq_;
-      bucket_it = buckets_.find(min_freq_);
+  void Attach(uint32_t n, uint32_t bucket) {
+    pages_[n].bucket = bucket;
+    buckets_[bucket].pages.PushBack(pages_, n);
+  }
+
+  // Unlinks page node `n` from its bucket, dropping the bucket if it empties.
+  void Detach(uint32_t n) {
+    const uint32_t bucket = pages_[n].bucket;
+    List& pages = buckets_[bucket].pages;
+    pages.Unlink(pages_, n);
+    if (pages.size == 0) {
+      chain_.Unlink(buckets_, bucket);
+      buckets_.Release(bucket);
     }
-    const uint64_t victim = bucket_it->second.back();
-    bucket_it->second.pop_back();
-    if (bucket_it->second.empty()) {
-      buckets_.erase(bucket_it);
-    }
-    index_.erase(victim);
   }
 
   size_t capacity_;
-  uint64_t min_freq_ = 1;
-  std::unordered_map<uint64_t, BucketList> buckets_;
-  std::unordered_map<uint64_t, Handle> index_;
+  PageIndex index_;
+  Pool<Node> pages_;
+  Pool<Bucket> buckets_;
+  List chain_;  // buckets, lowest frequency at the head
 };
 
 class ClockCache final : public PageCache {
  public:
-  explicit ClockCache(size_t capacity) : capacity_(capacity) {
-    frames_.reserve(capacity);
-  }
+  explicit ClockCache(size_t capacity) : capacity_(capacity) {}
 
   bool Access(uint64_t page) override {
-    const auto it = index_.find(page);
-    if (it != index_.end()) {
-      frames_[it->second].referenced = true;
+    const uint32_t f = index_.Find(page, [this](uint32_t s) { return frames_[s].page; });
+    if (f != kNil) {
+      frames_[f].referenced = true;
       return true;
     }
     if (frames_.size() < capacity_) {
-      index_[page] = frames_.size();
+      index_.Insert(page, NextSlot(frames_.size()));
       frames_.push_back({page, true});
       return false;
     }
     // Advance the hand until an unreferenced frame is found.
     while (frames_[hand_].referenced) {
       frames_[hand_].referenced = false;
-      hand_ = (hand_ + 1) % capacity_;
+      Advance();
     }
-    index_.erase(frames_[hand_].page);
+    index_.Erase(frames_[hand_].page, hand_);
     frames_[hand_] = {page, true};
-    index_[page] = hand_;
-    hand_ = (hand_ + 1) % capacity_;
+    index_.Insert(page, hand_);
+    Advance();
     return false;
   }
 
@@ -195,15 +376,23 @@ class ClockCache final : public PageCache {
     uint64_t page;
     bool referenced;
   };
+
+  void Advance() {
+    if (++hand_ == capacity_) {
+      hand_ = 0;
+    }
+  }
+
   size_t capacity_;
-  size_t hand_ = 0;
+  uint32_t hand_ = 0;
   std::vector<Frame> frames_;
-  std::unordered_map<uint64_t, size_t> index_;
+  PageIndex index_;
 };
 
 // 2Q (simplified full version): A1in FIFO for first-touch pages, Am LRU for
 // re-referenced pages, A1out ghost history of recently evicted first-touch
-// pages.
+// pages. A page is in at most one queue, so the three share one index and one
+// pool, and each node records its queue.
 class TwoQCache final : public PageCache {
  public:
   explicit TwoQCache(size_t capacity)
@@ -213,20 +402,24 @@ class TwoQCache final : public PageCache {
         a1out_capacity_(std::max<size_t>(1, capacity / 2)) {}
 
   bool Access(uint64_t page) override {
-    if (const auto it = am_index_.find(page); it != am_index_.end()) {
-      am_.splice(am_.begin(), am_, it->second);
-      return true;
-    }
-    if (a1in_index_.count(page) > 0) {
-      return true;  // stays in A1in until it ages out
-    }
-    if (a1out_index_.count(page) > 0) {
-      // Re-reference after eviction: promote to Am.
-      EraseA1out(page);
-      InsertAm(page);
+    const uint32_t n = index_.Find(page, [this](uint32_t s) { return pool_[s].page; });
+    if (n == kNil) {
+      InsertA1in(page);
       return false;
     }
-    InsertA1in(page);
+    if (pool_[n].queue == Queue::kAm) {
+      am_.MoveToBack(pool_, n);
+      return true;
+    }
+    if (pool_[n].queue == Queue::kA1in) {
+      return true;  // stays in A1in until it ages out
+    }
+    // Re-reference after eviction (A1out): promote to Am.
+    a1out_.Unlink(pool_, n);
+    if (am_.size >= am_capacity_) {
+      DropOldest(am_);
+    }
+    Push(am_, Queue::kAm, n);
     return false;
   }
 
@@ -234,55 +427,51 @@ class TwoQCache final : public PageCache {
   std::string name() const override { return "2Q"; }
 
  private:
-  void InsertAm(uint64_t page) {
-    if (am_.size() >= am_capacity_) {
-      am_index_.erase(am_.back());
-      am_.pop_back();
-    }
-    am_.push_front(page);
-    am_index_[page] = am_.begin();
-  }
+  enum class Queue : uint8_t { kAm, kA1in, kA1out };
+  struct Node {
+    uint64_t page;
+    uint32_t prev;
+    uint32_t next;
+    Queue queue;
+  };
 
   void InsertA1in(uint64_t page) {
-    if (a1in_.size() >= a1in_capacity_) {
-      const uint64_t old = a1in_.front();
-      a1in_.pop_front();
-      a1in_index_.erase(old);
-      PushA1out(old);
-    }
-    a1in_.push_back(page);
-    a1in_index_.insert({page, 0});
-  }
-
-  void PushA1out(uint64_t page) {
-    if (a1out_.size() >= a1out_capacity_) {
-      a1out_index_.erase(a1out_.front());
-      a1out_.pop_front();
-    }
-    a1out_.push_back(page);
-    a1out_index_.insert({page, 0});
-  }
-
-  void EraseA1out(uint64_t page) {
-    a1out_index_.erase(page);
-    for (auto it = a1out_.begin(); it != a1out_.end(); ++it) {
-      if (*it == page) {
-        a1out_.erase(it);
-        break;
+    if (a1in_.size >= a1in_capacity_) {
+      const uint32_t old = a1in_.head;
+      a1in_.Unlink(pool_, old);
+      if (a1out_.size >= a1out_capacity_) {
+        DropOldest(a1out_);
       }
+      Push(a1out_, Queue::kA1out, old);
     }
+    const uint32_t n = pool_.Acquire();
+    pool_[n].page = page;
+    Push(a1in_, Queue::kA1in, n);
+    index_.Insert(page, n);
+  }
+
+  void Push(List& list, Queue queue, uint32_t n) {
+    pool_[n].queue = queue;
+    list.PushBack(pool_, n);
+  }
+
+  // Forgets the oldest page of `list`.
+  void DropOldest(List& list) {
+    const uint32_t n = list.head;
+    list.Unlink(pool_, n);
+    index_.Erase(pool_[n].page, n);
+    pool_.Release(n);
   }
 
   size_t capacity_;
   size_t a1in_capacity_;
   size_t am_capacity_;
   size_t a1out_capacity_;
-  std::list<uint64_t> am_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> am_index_;
-  std::list<uint64_t> a1in_;  // front = oldest
-  std::unordered_map<uint64_t, char> a1in_index_;
-  std::list<uint64_t> a1out_;
-  std::unordered_map<uint64_t, char> a1out_index_;
+  PageIndex index_;
+  Pool<Node> pool_;
+  List am_;     // LRU at the head
+  List a1in_;   // oldest at the head
+  List a1out_;  // oldest at the head
 };
 
 class FrozenCache final : public PageCache {
@@ -305,12 +494,14 @@ class FrozenCache final : public PageCache {
 }  // namespace
 
 std::unique_ptr<PageCache> MakeCache(CachePolicy policy, size_t capacity_pages) {
-  assert(capacity_pages > 0);
+  if (capacity_pages == 0) {
+    throw std::invalid_argument("MakeCache: capacity_pages must be > 0");
+  }
   switch (policy) {
     case CachePolicy::kFifo:
-      return std::make_unique<FifoCache>(capacity_pages);
+      return std::make_unique<QueueCache>(capacity_pages, /*lru=*/false);
     case CachePolicy::kLru:
-      return std::make_unique<LruCache>(capacity_pages);
+      return std::make_unique<QueueCache>(capacity_pages, /*lru=*/true);
     case CachePolicy::kLfu:
       return std::make_unique<LfuCache>(capacity_pages);
     case CachePolicy::kClock:

@@ -36,7 +36,8 @@ class PageCache {
   virtual std::string name() const = 0;
 };
 
-// Eviction-based policies. capacity_pages must be > 0.
+// Eviction-based policies. Throws std::invalid_argument when capacity_pages
+// is 0.
 std::unique_ptr<PageCache> MakeCache(CachePolicy policy, size_t capacity_pages);
 
 // FrozenHot: pins pages [first_page, first_page + capacity_pages).

@@ -73,13 +73,34 @@ std::string ValidateWorkloadConfig(const WorkloadConfig& config) {
   return {};
 }
 
+std::string ValidateControlConfig(const control::ControlConfig& config) {
+  if (config.period_steps == 0) {
+    return "control: period_steps must be >= 1";
+  }
+  switch (config.cache_policy) {
+    case CachePolicy::kFifo:
+    case CachePolicy::kLru:
+    case CachePolicy::kLfu:
+    case CachePolicy::kClock:
+    case CachePolicy::kTwoQ:
+      break;
+    case CachePolicy::kFrozenHot:
+    default:
+      return "control: cache_policy must be an eviction policy (FrozenHot is offline-only)";
+  }
+  if (config.cache_block_bytes < kPageBytes) {
+    return "control: cache_block_bytes must hold at least one 4 KiB page";
+  }
+  return {};
+}
+
 std::string ValidateSimulationConfig(const SimulationConfig& config) {
   std::string error = ValidateFleetConfig(config.fleet);
   if (error.empty()) {
     error = ValidateWorkloadConfig(config.workload);
   }
-  if (error.empty() && config.control.enabled && config.control.period_steps == 0) {
-    error = "control: period_steps must be >= 1";
+  if (error.empty() && config.control.enabled) {
+    error = ValidateControlConfig(config.control);
   }
   return error;
 }

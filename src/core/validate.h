@@ -14,6 +14,9 @@ namespace ebs {
 // human-readable description of the first problem found.
 std::string ValidateFleetConfig(const FleetConfig& config);
 std::string ValidateWorkloadConfig(const WorkloadConfig& config);
+// Checked only when control is enabled: a positive period, and a cache policy
+// and block size the plane's OnlineCacheSink accepts.
+std::string ValidateControlConfig(const control::ControlConfig& config);
 std::string ValidateSimulationConfig(const SimulationConfig& config);
 
 }  // namespace ebs

@@ -1,11 +1,18 @@
-// Tests for the page-cache policies, hottest-block analysis and the
-// cache-location study.
+// Tests for the page-cache policies (including a hit-for-hit differential
+// check against the node-based reference in tests/cache_reference.h),
+// hottest-block analysis and the cache-location study.
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/cache/hotspot.h"
 #include "src/cache/location.h"
 #include "src/cache/policy.h"
+#include "src/util/distributions.h"
+#include "tests/cache_reference.h"
 #include "tests/test_helpers.h"
 
 namespace ebs {
@@ -108,6 +115,62 @@ TEST(AccessRangeTest, CountsPerPageHits) {
   auto cache = MakeCache(CachePolicy::kLru, 10);
   EXPECT_EQ(AccessRange(*cache, 0, 4), 0u);
   EXPECT_EQ(AccessRange(*cache, 2, 4), 2u);  // pages 2,3 hit; 4,5 miss
+}
+
+// --- Differential check against the node-based reference ----------------------
+
+constexpr CachePolicy kEvictionPolicies[] = {CachePolicy::kFifo, CachePolicy::kLru,
+                                             CachePolicy::kLfu, CachePolicy::kClock,
+                                             CachePolicy::kTwoQ};
+
+// Drives MakeCache and the reference side by side over one seeded stream and
+// compares every page access. The stream mixes Zipf-skewed single-page
+// touches with sequential bursts over a page universe a few times the
+// capacity, so both caches evict (and 2Q's ghost queue sees re-references).
+// Pages are spread by a seed-chosen stride so the index sees clustered as well
+// as dense keys.
+::testing::AssertionResult SameHitsAsReference(CachePolicy policy, size_t capacity,
+                                               uint64_t seed) {
+  auto flat = MakeCache(policy, capacity);
+  auto ref = reference::MakeReferenceCache(policy, capacity);
+  Rng rng(seed * 7919 + capacity);
+  const uint64_t universe = (seed % 2 == 0 ? 2 : 6) * capacity + 3;
+  const ZipfDistribution zipf(universe, seed % 3 == 0 ? 0.6 : 1.1);
+  const uint64_t stride = uint64_t{1} << (seed % 4 * 6);  // 1, 64, 4096, 2^18
+  const size_t accesses = 10000 + 12 * capacity;
+  size_t done = 0;
+  auto touch = [&](uint64_t rank) {
+    const uint64_t page = rank * stride;
+    const bool want = ref->Access(page);
+    const bool got = flat->Access(page);
+    ++done;
+    return want == got;
+  };
+  while (done < accesses) {
+    if (rng.NextBool(0.1)) {
+      const uint64_t start = rng.NextBounded(universe);
+      const uint64_t length = 1 + rng.NextBounded(32);
+      for (uint64_t i = 0; i < length; ++i) {
+        if (!touch(start + i)) {
+          return ::testing::AssertionFailure() << "burst access " << done << " differs";
+        }
+      }
+    } else if (!touch(zipf.Sample(rng))) {
+      return ::testing::AssertionFailure() << "access " << done << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CacheDifferentialTest, EveryAccessMatchesTheNodeReference) {
+  for (const CachePolicy policy : kEvictionPolicies) {
+    for (const size_t capacity : {1, 2, 3, 4, 5, 7, 8, 16, 63, 64, 100, 1000, 4096}) {
+      for (const uint64_t seed : {1, 2, 3, 4}) {
+        EXPECT_TRUE(SameHitsAsReference(policy, capacity, seed))
+            << CachePolicyName(policy) << " capacity " << capacity << " seed " << seed;
+      }
+    }
+  }
 }
 
 // --- Hotspot analysis --------------------------------------------------------
@@ -226,6 +289,36 @@ TEST(HotspotTest, LruReplayCapturesReuse) {
   EXPECT_GT(lru.hit_ratio, 0.5);
   EXPECT_LT(lru.hit_ratio, 1.0);
 }
+
+// --- Sub-page capacities ------------------------------------------------------
+
+class SubPageCapacityTest : public ::testing::TestWithParam<CachePolicy> {};
+
+TEST_P(SubPageCapacityTest, MakeCacheRejectsZeroPages) {
+  EXPECT_THROW(MakeCache(GetParam(), 0), std::invalid_argument);
+}
+
+TEST_P(SubPageCapacityTest, ReplayVdCacheIsEmptyBelowOnePage) {
+  // A sub-page block sizes a zero-page cache; the replay reports nothing, the
+  // same as block_bytes == 0.
+  const Fleet fleet = MakeTinyFleet({{{1}}});
+  const TraceDataset traces = HotTraces(fleet, VdId(0), 100.0);
+  const VdTraceIndex index(fleet, traces);
+  for (const uint64_t block_bytes : {uint64_t{1}, uint64_t{1001}, kPageBytes - 1}) {
+    std::vector<uint8_t> full_hits;
+    const CacheReplayResult result =
+        ReplayVdCache(index.ForVd(VdId(0)), 64ULL * kGiB, block_bytes, GetParam(), &full_hits);
+    EXPECT_EQ(result.page_accesses, 0u) << block_bytes;
+    EXPECT_EQ(result.hit_ratio, 0.0) << block_bytes;
+    EXPECT_EQ(full_hits, std::vector<uint8_t>(traces.records.size(), 0)) << block_bytes;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EvictionPolicies, SubPageCapacityTest,
+                         ::testing::ValuesIn(kEvictionPolicies),
+                         [](const ::testing::TestParamInfo<CachePolicy>& policy) {
+                           return std::string(CachePolicyName(policy.param));
+                         });
 
 // --- Cache location ----------------------------------------------------------
 

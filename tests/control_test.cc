@@ -332,6 +332,31 @@ TEST(ControlConfigTest, ZeroPeriodIsRejectedByBothFacades) {
   EXPECT_THROW(StreamingSimulation{config}, std::invalid_argument);
 }
 
+TEST(ControlConfigTest, UnusableCacheSettingsAreRejectedByBothFacades) {
+  // The plane's OnlineCacheSink takes eviction policies only, and a block of
+  // at least one page; the gate reports both before a facade builds the sink.
+  const auto expect_rejected = [](const SimulationConfig& config) {
+    EXPECT_NE(ValidateSimulationConfig(config), "");
+    EXPECT_THROW(EbsSimulation{config}, std::invalid_argument);
+    EXPECT_THROW(StreamingSimulation{config}, std::invalid_argument);
+  };
+  SimulationConfig frozen = BatteryConfig(false);
+  frozen.control.cache_policy = CachePolicy::kFrozenHot;
+  {
+    SCOPED_TRACE("FrozenHot");
+    expect_rejected(frozen);
+  }
+  SimulationConfig sub_page = BatteryConfig(false);
+  sub_page.control.cache_block_bytes = kPageBytes - 1;
+  {
+    SCOPED_TRACE("sub-page block");
+    expect_rejected(sub_page);
+  }
+  // Control off: the cache fields are unused, so they pass.
+  frozen.control.enabled = false;
+  EXPECT_EQ(ValidateSimulationConfig(frozen), "");
+}
+
 // --- Properties ---------------------------------------------------------------
 
 TEST(ControlPropertyTest, LendingTokensNeverExceedTheBudgetAtFleetScale) {
