@@ -22,7 +22,12 @@
 # than silently passing on well-formed files. They also run the page-cache
 # tests (tests/cache_test.cc): the flat eviction caches do their own slot and
 # probe arithmetic, and the differential test drives every policy hit for hit
-# against the node-based reference over millions of accesses.
+# against the node-based reference over millions of accesses. And they run
+# the config guards: qmodel_test (an out-of-range segment_bs_remap entry is an
+# ASan heap overflow unless the simulator rejects it), throttle_test and
+# hypervisor_test (a zero lending period or CoV window is a UBSan division by
+# zero unless the sinks reject it) and shapes_test (a fleet config that fails
+# validation must never reach BuildFleet's divisions).
 #
 # The final stages re-run the deterministic benches and gate them against
 # their committed baselines via scripts/check_bench.py: bench_latency's tail
@@ -72,14 +77,19 @@ cmake -S "${repo_root}" -B "${build_root}/asan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=address -DEBS_FUZZERS=ON >/dev/null
 cmake --build "${build_root}/asan" -j "${jobs}" \
   --target replay_test fault_test trace_store_test store_replay_test cache_test \
+           qmodel_test throttle_test hypervisor_test shapes_test \
            fuzz_scenario fuzz_store
 
-echo "== [5/13] Replay determinism + fault chaos + store corruption + cache tests (ASan) =="
+echo "== [5/13] Replay determinism + fault chaos + store corruption + cache + config-guard tests (ASan) =="
 "${build_root}/asan/tests/replay_test"
 "${build_root}/asan/tests/fault_test"
 "${build_root}/asan/tests/trace_store_test"
 "${build_root}/asan/tests/store_replay_test"
 "${build_root}/asan/tests/cache_test"
+"${build_root}/asan/tests/qmodel_test"
+"${build_root}/asan/tests/throttle_test"
+"${build_root}/asan/tests/hypervisor_test"
+"${build_root}/asan/tests/shapes_test"
 
 echo "== [6/13] Fuzz harnesses: corpus replay + bounded mutations (ASan) =="
 # Replays the committed corpora (regression crashers must stay fixed), then
@@ -97,9 +107,10 @@ cmake -S "${repo_root}" -B "${build_root}/ubsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=undefined >/dev/null
 cmake --build "${build_root}/ubsan" -j "${jobs}" \
   --target util_container_test util_stats_test trace_test csv_export_test obs_test \
-           fault_test trace_store_test cache_test
+           fault_test trace_store_test cache_test \
+           qmodel_test throttle_test hypervisor_test shapes_test
 
-echo "== [8/13] Numeric + export + obs + fault + store corruption + cache tests (UBSan) =="
+echo "== [8/13] Numeric + export + obs + fault + store corruption + cache + config-guard tests (UBSan) =="
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/util_container_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/util_stats_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/trace_test"
@@ -108,6 +119,10 @@ UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/obs_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/fault_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/trace_store_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/cache_test"
+UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/qmodel_test"
+UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/throttle_test"
+UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/hypervisor_test"
+UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/shapes_test"
 
 echo "== [9/13] Configure + build: ThreadSanitizer =="
 cmake -S "${repo_root}" -B "${build_root}/tsan" \

@@ -1,8 +1,5 @@
 #include "src/core/simulation.h"
 
-#include <stdexcept>
-#include <string>
-
 #include "src/core/sink_drive.h"
 #include "src/core/validate.h"
 #include "src/obs/metrics.h"
@@ -59,10 +56,6 @@ WorkloadResult TimedGenerate(const Fleet& fleet, const WorkloadConfig& config) {
 }  // namespace
 
 OverlaySinks::OverlaySinks(const Fleet& fleet, const SimulationConfig& config) {
-  const std::string problem = ValidateSimulationConfig(config);
-  if (!problem.empty()) {
-    throw std::invalid_argument(problem);
-  }
   if (config.queueing.enabled) {
     qmodel_.emplace(config.queueing, config.workload.sampling_rate);
   }
@@ -87,27 +80,16 @@ std::vector<ReplaySink*> OverlaySinks::Sinks() {
 }
 
 EbsSimulation::EbsSimulation(SimulationConfig config)
-    : config_(config),
-      fleet_(TimedBuildFleet(config.fleet)),
-      workload_(TimedGenerate(fleet_, config.workload)),
-      rollups_(fleet_, workload_.metrics) {
-  if (config_.control.enabled) {
-    // Closed-loop mode: drive the control plane's sink chain over the batch
-    // datasets in the streaming engine's canonical order, so the decision log
-    // (and, with queueing on, the qmodel result the loop steered) is
-    // bit-identical to StreamingSimulation's for the same config.
-    obs::ScopedTimer timer(obs::MetricRegistry::Global().GetTimer("core.batch_control"));
-    overlays_.emplace(fleet_, config_);
+    : config_(CheckSimulationConfig(config)),
+      fleet_(TimedBuildFleet(config_.fleet)),
+      workload_(TimedGenerate(fleet_, config_.workload)),
+      rollups_(fleet_, workload_.metrics),
+      overlays_(fleet_, config_) {
+  const std::vector<ReplaySink*> sinks = overlays_.Sinks();
+  if (!sinks.empty()) {
+    obs::ScopedTimer timer(obs::MetricRegistry::Global().GetTimer("core.batch_overlays"));
     DriveSinksOverResult(fleet_, workload_, config_.workload.window_steps,
-                         config_.workload.step_seconds, overlays_->Sinks());
-    if (overlays_->qmodel() != nullptr) {
-      queue_result_ = overlays_->qmodel()->result();
-    }
-  } else if (config_.queueing.enabled) {
-    obs::ScopedTimer timer(obs::MetricRegistry::Global().GetTimer("core.batch_qmodel"));
-    queue_result_ = qmodel::RunOverTraces(
-        fleet_, config_.queueing, workload_.traces,
-        static_cast<double>(config_.workload.window_steps) * config_.workload.step_seconds);
+                         config_.workload.step_seconds, sinks);
   }
 }
 

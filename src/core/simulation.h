@@ -8,7 +8,6 @@
 #ifndef SRC_CORE_SIMULATION_H_
 #define SRC_CORE_SIMULATION_H_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -52,9 +51,8 @@ SimulationConfig StorageStudyPreset(uint64_t seed = 5);
 // sink (config.queueing) and the closed-loop control plane (config.control)
 // with the fault driver that feeds it the down-BS signal. The driver is built
 // from config.workload.faults — a pure function of the schedule — so live,
-// store-replay and batch runs hand the loop the same signal. The constructor
-// validates `config` first and throws std::invalid_argument with the
-// validator's message.
+// store-replay and batch runs hand the loop the same signal. `config` must
+// already be valid (the facades check it before building the fleet).
 class OverlaySinks {
  public:
   OverlaySinks(const Fleet& fleet, const SimulationConfig& config);
@@ -77,6 +75,11 @@ class OverlaySinks {
   std::optional<control::ControlPlane> plane_;
 };
 
+// Batch facade. The constructor validates `config` before building anything
+// (std::invalid_argument with the validator's message), builds the fleet,
+// generates the datasets and, when queueing or control is on, drives its
+// OverlaySinks over them with DriveSinksOverResult — the same chain, in the
+// same order, that StreamingSimulation registers on the replay engine.
 class EbsSimulation {
  public:
   explicit EbsSimulation(SimulationConfig config = DcPreset(1));
@@ -94,17 +97,15 @@ class EbsSimulation {
   // Bit-identical to the streaming facade's queue_result() for the same
   // config, at any worker count.
   const qmodel::QueueModelResult* queue_result() const {
-    return queue_result_.has_value() ? &*queue_result_ : nullptr;
+    return overlays_.qmodel() != nullptr ? &overlays_.qmodel()->result() : nullptr;
   }
   // Closed-loop control plane; nullptr unless config.control.enabled. The
   // decision log is final after construction (the batch driver ran the whole
   // window) and bit-identical to the streaming facade's log for the same
   // config, at any worker count — the decision-audit contract.
-  const control::ControlPlane* control_plane() const {
-    return overlays_.has_value() ? overlays_->plane() : nullptr;
-  }
+  const control::ControlPlane* control_plane() const { return overlays_.plane(); }
   const control::DecisionLog* control_log() const {
-    return overlays_.has_value() ? &overlays_->plane()->log() : nullptr;
+    return overlays_.plane() != nullptr ? &overlays_.plane()->log() : nullptr;
   }
 
   // Rollups, each level computed once on first use (RollupCache). Safe to
@@ -125,10 +126,7 @@ class EbsSimulation {
   Fleet fleet_;
   WorkloadResult workload_;
   RollupCache rollups_;
-  std::optional<qmodel::QueueModelResult> queue_result_;
-  // Engaged iff config.control.enabled: the qmodel sink replaces the
-  // RunOverTraces call so the control loop can actuate the live simulator.
-  std::optional<OverlaySinks> overlays_;
+  OverlaySinks overlays_;
 };
 
 }  // namespace ebs

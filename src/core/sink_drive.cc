@@ -1,9 +1,8 @@
 #include "src/core/sink_drive.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <numeric>
+#include <stdexcept>
 #include <utility>
 
 namespace ebs {
@@ -12,22 +11,9 @@ void DriveSinksOverResult(const Fleet& fleet, const WorkloadResult& result,
                           size_t window_steps, double step_seconds,
                           const std::vector<ReplaySink*>& sinks) {
   const std::vector<TraceRecord>& records = result.traces.records;
-
-  // Canonicalize to the merged stream order (see RunOverTraces: a stable
-  // (timestamp, vd, offset) sort reproduces (timestamp, vd, sequence)).
-  std::vector<uint32_t> order(records.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const TraceRecord& ra = records[a];
-    const TraceRecord& rb = records[b];
-    if (ra.timestamp != rb.timestamp) {
-      return ra.timestamp < rb.timestamp;
-    }
-    if (ra.vd.value() != rb.vd.value()) {
-      return ra.vd.value() < rb.vd.value();
-    }
-    return ra.offset < rb.offset;
-  });
+  if (!std::is_sorted(records.begin(), records.end(), TraceRecordBefore)) {
+    throw std::invalid_argument("sink drive: trace records are not in canonical order");
+  }
 
   // Frozen storage-domain view, ascending segment id — the batch twin of
   // ReplaySource::segments().
@@ -47,8 +33,8 @@ void DriveSinksOverResult(const Fleet& fleet, const WorkloadResult& result,
   size_t cursor = 0;
   for (size_t t = 0; t < window_steps; ++t) {
     const double step_end = static_cast<double>(t + 1) * step_seconds;
-    while (cursor < order.size()) {
-      const TraceRecord& record = records[order[cursor]];
+    while (cursor < records.size()) {
+      const TraceRecord& record = records[cursor];
       // Timestamps never cross step boundaries in generation; the final step
       // also absorbs any boundary-exact tail.
       if (record.timestamp >= step_end && t + 1 < window_steps) {

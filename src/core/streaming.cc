@@ -3,6 +3,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "src/core/validate.h"
 #include "src/obs/metrics.h"
 #include "src/replay/store_source.h"
 
@@ -18,11 +19,11 @@ Fleet TimedBuildFleet(const FleetConfig& config) {
 }  // namespace
 
 StreamingSimulation::StreamingSimulation(SimulationConfig config, ReplayOptions options)
-    : config_(config),
-      fleet_(TimedBuildFleet(config.fleet)),
-      collector_(config.workload.sampling_rate),
+    : config_(CheckSimulationConfig(config)),
+      fleet_(TimedBuildFleet(config_.fleet)),
+      collector_(config_.workload.sampling_rate),
       overlays_(fleet_, config_),
-      engine_(fleet_, config.workload, options) {
+      engine_(fleet_, config_.workload, options) {
   engine_.AddSink(&collector_);
   for (ReplaySink* sink : overlays_.Sinks()) {
     engine_.AddSink(sink);
@@ -31,9 +32,9 @@ StreamingSimulation::StreamingSimulation(SimulationConfig config, ReplayOptions 
 
 StreamingSimulation::StreamingSimulation(const std::string& store_path, SimulationConfig config,
                                          ReplayOptions options)
-    : config_(config),
-      fleet_(TimedBuildFleet(config.fleet)),
-      collector_(config.workload.sampling_rate),
+    : config_(CheckSimulationConfig(config)),
+      fleet_(TimedBuildFleet(config_.fleet)),
+      collector_(config_.workload.sampling_rate),
       overlays_(fleet_, config_),
       engine_(fleet_, std::make_unique<StoreReplaySource>(fleet_, store_path), options) {
   engine_.AddSink(&collector_);

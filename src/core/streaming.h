@@ -30,6 +30,8 @@ namespace ebs {
 
 class StreamingSimulation {
  public:
+  // Both constructors validate `config` before building anything and throw
+  // std::invalid_argument with the validator's message.
   explicit StreamingSimulation(SimulationConfig config = DcPreset(1), ReplayOptions options = {});
 
   // Replay-from-disk: the same pipeline driven by an EBST trace store

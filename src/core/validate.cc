@@ -1,6 +1,7 @@
 #include "src/core/validate.h"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace ebs {
 
@@ -103,6 +104,14 @@ std::string ValidateSimulationConfig(const SimulationConfig& config) {
     error = ValidateControlConfig(config.control);
   }
   return error;
+}
+
+const SimulationConfig& CheckSimulationConfig(const SimulationConfig& config) {
+  const std::string problem = ValidateSimulationConfig(config);
+  if (!problem.empty()) {
+    throw std::invalid_argument(problem);
+  }
+  return config;
 }
 
 }  // namespace ebs

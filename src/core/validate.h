@@ -19,6 +19,11 @@ std::string ValidateWorkloadConfig(const WorkloadConfig& config);
 std::string ValidateControlConfig(const control::ControlConfig& config);
 std::string ValidateSimulationConfig(const SimulationConfig& config);
 
+// Returns `config` when ValidateSimulationConfig accepts it; otherwise throws
+// std::invalid_argument with the validator's message. Every facade
+// constructor passes its config through this before building anything.
+const SimulationConfig& CheckSimulationConfig(const SimulationConfig& config);
+
 }  // namespace ebs
 
 #endif  // SRC_CORE_VALIDATE_H_

@@ -1,13 +1,18 @@
 #include "src/hypervisor/online_balance.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "src/util/stats.h"
 
 namespace ebs {
 
 OnlineWtCovSink::OnlineWtCovSink(OpType op, size_t cov_window_steps)
-    : op_(op), cov_window_steps_(cov_window_steps) {}
+    : op_(op), cov_window_steps_(cov_window_steps) {
+  if (cov_window_steps_ == 0) {
+    throw std::invalid_argument("wt-cov: cov_window_steps must be >= 1");
+  }
+}
 
 void OnlineWtCovSink::OnStart(const Fleet& fleet, size_t /*window_steps*/,
                               double /*step_seconds*/) {
@@ -26,9 +31,9 @@ void OnlineWtCovSink::OnStepComplete(const ReplayStepView& view) {
   if (fault_driver_ != nullptr && fault_driver_->StepDegraded(view.step)) {
     ++degraded_steps_seen_;  // samples below are fault-immune; just flag it
   }
-  // Two-stage accumulation keeps the FP addition order identical to batch:
-  // RollupToWt folds QPs (fleet order) into the per-step WT value first, and
-  // WtCovSamples then folds steps in ascending order.
+  // Two-stage accumulation keeps the FP addition order of a WT rollup: QPs
+  // fold (fleet order) into the per-step WT value first, then steps fold into
+  // the window in ascending order.
   std::fill(step_total_.begin(), step_total_.end(), 0.0);
   for (const Qp& qp : fleet_->qps) {
     step_total_[qp.bound_wt.value()] += view.qp_series[qp.id.value()].Bytes(op_)[view.step];
@@ -64,7 +69,7 @@ void OnlineWtCovSink::OnStepComplete(const ReplayStepView& view) {
 }
 
 void OnlineWtCovSink::OnFinish() {
-  // Node-major concatenation reproduces WtCovSamples' node-outer loop order.
+  // Node-major concatenation: every window of node 0, then node 1, ...
   samples_.clear();
   for (const std::vector<double>& node_samples : per_node_) {
     samples_.insert(samples_.end(), node_samples.begin(), node_samples.end());

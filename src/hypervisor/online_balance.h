@@ -2,9 +2,9 @@
 //
 // OnlineWtCovSink accumulates per-WT traffic window by window as the stream
 // plays and emits one normalized-CoV sample per (node, complete window) with
-// traffic — the same samples WtCovSamples computes from the fully
-// materialized MetricDataset, in the same order and bit-identical, without
-// ever holding the full per-QP series rollup.
+// traffic, without ever holding the full per-WT rollup. It is the only
+// implementation of the WT-CoV windows: the batch WtCovSamples steps this
+// sink over a materialized MetricDataset.
 
 #ifndef SRC_HYPERVISOR_ONLINE_BALANCE_H_
 #define SRC_HYPERVISOR_ONLINE_BALANCE_H_
@@ -21,15 +21,16 @@ namespace ebs {
 class OnlineWtCovSink : public ReplaySink {
  public:
   // `cov_window_steps` is the CoV time scale (e.g. 60 for 1-minute CoV).
+  // Throws std::invalid_argument when it is 0.
   OnlineWtCovSink(OpType op, size_t cov_window_steps);
 
   void OnStart(const Fleet& fleet, size_t window_steps, double step_seconds) override;
   void OnStepComplete(const ReplayStepView& view) override;
   void OnFinish() override;
 
-  // One sample per (node, complete window) with traffic, node-major — the
-  // exact output of WtCovSamples(fleet, metrics, op, cov_window_steps). Valid
-  // after OnFinish (a trailing partial window is discarded, as in batch).
+  // One sample per (node, complete window) with traffic, node-major — what
+  // WtCovSamples(fleet, metrics, op, cov_window_steps) returns. Valid after
+  // OnFinish (a trailing partial window is discarded).
   const std::vector<double>& samples() const { return samples_; }
 
   // Degraded-mode fallback: the per-QP columns this sink reads are full-scale

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/hypervisor/online_balance.h"
 #include "src/trace/aggregate.h"
 #include "src/util/stats.h"
 
@@ -23,29 +24,15 @@ const char* NodeSkewTypeName(NodeSkewType type) {
 
 std::vector<double> WtCovSamples(const Fleet& fleet, const MetricDataset& metrics, OpType op,
                                  size_t window_steps) {
-  const std::vector<RwSeries> wt_series = RollupToWt(fleet, metrics);
-  std::vector<double> samples;
-  for (const ComputeNode& node : fleet.nodes) {
-    for (size_t begin = 0; begin + window_steps <= metrics.window_steps;
-         begin += window_steps) {
-      std::vector<double> totals;
-      totals.reserve(node.wts.size());
-      double node_total = 0.0;
-      for (const WorkerThreadId wt : node.wts) {
-        const TimeSeries& series = wt_series[wt.value()].Bytes(op);
-        double sum = 0.0;
-        for (size_t t = begin; t < begin + window_steps; ++t) {
-          sum += series[t];
-        }
-        totals.push_back(sum);
-        node_total += sum;
-      }
-      if (node_total > 0.0) {
-        samples.push_back(NormalizedCoV(totals));
-      }
-    }
+  OnlineWtCovSink wt_cov(op, window_steps);
+  const std::vector<RwSeries> no_offered;
+  const std::vector<std::pair<SegmentId, const RwSeries*>> no_segments;
+  wt_cov.OnStart(fleet, metrics.window_steps, metrics.step_seconds);
+  for (size_t t = 0; t < metrics.window_steps; ++t) {
+    wt_cov.OnStepComplete({t, metrics.step_seconds, metrics.qp_series, no_offered, no_segments});
   }
-  return samples;
+  wt_cov.OnFinish();
+  return wt_cov.samples();
 }
 
 namespace {

@@ -19,6 +19,8 @@ namespace ebs {
 // Per-node WT-CoV samples at one time scale: for every compute node and every
 // disjoint window of `window_steps`, the normalized CoV of the per-WT traffic
 // accumulated in the window. Nodes/windows with zero traffic are skipped.
+// Steps an OnlineWtCovSink over metrics.qp_series; throws
+// std::invalid_argument when window_steps is 0.
 std::vector<double> WtCovSamples(const Fleet& fleet, const MetricDataset& metrics, OpType op,
                                  size_t window_steps);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 namespace ebs {
@@ -94,6 +93,11 @@ QueueSimulator::QueueSimulator(const Fleet& fleet, const QueueModelConfig& confi
   if (!config_.segment_bs_remap.empty() &&
       config_.segment_bs_remap.size() != fleet.segments.size()) {
     throw std::invalid_argument("qmodel: segment_bs_remap must cover every segment");
+  }
+  for (const uint32_t bs : config_.segment_bs_remap) {
+    if (bs != QueueModelConfig::kNoRemap && bs >= fleet.block_servers.size()) {
+      throw std::out_of_range("qmodel: segment_bs_remap names an unknown block server");
+    }
   }
   if (!config_.vd_admission_bytes_per_sec.empty() &&
       config_.vd_admission_bytes_per_sec.size() != fleet.vds.size()) {
@@ -374,29 +378,14 @@ QueueModelResult RunOverTraces(const Fleet& fleet, const QueueModelConfig& confi
   if (cn_cache_hits != nullptr && cn_cache_hits->size() != traces.records.size()) {
     throw std::invalid_argument("qmodel: cn_cache_hits must cover every trace record");
   }
-  // Canonicalize to the merged stream order. The batch generator sorts by
-  // timestamp only; (timestamp, vd, offset) with a stable sort reproduces the
-  // streaming engine's (timestamp, vd, sequence) order — the same
-  // canonicalization the fault chaos tests fingerprint with.
-  std::vector<uint32_t> order(traces.records.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const TraceRecord& ra = traces.records[a];
-    const TraceRecord& rb = traces.records[b];
-    if (ra.timestamp != rb.timestamp) {
-      return ra.timestamp < rb.timestamp;
-    }
-    if (ra.vd.value() != rb.vd.value()) {
-      return ra.vd.value() < rb.vd.value();
-    }
-    return ra.offset < rb.offset;
-  });
-
+  if (!std::is_sorted(traces.records.begin(), traces.records.end(), TraceRecordBefore)) {
+    throw std::invalid_argument("qmodel: trace records are not in canonical order");
+  }
   QueueSimulator simulator(fleet, config, traces.sampling_rate, window_seconds);
   std::vector<uint64_t> vd_sequence(fleet.vds.size(), 0);
-  for (const uint32_t index : order) {
-    const TraceRecord& record = traces.records[index];
-    const bool hit = cn_cache_hits != nullptr && (*cn_cache_hits)[index] != 0;
+  for (size_t i = 0; i < traces.records.size(); ++i) {
+    const TraceRecord& record = traces.records[i];
+    const bool hit = cn_cache_hits != nullptr && (*cn_cache_hits)[i] != 0;
     simulator.Arrive(record, vd_sequence[record.vd.value()]++, hit);
   }
   return simulator.Finish();

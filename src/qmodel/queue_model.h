@@ -170,12 +170,15 @@ struct QueueInterimStats {
 };
 
 // The event-driven simulator. Feed IOs in the canonical merged-stream order
-// (timestamp, vd, sequence) — the replay engine's sink order, or
-// RunOverTraces' canonical sort for batch datasets — then call Finish().
+// (timestamp, vd, sequence) — the replay engine's sink order, which every
+// batch dataset already has (TraceRecordBefore) — then call Finish().
 class QueueSimulator {
  public:
   // `sampling_rate` is the trace thinning rate (WorkloadConfig::sampling_rate)
   // driving the occupancy upscale; `window_seconds` the observation window.
+  // Throws std::invalid_argument when a per-segment or per-VD table does not
+  // cover the fleet, and std::out_of_range when segment_bs_remap names a
+  // block server the fleet does not have.
   QueueSimulator(const Fleet& fleet, const QueueModelConfig& config, double sampling_rate,
                  double window_seconds);
 
@@ -288,10 +291,11 @@ class QueueSimulator {
   obs::Counter* obs_overflows_;
 };
 
-// Batch entry point: canonically orders `traces` (timestamp, vd, offset — the
-// stable sort that reproduces the merged stream order) and runs the simulator
-// over it. `cn_cache_hits`, when non-null, flags cache-hit records by their
-// index in traces.records (pre-sort order, as benches compute them).
+// Batch entry point: runs the simulator over `traces`, which must be in the
+// canonical order (TraceRecordBefore) every producer emits; throws
+// std::invalid_argument otherwise. Per-VD sequences are assigned in that
+// order. `cn_cache_hits`, when non-null, flags cache-hit records by their
+// index in traces.records.
 QueueModelResult RunOverTraces(const Fleet& fleet, const QueueModelConfig& config,
                                const TraceDataset& traces, double window_seconds,
                                const std::vector<uint8_t>* cn_cache_hits = nullptr);

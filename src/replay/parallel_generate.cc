@@ -1,129 +1,19 @@
 #include "src/replay/parallel_generate.h"
 
-#include <algorithm>
-#include <exception>
-#include <memory>
-#include <queue>
-#include <thread>
 #include <utility>
-#include <vector>
 
-#include "src/fault/driver.h"
-#include "src/replay/shard.h"
-#include "src/replay/sink.h"
+#include "src/replay/engine.h"
+#include "src/replay/sinks.h"
 
 namespace ebs {
-namespace {
-
-// One shard's whole-window event run. Batches within a shard are sorted by
-// ReplayEventBefore and timestamps never cross step boundaries, so the
-// concatenation of a shard's batches is itself a sorted run.
-struct ShardRun {
-  std::vector<ReplayEvent> events;
-  std::exception_ptr error;
-};
-
-}  // namespace
 
 WorkloadResult GenerateWorkloadParallel(const Fleet& fleet, const WorkloadConfig& config,
                                         size_t worker_threads) {
-  WorkloadResult result;
-  const size_t steps = config.window_steps;
-  const double dt = config.step_seconds;
-  result.metrics.step_seconds = dt;
-  result.metrics.window_steps = steps;
-  result.metrics.qp_series.assign(fleet.qps.size(), RwSeries(steps, dt));
-  result.offered_vd.assign(fleet.vds.size(), RwSeries(steps, dt));
-  result.vd_truth.assign(fleet.vds.size(), VdGroundTruth{});
-  result.traces.window_seconds = static_cast<double>(steps) * dt;
-  result.traces.sampling_rate = config.sampling_rate;
-
-  std::unique_ptr<FaultDriver> fault_driver;
-  if (!config.faults.empty()) {
-    fault_driver = std::make_unique<FaultDriver>(fleet, config.faults, steps, dt);
-  }
-
-  const size_t shard_count = std::max<size_t>(
-      1, std::min(worker_threads, std::max<size_t>(1, fleet.vms.size())));
-  std::vector<std::vector<uint32_t>> assignment(shard_count);
-  for (const Vm& vm : fleet.vms) {
-    assignment[vm.id.value() % shard_count].push_back(vm.id.value());
-  }
-
-  std::vector<std::unique_ptr<ReplayShard>> shards;
-  shards.reserve(shard_count);
-  for (size_t s = 0; s < shard_count; ++s) {
-    shards.push_back(std::make_unique<ReplayShard>(fleet, config, static_cast<uint32_t>(s),
-                                                   std::move(assignment[s]),
-                                                   fault_driver.get()));
-  }
-
-  // Init + generate the whole window on one thread per shard. Each shard
-  // writes only its own VDs' slots of the shared arrays (disjoint across
-  // shards) and keeps its events in a shard-local run.
-  std::vector<ShardRun> runs(shard_count);
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(shard_count);
-    for (size_t s = 0; s < shard_count; ++s) {
-      workers.emplace_back([&, s] {
-        try {
-          shards[s]->Init(&result.metrics.qp_series, &result.offered_vd, &result.vd_truth);
-          for (size_t t = 0; t < steps; ++t) {
-            ShardBatch batch = shards[s]->GenerateStep(t);
-            runs[s].events.insert(runs[s].events.end(),
-                                  std::make_move_iterator(batch.events.begin()),
-                                  std::make_move_iterator(batch.events.end()));
-          }
-        } catch (...) {
-          runs[s].error = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& worker : workers) {
-      worker.join();
-    }
-  }
-  for (const ShardRun& run : runs) {
-    if (run.error) {
-      std::rethrow_exception(run.error);
-    }
-  }
-
-  // K-way merge of the sorted shard runs into the canonical total order —
-  // the same (timestamp, vd, sequence) stream the streaming engine emits.
-  size_t total = 0;
-  for (const ShardRun& run : runs) {
-    total += run.events.size();
-  }
-  result.traces.records.reserve(total);
-  using Head = std::pair<size_t, size_t>;  // (index in run, shard)
-  const auto later = [&runs](const Head& a, const Head& b) {
-    return ReplayEventBefore(runs[b.second].events[b.first],
-                             runs[a.second].events[a.first]);
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(later)> heap(later);
-  for (size_t s = 0; s < shard_count; ++s) {
-    if (!runs[s].events.empty()) {
-      heap.push({0, s});
-    }
-  }
-  while (!heap.empty()) {
-    const auto [index, s] = heap.top();
-    heap.pop();
-    result.traces.records.push_back(runs[s].events[index].record);
-    if (index + 1 < runs[s].events.size()) {
-      heap.push({index + 1, s});
-    }
-  }
-
-  for (auto& shard : shards) {
-    shard->ExportSegments(&result.metrics);
-    result.faults.Accumulate(shard->fault_stats());
-  }
-  if (fault_driver != nullptr) {
-    result.faults.degraded_steps = fault_driver->DegradedStepCount();
-  }
+  ReplayEngine engine(fleet, config, {.worker_threads = worker_threads});
+  TraceCollectorSink collector(config.sampling_rate);
+  engine.AddSink(&collector);
+  WorkloadResult result = engine.Run();
+  result.traces = collector.TakeDataset();
   return result;
 }
 

@@ -1,17 +1,14 @@
-// Parallel batch generation: the ReplayShard synthesis path without the
-// streaming merge loop. VMs are round-robin partitioned across worker threads
+// Parallel batch generation: the replay engine with a TraceCollectorSink as
+// its only sink. VMs are round-robin partitioned across worker threads
 // (deterministically seeded per VM, so the output is independent of the
-// partition), each shard builds its streams and generates the whole window,
-// and the per-shard event runs are merged into the canonical stream order
-// (ReplayEventBefore: timestamp, vd, sequence).
+// partition) and the engine's merge emits the canonical (timestamp, vd,
+// sequence) stream into the collector.
 //
-// This is the batch counterpart of GeneratorShardSource for callers that want
-// the materialized WorkloadResult — the tier sweeps in bench_scale, where
-// generation (not aggregation) is the wall — without paying the single-thread
-// WorkloadGenerator::Generate. The result is bit-identical for any worker
-// count: metric series are written by exactly one stream in step order, and
-// the trace records carry a canonical total order instead of the batch
-// generator's timestamp-only sort.
+// This is the materializing entry point for callers that want the whole
+// WorkloadResult generated on several threads — the tier sweeps in
+// bench_scale, where generation (not aggregation) is the wall. The result is
+// bit-identical to WorkloadGenerator::Generate, record order included, for
+// any worker count.
 
 #ifndef SRC_REPLAY_PARALLEL_GENERATE_H_
 #define SRC_REPLAY_PARALLEL_GENERATE_H_

@@ -28,9 +28,11 @@ struct ReplayEvent {
   uint64_t sequence = 0;  // per-VD emission index
 };
 
-// The merged stream's total order: (timestamp, vd, sequence). The tie-breaks
-// make the order independent of how VMs are assigned to shards, which is why
-// the stream is identical for any worker-thread count.
+// The merged stream's total order: TraceRecordBefore's (timestamp, vd), then
+// the per-VD sequence. The tie-breaks make the order independent of how VMs
+// are assigned to shards, which is why the stream is identical for any
+// worker-thread count. This is the merge heap's hot comparator, so it spells
+// out all three fields in one pass instead of calling TraceRecordBefore.
 inline bool ReplayEventBefore(const ReplayEvent& a, const ReplayEvent& b) {
   if (a.record.timestamp != b.record.timestamp) {
     return a.record.timestamp < b.record.timestamp;

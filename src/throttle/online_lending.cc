@@ -1,6 +1,7 @@
 #include "src/throttle/online_lending.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace ebs {
@@ -12,7 +13,11 @@ constexpr double kBytesPerMB = 1e6;
 }  // namespace
 
 OnlineLendingSink::OnlineLendingSink(std::vector<SharingGroup> groups, ThrottleConfig config)
-    : groups_(std::move(groups)), config_(config) {}
+    : groups_(std::move(groups)), config_(config) {
+  if (config_.period_steps == 0) {
+    throw std::invalid_argument("lending: period_steps must be >= 1");
+  }
+}
 
 void OnlineLendingSink::OnStart(const Fleet& fleet, size_t /*window_steps*/,
                                 double step_seconds) {
@@ -25,7 +30,7 @@ void OnlineLendingSink::OnStart(const Fleet& fleet, size_t /*window_steps*/,
     const size_t n = groups_[g].vds.size();
     state.base_caps.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      // Same per-step caps as the batch simulator's CapsFor.
+      // Per-step caps: the spec caps scaled by cap_scale and the step length.
       const Vd& disk = fleet.vds[groups_[g].vds[i].value()];
       state.base_caps[i] = {
           disk.throughput_cap_mbps * kBytesPerMB * config_.cap_scale * step_seconds,
@@ -37,9 +42,7 @@ void OnlineLendingSink::OnStart(const Fleet& fleet, size_t /*window_steps*/,
 }
 
 void OnlineLendingSink::OnStepComplete(const ReplayStepView& view) {
-  // One step of Algorithm 2 per group — the same per-step body as the batch
-  // SimulateLending, with the group/step loops interchanged (legal because
-  // all carried state is per group).
+  // One step of Algorithm 2 for every group (all carried state is per group).
   obs::ScopedTimer timer(step_timer_);
   const size_t t = view.step;
   const double p = config_.lending_rate;

@@ -4,7 +4,8 @@
 // each step boundary it reads the just-completed column of the offered per-VD
 // load, updates every sharing group's caps (periodic reset, first-throttle
 // lending) and throttle counters, and reports per-group lending gains at the
-// end — bit-identical to the batch SimulateLending over the same data.
+// end. It is the only implementation of Algorithm 2: the batch
+// SimulateLending steps this sink over a materialized offered_vd.
 
 #ifndef SRC_THROTTLE_ONLINE_LENDING_H_
 #define SRC_THROTTLE_ONLINE_LENDING_H_
@@ -22,14 +23,15 @@ namespace ebs {
 
 class OnlineLendingSink : public ReplaySink {
  public:
+  // Throws std::invalid_argument when config.period_steps is 0.
   OnlineLendingSink(std::vector<SharingGroup> groups, ThrottleConfig config);
 
   void OnStart(const Fleet& fleet, size_t window_steps, double step_seconds) override;
   void OnStepComplete(const ReplayStepView& view) override;
   void OnFinish() override;
 
-  // One gain per group with any throttling, in group order — the exact output
-  // of SimulateLending(fleet, offered_vd, groups, config). Valid after
+  // One gain per group with any throttling, in group order — what
+  // SimulateLending(fleet, offered_vd, groups, config) returns. Valid after
   // OnFinish.
   const std::vector<double>& gains() const { return gains_; }
   uint64_t baseline_throttled_seconds() const;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "src/analysis/skewness.h"
+#include "src/throttle/online_lending.h"
 
 namespace ebs {
 
@@ -185,93 +186,26 @@ std::vector<double> SimulateLending(const Fleet& fleet,
                                     const std::vector<RwSeries>& offered_vd,
                                     const std::vector<SharingGroup>& groups,
                                     const ThrottleConfig& config) {
+  const size_t steps = offered_vd.empty() ? 0 : offered_vd.front().read_bytes.size();
+  const double dt = offered_vd.empty() ? 1.0 : offered_vd.front().read_bytes.step_seconds();
+  const std::vector<RwSeries> no_qps;
+  const std::vector<std::pair<SegmentId, const RwSeries*>> no_segments;
   std::vector<double> gains;
-  if (offered_vd.empty()) {
-    return gains;
-  }
-  const size_t steps = offered_vd.front().read_bytes.size();
-  const double dt = offered_vd.front().read_bytes.step_seconds();
-  const double p = config.lending_rate;
-
+  // One sink per group, stepped through the whole window: Algorithm 2 carries
+  // no state across groups, so the gains equal one all-groups sink's, and each
+  // VD's series is read front to back instead of one column per step across
+  // every group, which keeps the reads in cache.
   for (const SharingGroup& group : groups) {
-    const size_t n = group.vds.size();
-    std::vector<VdCaps> base_caps(n);
-    for (size_t i = 0; i < n; ++i) {
-      base_caps[i] = CapsFor(fleet, group.vds[i], config.cap_scale, dt);
-    }
-
-    auto throttled = [&](const StepUsage& usage, const VdCaps& caps) {
-      return (caps.bytes > 0.0 && usage.Bytes() > caps.bytes) ||
-             (caps.ops > 0.0 && usage.Ops() > caps.ops);
-    };
-
-    uint64_t baseline_throttled = 0;
-    uint64_t lending_throttled = 0;
-
-    std::vector<VdCaps> caps = base_caps;
-    bool lent_this_period = false;
-
+    OnlineLendingSink lending({group}, config);
+    lending.OnStart(fleet, steps, dt);
     for (size_t t = 0; t < steps; ++t) {
-      if (t % config.period_steps == 0) {
-        caps = base_caps;  // Algorithm 2 line 14: re-init caps each period
-        lent_this_period = false;
-      }
-
-      // Baseline (no lending).
-      size_t throttled_now = 0;
-      double worst_overshoot = 0.0;
-      size_t worst_index = n;
-      std::vector<StepUsage> usage(n);
-      for (size_t i = 0; i < n; ++i) {
-        usage[i] = UsageAt(offered_vd[group.vds[i].value()], t);
-        if (throttled(usage[i], base_caps[i])) {
-          ++baseline_throttled;
-        }
-        if (throttled(usage[i], caps[i])) {
-          ++throttled_now;
-          const double overshoot =
-              std::max(caps[i].bytes > 0.0 ? usage[i].Bytes() / caps[i].bytes : 0.0,
-                       caps[i].ops > 0.0 ? usage[i].Ops() / caps[i].ops : 0.0);
-          if (overshoot > worst_overshoot) {
-            worst_overshoot = overshoot;
-            worst_index = i;
-          }
-        }
-      }
-      lending_throttled += throttled_now;
-
-      // First throttle of the period: lend to the worst-throttled VD.
-      if (!lent_this_period && worst_index < n) {
-        lent_this_period = true;
-        double ar_bytes = 0.0;
-        double ar_ops = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-          ar_bytes += std::max(0.0, caps[i].bytes - std::min(usage[i].Bytes(), caps[i].bytes));
-          ar_ops += std::max(0.0, caps[i].ops - std::min(usage[i].Ops(), caps[i].ops));
-        }
-        caps[worst_index].bytes += p * ar_bytes;
-        caps[worst_index].ops += p * ar_ops;
-        for (size_t i = 0; i < n; ++i) {
-          if (i == worst_index) {
-            continue;
-          }
-          const double headroom_bytes = std::max(0.0, caps[i].bytes - usage[i].Bytes());
-          const double headroom_ops = std::max(0.0, caps[i].ops - usage[i].Ops());
-          caps[i].bytes -= p * headroom_bytes;
-          caps[i].ops -= p * headroom_ops;
-        }
-      }
+      lending.OnStepComplete({t, dt, no_qps, offered_vd, no_segments});
     }
-
-    if (baseline_throttled + lending_throttled > 0) {
-      gains.push_back((static_cast<double>(baseline_throttled) -
-                       static_cast<double>(lending_throttled)) /
-                      static_cast<double>(baseline_throttled + lending_throttled));
-    }
+    lending.OnFinish();
+    gains.insert(gains.end(), lending.gains().begin(), lending.gains().end());
   }
   return gains;
 }
-
 
 const char* CapSplitModeName(CapSplitMode mode) {
   switch (mode) {

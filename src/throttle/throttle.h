@@ -84,8 +84,10 @@ ReductionRates ComputeReductionRates(const Fleet& fleet,
                                      const std::vector<SharingGroup>& groups,
                                      const ThrottleConfig& config, double lending_rate);
 
-// Limited-lending simulation (Algorithm 2). Returns one lending gain per
-// group that experienced any throttling: (t_without - t_with) / (t_w/o + t_w).
+// Limited-lending simulation (Algorithm 2): steps an OnlineLendingSink over
+// `offered_vd`, one group at a time. Returns one lending gain per group that
+// experienced any throttling, in group order: (t_without - t_with) /
+// (t_w/o + t_w). Throws std::invalid_argument when config.period_steps is 0.
 std::vector<double> SimulateLending(const Fleet& fleet,
                                     const std::vector<RwSeries>& offered_vd,
                                     const std::vector<SharingGroup>& groups,

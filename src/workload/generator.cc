@@ -74,9 +74,11 @@ WorkloadResult WorkloadGenerator::Generate() const {
     }
   }
 
-  // Traces in timestamp order, as DiTing would emit them.
-  std::sort(result.traces.records.begin(), result.traces.records.end(),
-            [](const TraceRecord& a, const TraceRecord& b) { return a.timestamp < b.timestamp; });
+  // Traces in the canonical order, as DiTing would emit them. Each VD's
+  // records were appended contiguously in emission order, so the stable sort
+  // yields exactly the replay engine's merged (timestamp, vd, sequence) stream.
+  std::stable_sort(result.traces.records.begin(), result.traces.records.end(),
+                   TraceRecordBefore);
 
   // Fault effects are a pure per-record transform, so applying them after the
   // sort matches the streaming engine's per-shard application bit for bit.

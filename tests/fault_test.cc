@@ -7,10 +7,8 @@
 // engine without deadlock and accounts dropped batches; (4) online sinks and
 // the balancer degrade deterministically, never with NaN or UB.
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,16 +63,6 @@ uint64_t Fingerprint(const std::vector<TraceRecord>& records) {
     mix(r.latency.component_us.data(), r.latency.component_us.size() * sizeof(double));
   }
   return h;
-}
-
-// The batch dataset is sorted by timestamp only while the merged stream uses
-// (timestamp, vd, sequence); canonicalize before fingerprinting batch output.
-uint64_t CanonicalFingerprint(std::vector<TraceRecord> records) {
-  std::stable_sort(records.begin(), records.end(), [](const TraceRecord& a, const TraceRecord& b) {
-    return std::make_tuple(a.timestamp, a.vd.value(), a.offset) <
-           std::make_tuple(b.timestamp, b.vd.value(), b.offset);
-  });
-  return Fingerprint(records);
 }
 
 void ExpectFaultStatsEqual(const FaultStats& a, const FaultStats& b, const char* what) {
@@ -301,7 +289,7 @@ TEST_F(FaultMechanicsTest, FailoverCandidatesPreferSpreadPreservingServers) {
 TEST(FaultChaosTest, EmptyAndArmedIdleSchedulesMatchGoldenOutput) {
   const SimulationConfig golden_config = SmallConfig();
   const EbsSimulation golden(golden_config);  // no fault subsystem in the loop
-  const uint64_t golden_print = CanonicalFingerprint(golden.traces().records);
+  const uint64_t golden_print = Fingerprint(golden.traces().records);
 
   // Armed but idle: events exist but every window is empty (start == end).
   SimulationConfig idle_config = SmallConfig();
@@ -312,7 +300,7 @@ TEST(FaultChaosTest, EmptyAndArmedIdleSchedulesMatchGoldenOutput) {
   idle.end_step = 10;
   idle_config.workload.faults.events.push_back(idle);
   const EbsSimulation idle_sim(idle_config);
-  EXPECT_EQ(CanonicalFingerprint(idle_sim.traces().records), golden_print);
+  EXPECT_EQ(Fingerprint(idle_sim.traces().records), golden_print);
   EXPECT_EQ(idle_sim.fault_stats().issued, idle_sim.traces().records.size());
   EXPECT_EQ(idle_sim.fault_stats().completed, idle_sim.fault_stats().issued);
   EXPECT_EQ(idle_sim.fault_stats().timed_out, 0u);
@@ -322,7 +310,7 @@ TEST(FaultChaosTest, EmptyAndArmedIdleSchedulesMatchGoldenOutput) {
   for (const size_t workers : {1u, 2u, 4u}) {
     StreamingSimulation stream(golden_config, {.worker_threads = workers});
     stream.Run();
-    EXPECT_EQ(CanonicalFingerprint(stream.traces().records), golden_print)
+    EXPECT_EQ(Fingerprint(stream.traces().records), golden_print)
         << workers << " workers";
     EXPECT_EQ(stream.fault_driver(), nullptr);
     ExpectFaultStatsEqual(stream.fault_stats(), FaultStats{}, "empty schedule stats");
@@ -338,7 +326,7 @@ TEST(FaultChaosTest, CrashHeavyScheduleIsBitIdenticalAcrossEnginesAndWorkers) {
       CrashHeavySchedule(fleet, config.workload.window_steps, /*seed=*/2024);
 
   const EbsSimulation batch(config);
-  const uint64_t batch_print = CanonicalFingerprint(batch.traces().records);
+  const uint64_t batch_print = Fingerprint(batch.traces().records);
 
   // The schedule must actually bite.
   const FaultStats& stats = batch.fault_stats();
@@ -350,7 +338,7 @@ TEST(FaultChaosTest, CrashHeavyScheduleIsBitIdenticalAcrossEnginesAndWorkers) {
   for (const size_t workers : {1u, 2u, 4u}) {
     StreamingSimulation stream(config, {.worker_threads = workers, .queue_capacity = 3});
     stream.Run();
-    EXPECT_EQ(CanonicalFingerprint(stream.traces().records), batch_print)
+    EXPECT_EQ(Fingerprint(stream.traces().records), batch_print)
         << workers << " workers";
     ExpectFaultStatsEqual(stream.fault_stats(), stats,
                           ("worker count " + std::to_string(workers)).c_str());

@@ -1,9 +1,12 @@
 // Tests for the hypervisor analyses and rebinding/dispatch simulators using
 // hand-built fleets with exactly-known traffic.
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "src/analysis/skewness.h"
+#include "src/hypervisor/online_balance.h"
 #include "src/hypervisor/rebinding.h"
 #include "src/hypervisor/wt_balance.h"
 #include "tests/test_helpers.h"
@@ -43,6 +46,18 @@ TEST(WtCovTest, IdleWindowsSkipped) {
   MetricDataset metrics = MakeEmptyMetrics(fleet, 20);
   metrics.qp_series[0].write_bytes[2] = 10.0;  // only the first window active
   EXPECT_EQ(WtCovSamples(fleet, metrics, OpType::kWrite, 10).size(), 1u);
+}
+
+// A zero CoV window used to divide by zero in the online sink and never
+// advance the batch window loop.
+TEST(WtCovTest, ZeroWindowIsRejectedByTheBatchAnalysis) {
+  const Fleet fleet = MakeTinyFleet({{{1, 1}}}, /*wt_count=*/2);
+  const MetricDataset metrics = MakeEmptyMetrics(fleet, 20);
+  EXPECT_THROW(WtCovSamples(fleet, metrics, OpType::kWrite, 0), std::invalid_argument);
+}
+
+TEST(WtCovTest, ZeroWindowIsRejectedByTheOnlineSink) {
+  EXPECT_THROW(OnlineWtCovSink(OpType::kWrite, 0), std::invalid_argument);
 }
 
 TEST(ClassifyTest, TypeOneWhenFewerQpsThanWts) {

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <sstream>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +16,7 @@
 #include "src/core/streaming.h"
 #include "src/obs/metrics.h"
 #include "src/obs/report.h"
+#include "tests/test_helpers.h"
 
 namespace ebs {
 namespace {
@@ -276,17 +276,7 @@ TEST(ObsFingerprintTest, InstrumentationDoesNotPerturbSimulationOutput) {
   StreamingSimulation stream(config, {.worker_threads = 4, .queue_capacity = 4});
   stream.Run();
 
-  auto canonical = [](const TraceDataset& traces) {
-    std::vector<std::tuple<double, uint32_t, uint64_t, uint32_t, int>> keys;
-    keys.reserve(traces.records.size());
-    for (const TraceRecord& r : traces.records) {
-      keys.emplace_back(r.timestamp, r.vd.value(), r.offset, r.size_bytes,
-                        static_cast<int>(r.op));
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  };
-  EXPECT_EQ(canonical(stream.traces()), canonical(batch.traces()));
+  ExpectSameRecords(stream.traces().records, batch.traces().records);
 
   ASSERT_EQ(stream.metrics().qp_series.size(), batch.metrics().qp_series.size());
   for (size_t q = 0; q < batch.metrics().qp_series.size(); ++q) {

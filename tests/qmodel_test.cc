@@ -9,15 +9,19 @@
 // crash-heavy fault schedule, and the default (additive) mode is untouched.
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/simulation.h"
+#include "src/core/sink_drive.h"
 #include "src/core/streaming.h"
 #include "src/fault/schedule.h"
 #include "src/qmodel/latency_hist.h"
 #include "src/qmodel/queue_model.h"
+#include "src/qmodel/sink.h"
 #include "tests/test_helpers.h"
 
 namespace ebs {
@@ -263,6 +267,17 @@ TEST(QueueSimulatorTest, RemapSizeIsValidated) {
   config.segment_bs_remap.clear();
   config.vd_admission_bytes_per_sec.assign(fleet.vds.size() + 1, 0.0);
   EXPECT_THROW(QueueSimulator(fleet, config, 1.0, 1.0), std::invalid_argument);
+
+  // A full-length table is checked entry by entry, like SetSegmentRemap: an
+  // unknown block server used to be read out of bounds on the first arrival.
+  config = MechConfig();
+  config.segment_bs_remap.assign(fleet.segments.size(), 999999u);
+  EXPECT_THROW(QueueSimulator(fleet, config, 1.0, 1.0), std::out_of_range);
+  config.segment_bs_remap.assign(fleet.segments.size(), QueueModelConfig::kNoRemap);
+  config.segment_bs_remap.back() = static_cast<uint32_t>(fleet.block_servers.size());
+  EXPECT_THROW(QueueSimulator(fleet, config, 1.0, 1.0), std::out_of_range);
+  config.segment_bs_remap.back() = static_cast<uint32_t>(fleet.block_servers.size() - 1);
+  EXPECT_NO_THROW(QueueSimulator(fleet, config, 1.0, 1.0));
 }
 
 TEST(QueueSimulatorTest, LeastLoadedDispatchSpreadsAHotWorkerThread) {
@@ -351,6 +366,39 @@ TEST(QueueModelDeterminismTest, BatchMatchesStreamingHealthy) {
 
 TEST(QueueModelDeterminismTest, BatchMatchesStreamingUnderCrashHeavyFaults) {
   ExpectBatchMatchesStreaming(QueueingConfig(/*crash_heavy=*/true));
+}
+
+// No facade calls RunOverTraces any more (both drive the QueueModelSink), but
+// the benches and the perf ledger's traced run do: hold it to the facade.
+TEST(QueueModelDeterminismTest, RunOverTracesMatchesTheBatchFacade) {
+  const SimulationConfig config = QueueingConfig(/*crash_heavy=*/true);
+  const EbsSimulation batch(config);
+  const double window_seconds =
+      static_cast<double>(config.workload.window_steps) * config.workload.step_seconds;
+  const QueueModelResult direct =
+      qmodel::RunOverTraces(batch.fleet(), config.queueing, batch.traces(), window_seconds);
+  ASSERT_NE(batch.queue_result(), nullptr);
+  EXPECT_EQ(direct.Fingerprint(), batch.queue_result()->Fingerprint());
+}
+
+TEST(QueueModelDeterminismTest, OutOfOrderRecordsAreRejected) {
+  const SimulationConfig config = QueueingConfig(/*crash_heavy=*/false);
+  const EbsSimulation batch(config);
+  const double window_seconds =
+      static_cast<double>(config.workload.window_steps) * config.workload.step_seconds;
+  WorkloadResult swapped = batch.workload();
+  std::vector<TraceRecord>& records = swapped.traces.records;
+  ASSERT_GT(records.size(), 2u);
+  ASSERT_LT(records.front().timestamp, records.back().timestamp);
+  std::swap(records.front(), records.back());
+  EXPECT_THROW(qmodel::RunOverTraces(batch.fleet(), config.queueing, swapped.traces,
+                                     window_seconds),
+               std::invalid_argument);
+  // The facade's batch driver makes the same O(n) check before any sink runs.
+  qmodel::QueueModelSink sink(config.queueing, config.workload.sampling_rate);
+  EXPECT_THROW(DriveSinksOverResult(batch.fleet(), swapped, config.workload.window_steps,
+                                    config.workload.step_seconds, {&sink}),
+               std::invalid_argument);
 }
 
 TEST(QueueModelDeterminismTest, DefaultModeCarriesNoQueueResult) {

@@ -5,10 +5,8 @@
 // worker-thread count; (2) the online mitigation sinks reproduce their batch
 // counterparts exactly.
 
-#include <algorithm>
 #include <atomic>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +23,7 @@
 #include "src/replay/sinks.h"
 #include "src/throttle/online_lending.h"
 #include "src/throttle/throttle.h"
+#include "tests/test_helpers.h"
 
 namespace ebs {
 namespace {
@@ -121,8 +120,8 @@ TEST(ReplayEngineTest, StreamingMatchesBatchBitIdentical) {
   ExpectRollupEqual(stream.SnSeries(), batch.SnSeries(), "sn");
   ExpectRollupEqual(stream.SegSeries(), batch.SegSeries(), "segment");
 
-  // Trace stream: same multiset of records (the batch dataset is sorted by
-  // timestamp only, so compare canonically ordered copies).
+  // Trace stream: both facades emit the canonical (timestamp, vd, sequence)
+  // order, so the datasets match record for record, order included.
   ASSERT_EQ(stream.traces().records.size(), batch.traces().records.size());
   EXPECT_EQ(stream.traces().CountOps(OpType::kRead), batch.traces().CountOps(OpType::kRead));
   EXPECT_EQ(stream.traces().CountOps(OpType::kWrite), batch.traces().CountOps(OpType::kWrite));
@@ -130,17 +129,7 @@ TEST(ReplayEngineTest, StreamingMatchesBatchBitIdentical) {
             batch.traces().SampledBytes(OpType::kRead));
   EXPECT_EQ(stream.traces().SampledBytes(OpType::kWrite),
             batch.traces().SampledBytes(OpType::kWrite));
-  auto canonical = [](const TraceDataset& traces) {
-    std::vector<std::tuple<double, uint32_t, uint64_t, uint32_t, int>> keys;
-    keys.reserve(traces.records.size());
-    for (const TraceRecord& r : traces.records) {
-      keys.emplace_back(r.timestamp, r.vd.value(), r.offset, r.size_bytes,
-                        static_cast<int>(r.op));
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  };
-  EXPECT_EQ(canonical(stream.traces()), canonical(batch.traces()));
+  ExpectSameRecords(stream.traces().records, batch.traces().records);
 }
 
 TEST(ReplayEngineTest, WorkerCountDoesNotChangeTheStream) {
@@ -156,19 +145,7 @@ TEST(ReplayEngineTest, WorkerCountDoesNotChangeTheStream) {
   EXPECT_EQ(one.stats().events, eight.stats().events);
 
   // The merged event stream is identical record for record — order included.
-  const auto& a = one.traces().records;
-  const auto& b = eight.traces().records;
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].timestamp, b[i].timestamp) << i;
-    ASSERT_EQ(a[i].vd.value(), b[i].vd.value()) << i;
-    ASSERT_EQ(a[i].qp.value(), b[i].qp.value()) << i;
-    ASSERT_EQ(a[i].segment.value(), b[i].segment.value()) << i;
-    ASSERT_EQ(a[i].offset, b[i].offset) << i;
-    ASSERT_EQ(a[i].size_bytes, b[i].size_bytes) << i;
-    ASSERT_EQ(a[i].op, b[i].op) << i;
-    ASSERT_EQ(a[i].latency.Total(), b[i].latency.Total()) << i;
-  }
+  ExpectSameRecords(one.traces().records, eight.traces().records);
 
   ExpectRollupEqual(one.metrics().qp_series, eight.metrics().qp_series, "qp");
   ExpectRollupEqual(one.VdSeries(), eight.VdSeries(), "vd");
@@ -185,17 +162,13 @@ TEST(ParallelGenerateTest, WorkerCountInvariantAndMatchesBatch) {
 
   // Record for record — order included: the merge emits the canonical
   // (timestamp, vd, sequence) stream regardless of the VM partition.
-  ASSERT_EQ(one.traces.records.size(), four.traces.records.size());
-  for (size_t i = 0; i < one.traces.records.size(); ++i) {
-    ASSERT_EQ(one.traces.records[i].timestamp, four.traces.records[i].timestamp) << i;
-    ASSERT_EQ(one.traces.records[i].vd.value(), four.traces.records[i].vd.value()) << i;
-    ASSERT_EQ(one.traces.records[i].offset, four.traces.records[i].offset) << i;
-  }
+  ExpectSameRecords(one.traces.records, four.traces.records);
   ExpectRollupEqual(one.metrics.qp_series, four.metrics.qp_series, "qp");
   ExpectRollupEqual(one.offered_vd, four.offered_vd, "offered");
 
   // Against the single-thread batch generator: bit-identical metric datasets
-  // and the same trace multiset (batch sorts by timestamp only).
+  // and the same trace stream, record for record — its stable sort produces
+  // the merged order.
   const WorkloadResult batch = WorkloadGenerator(fleet, config.workload).Generate();
   ExpectRollupEqual(batch.metrics.qp_series, four.metrics.qp_series, "qp vs batch");
   ExpectRollupEqual(batch.offered_vd, four.offered_vd, "offered vs batch");
@@ -204,6 +177,7 @@ TEST(ParallelGenerateTest, WorkerCountInvariantAndMatchesBatch) {
   EXPECT_EQ(batch.traces.SampledBytes(OpType::kRead), four.traces.SampledBytes(OpType::kRead));
   EXPECT_EQ(batch.traces.SampledBytes(OpType::kWrite),
             four.traces.SampledBytes(OpType::kWrite));
+  ExpectSameRecords(batch.traces.records, four.traces.records);
 }
 
 TEST(ReplayEngineTest, OnlineSinksMatchBatchCounterparts) {

@@ -113,8 +113,9 @@ uint64_t Fingerprint(const std::vector<TraceRecord>& records) {
   return h;
 }
 
-// Batch sorts by timestamp only while the merged stream orders ties by
-// (vd, sequence); canonicalize before comparing across engines.
+// Fingerprint of a (timestamp, vd, offset) stable re-sort. The golden corpus
+// fingerprints were pinned in this form; every other comparison is order-
+// sensitive, because batch and streaming both emit the canonical order.
 uint64_t CanonicalFingerprint(std::vector<TraceRecord> records) {
   std::stable_sort(records.begin(), records.end(), [](const TraceRecord& a, const TraceRecord& b) {
     return std::make_tuple(a.timestamp, a.vd.value(), a.offset) <
@@ -471,7 +472,7 @@ TEST(ScenarioCalibrationTest, FlashCrowdHitsItsAmplitudeAndStaysTenantLocal) {
       crowd_rest.push_back(r);
     }
   }
-  EXPECT_EQ(CanonicalFingerprint(crowd_rest), CanonicalFingerprint(base_rest));
+  EXPECT_EQ(Fingerprint(crowd_rest), Fingerprint(base_rest));
 }
 
 // --- Calibration: churn -------------------------------------------------------
@@ -514,7 +515,7 @@ TEST(ScenarioCalibrationTest, ChurnGrowsAndShrinksTheFleetOnSchedule) {
       churn_rest.push_back(r);
     }
   }
-  EXPECT_EQ(CanonicalFingerprint(churn_rest), CanonicalFingerprint(base_rest));
+  EXPECT_EQ(Fingerprint(churn_rest), Fingerprint(base_rest));
 }
 
 TEST(ScenarioPropertyTest, DepartedTenantNeverResurrectsUnderLayeredEffects) {
@@ -625,11 +626,11 @@ TEST(ScenarioDeterminismTest, BatchAndStreamingAgreeAtEveryWorkerCount) {
   for (const char* name : kCorpus) {
     SimulationConfig config = ScenarioTestConfig();
     config.workload.scenario = LoadCorpus(name);
-    const uint64_t batch_print = CanonicalFingerprint(BatchFor(name).traces().records);
+    const uint64_t batch_print = Fingerprint(BatchFor(name).traces().records);
     for (const size_t workers : {1u, 2u, 4u}) {
       StreamingSimulation stream(config, {.worker_threads = workers});
       stream.Run();
-      EXPECT_EQ(CanonicalFingerprint(stream.traces().records), batch_print)
+      EXPECT_EQ(Fingerprint(stream.traces().records), batch_print)
           << name << " @ " << workers << " workers";
     }
   }
@@ -640,8 +641,7 @@ TEST(ScenarioDeterminismTest, IdentityScenarioIsBitIdenticalToTheSeed) {
   const EbsSimulation& identity = BatchFor("identity.scn");
 
   // Traces byte-identical...
-  EXPECT_EQ(CanonicalFingerprint(identity.traces().records),
-            CanonicalFingerprint(seed.traces().records));
+  EXPECT_EQ(Fingerprint(identity.traces().records), Fingerprint(seed.traces().records));
   // ...and the full-scale metric dataset too (bitwise, not approximately).
   ASSERT_EQ(identity.metrics().qp_series.size(), seed.metrics().qp_series.size());
   for (size_t q = 0; q < seed.metrics().qp_series.size(); ++q) {
@@ -667,11 +667,11 @@ TEST(ScenarioPropertyTest, ScenarioComposesWithFaultSchedulesDeterministically) 
 
   const EbsSimulation batch(config);
   EXPECT_GT(batch.fault_stats().degraded_steps, 0u);
-  const uint64_t batch_print = CanonicalFingerprint(batch.traces().records);
+  const uint64_t batch_print = Fingerprint(batch.traces().records);
   for (const size_t workers : {1u, 2u, 4u}) {
     StreamingSimulation stream(config, {.worker_threads = workers, .queue_capacity = 3});
     stream.Run();
-    EXPECT_EQ(CanonicalFingerprint(stream.traces().records), batch_print)
+    EXPECT_EQ(Fingerprint(stream.traces().records), batch_print)
         << workers << " workers";
   }
 }

@@ -2,12 +2,15 @@
 // EXPERIMENTS.md records must keep holding when the model is tuned. Each test
 // pins one headline "shape" on a deliberately small (fast) simulation.
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "src/analysis/skewness.h"
 #include "src/balancer/balancer.h"
 #include "src/cache/hotspot.h"
 #include "src/core/simulation.h"
+#include "src/core/streaming.h"
 #include "src/core/validate.h"
 #include "src/hypervisor/fairness.h"
 #include "src/throttle/throttle.h"
@@ -173,29 +176,50 @@ TEST(ValidationTest, PresetsAreValid) {
 }
 
 TEST(ValidationTest, RejectsBrokenConfigs) {
+  // Every facade constructor validates before it builds anything: a zero
+  // storage-node or WT count used to reach BuildFleet and die with SIGFPE, and
+  // the batch facade used to validate only with control on.
+  const auto expect_rejected = [](const SimulationConfig& broken) {
+    EXPECT_NE(ValidateSimulationConfig(broken), "");
+    EXPECT_THROW(EbsSimulation{broken}, std::invalid_argument);
+    EXPECT_THROW(StreamingSimulation{broken}, std::invalid_argument);
+    // Store replay validates before it opens the store.
+    EXPECT_THROW(StreamingSimulation("missing.ebst", broken), std::invalid_argument);
+  };
+
   SimulationConfig config = DcPreset(1);
   config.fleet.user_count = 0;
-  EXPECT_NE(ValidateSimulationConfig(config), "");
+  expect_rejected(config);
+
+  config = DcPreset(1);
+  config.fleet.storage_nodes_per_cluster = 0;
+  expect_rejected(config);
+
+  config = DcPreset(1);
+  config.fleet.wts_per_node = 0;
+  expect_rejected(config);
 
   config = DcPreset(1);
   config.workload.window_steps = 0;
-  EXPECT_NE(ValidateSimulationConfig(config), "");
+  expect_rejected(config);
 
   config = DcPreset(1);
   config.workload.sampling_rate = 0.0;
-  EXPECT_NE(ValidateSimulationConfig(config), "");
+  expect_rejected(config);
+  config.queueing.enabled = true;
+  expect_rejected(config);
 
   config = DcPreset(1);
   config.fleet.app_vm_weights = {1.0};  // wrong arity
-  EXPECT_NE(ValidateSimulationConfig(config), "");
+  expect_rejected(config);
 
   config = DcPreset(1);
   config.fleet.app_vm_weights.assign(kAppTypeCount, 0.0);
-  EXPECT_NE(ValidateSimulationConfig(config), "");
+  expect_rejected(config);
 
   config = DcPreset(1);
   config.workload.hot_prob_scale = -0.5;
-  EXPECT_NE(ValidateSimulationConfig(config), "");
+  expect_rejected(config);
 }
 
 }  // namespace

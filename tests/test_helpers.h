@@ -1,10 +1,14 @@
 // Hand-built miniature fleets and metric datasets for unit-testing the
-// subsystem simulators with exactly-known inputs.
+// subsystem simulators with exactly-known inputs, and a record-for-record
+// trace comparison.
 
 #ifndef TESTS_TEST_HELPERS_H_
 #define TESTS_TEST_HELPERS_H_
 
+#include <tuple>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "src/topology/fleet.h"
 #include "src/trace/records.h"
@@ -131,6 +135,24 @@ inline void SetConstantRead(MetricDataset& metrics, QpId qp, double bytes_per_st
   TimeSeries& series = metrics.qp_series[qp.value()].read_bytes;
   for (size_t t = 0; t < series.size(); ++t) {
     series[t] = bytes_per_step;
+  }
+}
+
+// Every field of a trace record, as one comparable tuple.
+inline auto RecordFields(const TraceRecord& r) {
+  return std::make_tuple(r.timestamp, static_cast<int>(r.op), r.size_bytes, r.offset,
+                         r.user.value(), r.vm.value(), r.vd.value(), r.qp.value(), r.wt.value(),
+                         r.cn.value(), r.segment.value(), r.bs.value(), r.sn.value(),
+                         r.latency.component_us, static_cast<int>(r.fault_retries),
+                         r.fault_timed_out, r.fault_failed_over);
+}
+
+// Two trace streams are identical record for record, order included.
+inline void ExpectSameRecords(const std::vector<TraceRecord>& a,
+                              const std::vector<TraceRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(RecordFields(a[i]), RecordFields(b[i])) << "record " << i;
   }
 }
 

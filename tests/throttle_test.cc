@@ -1,8 +1,11 @@
 // Tests for throttle detection, RAR/reduction-rate math and limited lending,
 // on hand-built offered-load series.
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
+#include "src/throttle/online_lending.h"
 #include "src/throttle/throttle.h"
 #include "tests/test_helpers.h"
 
@@ -173,6 +176,20 @@ TEST_F(ThrottleFixture, CapsResetEachPeriod) {
 TEST_F(ThrottleFixture, NoThrottleNoGainSample) {
   const auto gains = SimulateLending(fleet_, offered_, groups_, {});
   EXPECT_TRUE(gains.empty());
+}
+
+// A zero lending period used to divide by zero in the period check.
+TEST_F(ThrottleFixture, ZeroPeriodIsRejectedByTheBatchSimulator) {
+  ThrottleConfig config;
+  config.period_steps = 0;
+  EXPECT_THROW(SimulateLending(fleet_, offered_, groups_, config), std::invalid_argument);
+  EXPECT_THROW(SimulateLending(fleet_, {}, groups_, config), std::invalid_argument);
+}
+
+TEST_F(ThrottleFixture, ZeroPeriodIsRejectedByTheOnlineSink) {
+  ThrottleConfig config;
+  config.period_steps = 0;
+  EXPECT_THROW(OnlineLendingSink(groups_, config), std::invalid_argument);
 }
 
 TEST(ResourceKindTest, Names) {

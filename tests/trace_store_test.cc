@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "src/core/simulation.h"
@@ -32,8 +34,11 @@ uint64_t Bits(double v) {
   return bits;
 }
 
+// Per-process names: ctest runs every case of a suite as its own process, in
+// parallel, and StoreCorruptionTest's suite setup in each of them writes the
+// same base file.
 std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return std::string(::testing::TempDir()) + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 std::vector<uint8_t> ReadFileBytes(const std::string& path) {
