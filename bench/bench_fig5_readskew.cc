@@ -61,19 +61,18 @@ void Run() {
   for (const ebs::StorageCluster& cluster : fleet.storage_clusters) {
     // Collect (traffic, |wr_ratio|) for the cluster's active segments.
     std::vector<std::pair<double, double>> segments;  // (total bytes, |wr|)
-    for (const auto& [seg_value, series_ptr] : metrics.segment_series.SortedItems()) {
-      const ebs::RwSeries& series = *series_ptr;
+    metrics.segment_series.ForEachSorted([&](uint32_t seg_value, const ebs::RwSeries& series) {
       const ebs::Segment& segment = fleet.segments[seg_value];
       if (fleet.block_servers[segment.server.value()].cluster != cluster.id) {
-        continue;
+        return;
       }
       const double write = series.write_bytes.SumAll();
       const double read = series.read_bytes.SumAll();
       if (write + read <= 0.0) {
-        continue;
+        return;
       }
       segments.emplace_back(write + read, std::abs(ebs::WriteToReadRatio(write, read)));
-    }
+    });
     std::sort(segments.begin(), segments.end(), std::greater<>());
     double total = 0.0;
     for (const auto& [traffic, wr] : segments) {

@@ -91,7 +91,7 @@ void StorageBalance(const ebs::EbsSimulation& sim) {
       reads.push_back(bs_series[bs.id.value()].read_bytes.SumAll());
       writes.push_back(bs_series[bs.id.value()].write_bytes.SumAll());
       for (const ebs::SegmentId seg : bs.segments) {
-        active += sim.metrics().SegmentSeries(seg) != nullptr ? 1 : 0;
+        active += sim.metrics().SegmentSeries(seg).has_value() ? 1 : 0;
       }
     }
     table.AddRow({"cluster-" + std::to_string(cluster.id.value()),

@@ -27,7 +27,11 @@
 # ASan heap overflow unless the simulator rejects it), throttle_test and
 # hypervisor_test (a zero lending period or CoV window is a UBSan division by
 # zero unless the sinks reject it) and shapes_test (a fleet config that fails
-# validation must never reach BuildFleet's divisions).
+# validation must never reach BuildFleet's divisions). The storage domain's
+# index arithmetic runs under both as well: segment entries name their source
+# series by index, and trace_test (ASan; it copies and moves results and frees
+# the originals), rollup_dense_test and control_test (both stages) and
+# replay_test (UBSan) read every segment cell through them.
 #
 # The final stages re-run the deterministic benches and gate them against
 # their committed baselines via scripts/check_bench.py: bench_latency's tail
@@ -78,9 +82,10 @@ cmake -S "${repo_root}" -B "${build_root}/asan" \
 cmake --build "${build_root}/asan" -j "${jobs}" \
   --target replay_test fault_test trace_store_test store_replay_test cache_test \
            qmodel_test throttle_test hypervisor_test shapes_test \
+           trace_test rollup_dense_test control_test \
            fuzz_scenario fuzz_store
 
-echo "== [5/13] Replay determinism + fault chaos + store corruption + cache + config-guard tests (ASan) =="
+echo "== [5/13] Replay determinism + fault chaos + store corruption + cache + config-guard + storage-domain tests (ASan) =="
 "${build_root}/asan/tests/replay_test"
 "${build_root}/asan/tests/fault_test"
 "${build_root}/asan/tests/trace_store_test"
@@ -90,6 +95,9 @@ echo "== [5/13] Replay determinism + fault chaos + store corruption + cache + co
 "${build_root}/asan/tests/throttle_test"
 "${build_root}/asan/tests/hypervisor_test"
 "${build_root}/asan/tests/shapes_test"
+"${build_root}/asan/tests/trace_test"
+"${build_root}/asan/tests/rollup_dense_test"
+"${build_root}/asan/tests/control_test"
 
 echo "== [6/13] Fuzz harnesses: corpus replay + bounded mutations (ASan) =="
 # Replays the committed corpora (regression crashers must stay fixed), then
@@ -108,9 +116,10 @@ cmake -S "${repo_root}" -B "${build_root}/ubsan" \
 cmake --build "${build_root}/ubsan" -j "${jobs}" \
   --target util_container_test util_stats_test trace_test csv_export_test obs_test \
            fault_test trace_store_test cache_test \
-           qmodel_test throttle_test hypervisor_test shapes_test
+           qmodel_test throttle_test hypervisor_test shapes_test \
+           rollup_dense_test control_test replay_test
 
-echo "== [8/13] Numeric + export + obs + fault + store corruption + cache + config-guard tests (UBSan) =="
+echo "== [8/13] Numeric + export + obs + fault + store corruption + cache + config-guard + storage-domain tests (UBSan) =="
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/util_container_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/util_stats_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/trace_test"
@@ -123,6 +132,9 @@ UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/qmodel_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/throttle_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/hypervisor_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/shapes_test"
+UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/rollup_dense_test"
+UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/control_test"
+UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/replay_test"
 
 echo "== [9/13] Configure + build: ThreadSanitizer =="
 cmake -S "${repo_root}" -B "${build_root}/tsan" \

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <unordered_set>
 
 #include "src/util/stats.h"
@@ -67,16 +68,15 @@ InterBsBalancer::InterBsBalancer(const Fleet& fleet, const MetricDataset& metric
 
 double InterBsBalancer::SegmentPeriodTraffic(size_t segment_slot, size_t period,
                                              OpType op) const {
-  const RwSeries* series = metrics_.SegmentSeries(segments_[segment_slot].id);
-  if (series == nullptr) {
+  const std::optional<SegmentView> series = metrics_.SegmentSeries(segments_[segment_slot].id);
+  if (!series) {
     return 0.0;
   }
-  const TimeSeries& bytes = series->Bytes(op);
   const size_t begin = period * config_.period_steps;
-  const size_t end = std::min(begin + config_.period_steps, bytes.size());
+  const size_t end = std::min(begin + config_.period_steps, series->steps());
   double sum = 0.0;
   for (size_t t = begin; t < end; ++t) {
-    sum += bytes[t];
+    sum += series->Bytes(op, t);
   }
   return sum;
 }

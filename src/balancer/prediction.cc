@@ -31,22 +31,22 @@ std::vector<std::vector<double>> BsPeriodTraffic(const Fleet& fleet,
   // order changes the low bits — an insertion-order walk would make the
   // prediction input depend on the map's population history (batch vs
   // streaming differ).
-  metrics.segment_series.ForEachSorted([&](uint32_t seg_value, const RwSeries& series) {
-    const Segment& segment = fleet.segments[seg_value];
-    const int slot = slot_of_bs[segment.server.value()];
+  const SegmentSeriesMap& segments = metrics.segment_series;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const SegmentView series = segments[i];
+    const int slot = slot_of_bs[fleet.segments[series.id].server.value()];
     if (slot < 0) {
-      return;
+      continue;
     }
-    const TimeSeries& bytes = series.write_bytes;
     for (size_t p = 0; p < periods; ++p) {
       double sum = 0.0;
       const size_t begin = p * period_steps;
-      for (size_t t = begin; t < begin + period_steps && t < bytes.size(); ++t) {
-        sum += bytes[t];
+      for (size_t t = begin; t < begin + period_steps && t < series.steps(); ++t) {
+        sum += series.Bytes(OpType::kWrite, t);
       }
       bs_series[static_cast<size_t>(slot)][p] += sum;
     }
-  });
+  }
 
   // Drop idle BSs and normalize by each BS's own mean.
   std::vector<std::vector<double>> out;

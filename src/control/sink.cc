@@ -28,14 +28,16 @@ void ControlSink::OnStepComplete(const ReplayStepView& view) {
     const RwSeries& series = view.offered_vd[vd];
     vd_offered_acc_[vd] += series.read_bytes[step] + series.write_bytes[step];
   }
-  // The segment view is frozen (ascending id) for the whole run, so a vector
-  // parallel to it accumulates without lookups.
-  if (segment_acc_.size() < view.segments.size()) {
-    segment_acc_.resize(view.segments.size(), 0.0);
+  // The segment entries are fixed (ascending id) for the whole run, so a
+  // vector parallel to them accumulates without lookups. Each cell is read
+  // from its VD's delivered column times the segment's weight.
+  const SegmentSeriesMap& segments = view.segments;
+  if (segment_acc_.size() < segments.size()) {
+    segment_acc_.resize(segments.size(), 0.0);
   }
-  for (size_t i = 0; i < view.segments.size(); ++i) {
-    const RwSeries& series = *view.segments[i].second;
-    segment_acc_[i] += series.read_bytes[step] + series.write_bytes[step];
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const SegmentView segment = segments[i];
+    segment_acc_[i] += segment.Bytes(OpType::kRead, step) + segment.Bytes(OpType::kWrite, step);
   }
 
   if ((step + 1 - period_begin_step_) < period_steps_) {
@@ -50,9 +52,9 @@ void ControlSink::OnStepComplete(const ReplayStepView& view) {
   signal.vd_offered_bytes = &vd_offered_acc_;
 
   segment_bytes_.clear();
-  for (size_t i = 0; i < view.segments.size(); ++i) {
+  for (size_t i = 0; i < segments.size(); ++i) {
     if (segment_acc_[i] > 0.0) {
-      segment_bytes_.emplace_back(view.segments[i].first.value(), segment_acc_[i]);
+      segment_bytes_.emplace_back(segments[i].id, segment_acc_[i]);
     }
   }
   signal.segment_bytes = &segment_bytes_;

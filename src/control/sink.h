@@ -63,7 +63,7 @@ class ControlSink : public ReplaySink {
   uint64_t prev_slo_violations_ = 0;
 
   std::vector<double> vd_offered_acc_;   // by VD id, this period
-  std::vector<double> segment_acc_;      // parallel to the step view's segments
+  std::vector<double> segment_acc_;      // parallel to the step view's segment entries
   std::vector<std::pair<uint32_t, double>> segment_bytes_;  // scratch for the signal
   std::vector<uint32_t> down_bs_;                           // scratch for the signal
 };

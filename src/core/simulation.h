@@ -118,7 +118,7 @@ class EbsSimulation {
   const std::vector<RwSeries>& BsSeries() const { return rollups_.bs(); }
   const std::vector<RwSeries>& SnSeries() const { return rollups_.sn(); }
   // Active-segment series as a flat vector in ascending segment-id order
-  // (copies the map values once).
+  // (each materialized from its source series once, on first access).
   const std::vector<RwSeries>& SegSeries() const { return rollups_.seg(); }
 
  private:

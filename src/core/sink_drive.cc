@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <utility>
 
 namespace ebs {
 
@@ -13,16 +12,6 @@ void DriveSinksOverResult(const Fleet& fleet, const WorkloadResult& result,
   const std::vector<TraceRecord>& records = result.traces.records;
   if (!std::is_sorted(records.begin(), records.end(), TraceRecordBefore)) {
     throw std::invalid_argument("sink drive: trace records are not in canonical order");
-  }
-
-  // Frozen storage-domain view, ascending segment id — the batch twin of
-  // ReplaySource::segments().
-  const std::vector<std::pair<uint32_t, const RwSeries*>> sorted =
-      result.metrics.segment_series.SortedItems();
-  std::vector<std::pair<SegmentId, const RwSeries*>> segments;
-  segments.reserve(sorted.size());
-  for (const auto& [id, series] : sorted) {
-    segments.emplace_back(SegmentId(id), series);
   }
 
   for (ReplaySink* sink : sinks) {
@@ -50,8 +39,8 @@ void DriveSinksOverResult(const Fleet& fleet, const WorkloadResult& result,
       }
       ++cursor;
     }
-    const ReplayStepView view{t, step_seconds, result.metrics.qp_series,
-                              result.offered_vd, segments};
+    const ReplayStepView view{t, step_seconds, result.metrics.qp_series, result.offered_vd,
+                              result.metrics.segment_series};
     for (ReplaySink* sink : sinks) {
       sink->OnStepComplete(view);
     }

@@ -7,7 +7,11 @@ namespace ebs {
 
 namespace {
 
+// Each test is false for NaN and the infinities: NaN fails every ordered
+// comparison, so a bare `x <= 0.0` rejection lets it through.
 bool IsFraction(double x) { return x >= 0.0 && x <= 1.0; }
+bool IsPositive(double x) { return std::isfinite(x) && x > 0.0; }
+bool IsNonNegative(double x) { return std::isfinite(x) && x >= 0.0; }
 
 }  // namespace
 
@@ -18,8 +22,8 @@ std::string ValidateFleetConfig(const FleetConfig& config) {
   if (config.vms_per_user_max == 0 || config.vds_per_vm_max == 0) {
     return "fleet: per-entity maxima must be >= 1";
   }
-  if (config.vms_per_user_sigma < 0.0 || config.vds_per_vm_sigma < 0.0) {
-    return "fleet: lognormal sigmas must be non-negative";
+  if (!IsNonNegative(config.vms_per_user_sigma) || !IsNonNegative(config.vds_per_vm_sigma)) {
+    return "fleet: lognormal sigmas must be finite and non-negative";
   }
   if (config.max_vms_per_node < 1) {
     return "fleet: max_vms_per_node must be >= 1";
@@ -53,22 +57,22 @@ std::string ValidateWorkloadConfig(const WorkloadConfig& config) {
   if (config.window_steps == 0) {
     return "workload: window_steps must be >= 1";
   }
-  if (config.step_seconds <= 0.0) {
-    return "workload: step_seconds must be positive";
+  if (!IsPositive(config.step_seconds)) {
+    return "workload: step_seconds must be finite and positive";
   }
-  if (config.sampling_rate <= 0.0 || config.sampling_rate > 1.0) {
+  if (!IsPositive(config.sampling_rate) || config.sampling_rate > 1.0) {
     return "workload: sampling_rate must be in (0, 1]";
   }
-  if (config.rate_scale <= 0.0) {
-    return "workload: rate_scale must be positive";
+  if (!IsPositive(config.rate_scale)) {
+    return "workload: rate_scale must be finite and positive";
   }
-  if (config.cap_scale <= 0.0) {
-    return "workload: cap_scale must be positive";
+  if (!IsPositive(config.cap_scale)) {
+    return "workload: cap_scale must be finite and positive";
   }
-  if (config.max_vd_mean_write_rate_mbps < 0.0) {
-    return "workload: max_vd_mean_write_rate_mbps must be non-negative";
+  if (!IsNonNegative(config.max_vd_mean_write_rate_mbps)) {
+    return "workload: max_vd_mean_write_rate_mbps must be finite and non-negative";
   }
-  if (config.hot_prob_scale < 0.0 || config.hot_prob_scale > 2.0) {
+  if (!(config.hot_prob_scale >= 0.0 && config.hot_prob_scale <= 2.0)) {
     return "workload: hot_prob_scale must be in [0, 2]";
   }
   return {};

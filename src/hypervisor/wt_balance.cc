@@ -26,7 +26,7 @@ std::vector<double> WtCovSamples(const Fleet& fleet, const MetricDataset& metric
                                  size_t window_steps) {
   OnlineWtCovSink wt_cov(op, window_steps);
   const std::vector<RwSeries> no_offered;
-  const std::vector<std::pair<SegmentId, const RwSeries*>> no_segments;
+  const SegmentSeriesMap no_segments;
   wt_cov.OnStart(fleet, metrics.window_steps, metrics.step_seconds);
   for (size_t t = 0; t < metrics.window_steps; ++t) {
     wt_cov.OnStepComplete({t, metrics.step_seconds, metrics.qp_series, no_offered, no_segments});

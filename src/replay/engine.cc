@@ -71,10 +71,8 @@ WorkloadResult ReplayEngine::Run() {
 
   try {
     // After this, the shared metric slots of every stream hold final values
-    // and the segment registry is frozen.
+    // and the segment entries are complete.
     source_->AwaitReady();
-    const std::vector<std::pair<SegmentId, const RwSeries*>>& segments =
-        source_->segments();
 
     for (ReplaySink* sink : sinks_) {
       sink->OnStart(fleet_, steps, dt);
@@ -129,7 +127,8 @@ WorkloadResult ReplayEngine::Run() {
       }
       merged->Add(step_events);
 
-      const ReplayStepView view{t, dt, result.metrics.qp_series, result.offered_vd, segments};
+      const ReplayStepView view{t, dt, result.metrics.qp_series, result.offered_vd,
+                                result.metrics.segment_series};
       obs::ScopedTimer sink_timer(sink_step);
       for (ReplaySink* sink : sinks_) {
         sink->OnStepComplete(view);

@@ -45,7 +45,9 @@ void GeneratorShardSource::PrepareResult(WorkloadResult* result) {
   result->traces.sampling_rate = config_.sampling_rate;
   qp_series_ = &result->metrics.qp_series;
   offered_vd_ = &result->offered_vd;
+  delivered_vd_ = &result->metrics.segment_series.ResetSources(fleet_.vds.size(), steps, dt);
   vd_truth_ = &result->vd_truth;
+  segment_series_ = &result->metrics.segment_series;
 }
 
 void GeneratorShardSource::StartStreams(
@@ -68,7 +70,7 @@ void GeneratorShardSource::StartStreams(
                            dropped] {
       try {
         obs::ScopedTimer timer(init_timer);
-        shards_[s]->Init(qp_series_, offered_vd_, vd_truth_);
+        shards_[s]->Init(qp_series_, offered_vd_, delivered_vd_, vd_truth_);
       } catch (...) {
         init_done_[s].set_exception(std::current_exception());
         queue->Close();
@@ -101,18 +103,19 @@ void GeneratorShardSource::StartStreams(
 
 void GeneratorShardSource::AwaitReady() {
   // After this, the shared qp/offered/truth slots of every shard are built
-  // and the segment registries are frozen.
+  // and every shard's segment entries are recorded.
   for (auto& done : init_done_) {
     done.get_future().get();
   }
-  // Merged storage-domain registry, ascending segment id (each segment
-  // belongs to exactly one VD, hence one shard).
-  segments_.clear();
+  // One sort of all shards' entries into ascending segment id (each segment
+  // belongs to exactly one VD, hence one shard). The workers only write the
+  // delivered series' cells from here on, never the map's entry list.
+  std::vector<SegmentEntry> entries;
   for (const auto& shard : shards_) {
-    segments_.insert(segments_.end(), shard->segments().begin(), shard->segments().end());
+    entries.insert(entries.end(), shard->segment_entries().begin(),
+                   shard->segment_entries().end());
   }
-  std::sort(segments_.begin(), segments_.end(),
-            [](const auto& a, const auto& b) { return a.first.value() < b.first.value(); });
+  segment_series_->AssignEntries(std::move(entries));
 }
 
 void GeneratorShardSource::Join() {
@@ -135,7 +138,6 @@ std::exception_ptr GeneratorShardSource::TakeError() {
 
 void GeneratorShardSource::Finalize(WorkloadResult* result) {
   for (auto& shard : shards_) {
-    shard->ExportSegments(&result->metrics);
     result->faults.Accumulate(shard->fault_stats());
   }
   if (fault_driver_ != nullptr) {

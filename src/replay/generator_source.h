@@ -41,9 +41,6 @@ class GeneratorShardSource : public ReplaySource {
   void PrepareResult(WorkloadResult* result) override;
   void StartStreams(const std::vector<BoundedQueue<ShardBatch>*>& queues) override;
   void AwaitReady() override;
-  const std::vector<std::pair<SegmentId, const RwSeries*>>& segments() const override {
-    return segments_;
-  }
   void Join() override;
   std::exception_ptr TakeError() override;
   void Finalize(WorkloadResult* result) override;
@@ -58,7 +55,9 @@ class GeneratorShardSource : public ReplaySource {
   // Shared result slots handed to shards; set by PrepareResult.
   std::vector<RwSeries>* qp_series_ = nullptr;
   std::vector<RwSeries>* offered_vd_ = nullptr;
+  std::vector<RwSeries>* delivered_vd_ = nullptr;
   std::vector<VdGroundTruth>* vd_truth_ = nullptr;
+  SegmentSeriesMap* segment_series_ = nullptr;
 
   std::vector<std::promise<void>> init_done_;
   // Written by worker threads on failure, drained by the engine after Join.
@@ -68,7 +67,6 @@ class GeneratorShardSource : public ReplaySource {
   util::Mutex errors_mu_;
   std::vector<std::exception_ptr> worker_errors_ EBS_GUARDED_BY(errors_mu_);
   std::vector<std::thread> workers_;
-  std::vector<std::pair<SegmentId, const RwSeries*>> segments_;
 };
 
 }  // namespace ebs

@@ -19,23 +19,14 @@ ReplayShard::ReplayShard(const Fleet& fleet, const WorkloadConfig& config, uint3
 }
 
 void ReplayShard::Init(std::vector<RwSeries>* qp_series, std::vector<RwSeries>* offered_vd,
+                       std::vector<RwSeries>* delivered_vd,
                        std::vector<VdGroundTruth>* vd_truth) {
   const Rng root(config_.seed);
-  segment_lookup_.assign(fleet_.segments.size(), nullptr);
-  const SegmentSeriesResolver resolver = [this](SegmentId id) {
-    RwSeries*& slot = segment_lookup_[id.value()];
-    if (slot == nullptr) {
-      segment_storage_.emplace_back(config_.window_steps, config_.step_seconds);
-      slot = &segment_storage_.back();
-      segment_index_.emplace_back(id, slot);
-    }
-    return slot;
-  };
-
   for (const uint32_t vm_id : vm_ids_) {
     VmStreamSet streams = BuildVmStreams(fleet_, config_, fleet_.vms[vm_id], temporal_,
-                                         latency_model_, root, resolver, qp_series, offered_vd,
-                                         vd_truth, scenario_ ? &*scenario_ : nullptr);
+                                         latency_model_, root, qp_series, offered_vd,
+                                         delivered_vd, vd_truth, &segment_entries_,
+                                         scenario_ ? &*scenario_ : nullptr);
     for (auto& stream : streams.streams) {
       streams_.push_back(std::move(stream));
     }
@@ -78,15 +69,6 @@ ShardBatch ReplayShard::GenerateStep(size_t t) {
   // stream totally ordered (timestamps never cross step boundaries).
   std::sort(batch.events.begin(), batch.events.end(), ReplayEventBefore);
   return batch;
-}
-
-void ReplayShard::ExportSegments(MetricDataset* metrics) {
-  for (const auto& [id, series] : segment_index_) {
-    metrics->segment_series.Insert(id.value(), std::move(*segment_lookup_[id.value()]));
-  }
-  segment_storage_.clear();
-  segment_lookup_.clear();
-  segment_index_.clear();
 }
 
 }  // namespace ebs

@@ -1,20 +1,18 @@
 // One generation shard of the replay engine.
 //
 // A shard owns a subset of the fleet's VMs and synthesizes their traffic on
-// one worker thread, one second at a time. Because QPs and segments belong to
-// exactly one VD, a shard writes its compute-domain metrics straight into the
-// engine's shared arrays without synchronization; storage-domain series live
-// in shard-local storage (a shared hash map would need structural mutation)
-// and are exported into the MetricDataset after generation.
+// one worker thread, one second at a time. Because QPs and VDs belong to
+// exactly one VM, a shard writes its metrics straight into the engine's
+// shared per-QP and per-VD arrays without synchronization. The storage domain
+// is one of those arrays: each VD's delivered series, which its segments
+// read through the (segment, VD, weights) entries the shard records in Init.
 
 #ifndef SRC_REPLAY_SHARD_H_
 #define SRC_REPLAY_SHARD_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "src/fault/driver.h"
@@ -46,18 +44,14 @@ class ReplayShard {
   // shard's VDs' slots of the shared arrays, which are disjoint across
   // shards.
   void Init(std::vector<RwSeries>* qp_series, std::vector<RwSeries>* offered_vd,
-            std::vector<VdGroundTruth>* vd_truth);
+            std::vector<RwSeries>* delivered_vd, std::vector<VdGroundTruth>* vd_truth);
 
   // Generates second `t` for every stream. Steps must be generated in order.
   ShardBatch GenerateStep(size_t t);
 
-  // Storage-domain series owned by this shard. Stable after Init.
-  const std::vector<std::pair<SegmentId, const RwSeries*>>& segments() const {
-    return segment_index_;
-  }
-
-  // Moves the shard's segment series into `metrics` (call after generation).
-  void ExportSegments(MetricDataset* metrics);
+  // The segment entries of this shard's VDs, in build order. Stable after
+  // Init.
+  const std::vector<SegmentEntry>& segment_entries() const { return segment_entries_; }
 
   uint32_t shard_index() const { return shard_index_; }
   size_t stream_count() const { return streams_.size(); }
@@ -83,12 +77,7 @@ class ReplayShard {
   RateProcessGenerator temporal_;
   LatencyModel latency_model_;
 
-  // Shard-local storage-domain series. std::deque keeps pointers stable while
-  // streams register new segments during Init; the lookup is a flat vector
-  // indexed by SegmentId (dense fleet index — no per-resolution hash probe).
-  std::deque<RwSeries> segment_storage_;
-  std::vector<RwSeries*> segment_lookup_;
-  std::vector<std::pair<SegmentId, const RwSeries*>> segment_index_;
+  std::vector<SegmentEntry> segment_entries_;
 
   std::vector<std::unique_ptr<VdTrafficStream>> streams_;
   std::vector<uint64_t> stream_sequence_;  // per-VD emission counters

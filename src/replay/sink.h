@@ -12,7 +12,6 @@
 #define SRC_REPLAY_SINK_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/topology/fleet.h"
@@ -51,8 +50,9 @@ struct ReplayStepView {
   double step_seconds = 1.0;
   const std::vector<RwSeries>& qp_series;   // compute domain, full scale
   const std::vector<RwSeries>& offered_vd;  // pre-throttle per-VD demand
-  // Active storage-domain series, ascending segment id.
-  const std::vector<std::pair<SegmentId, const RwSeries*>>& segments;
+  // Active storage-domain series, ascending segment id; its entry list is
+  // complete, its cells final up to `step` like the columns above.
+  const SegmentSeriesMap& segments;
 };
 
 class ReplaySink {

@@ -1,8 +1,5 @@
 #include "src/replay/sinks.h"
 
-#include <utility>
-#include <vector>
-
 #include "src/obs/metrics.h"
 
 namespace ebs {
@@ -30,13 +27,8 @@ void RollupAggregatorSink::OnStepComplete(const ReplayStepView& view) {
   if (view.step + 1 < window_steps_) {
     return;  // later columns may still be written by the shards
   }
-  std::vector<std::pair<uint32_t, const RwSeries*>> segments;
-  segments.reserve(view.segments.size());
-  for (const auto& [id, series] : view.segments) {
-    segments.emplace_back(id.value(), series);
-  }
   aggregator_.emplace(*fleet_, RollupSources(window_steps_, view.step_seconds, view.qp_series,
-                                             std::move(segments)));
+                                             view.segments));
   // Fold now: the view's references die when the engine's Run() returns.
   aggregator_->FillAll();
 }

@@ -19,7 +19,6 @@
 #define SRC_REPLAY_SOURCE_H_
 
 #include <exception>
-#include <utility>
 #include <vector>
 
 #include "src/fault/driver.h"
@@ -53,13 +52,9 @@ class ReplaySource {
   virtual void StartStreams(const std::vector<BoundedQueue<ShardBatch>*>& queues) = 0;
 
   // Blocks until every stream finished initialization: the shared arrays of
-  // PrepareResult hold final values and segments() is stable. Rethrows a
-  // stream's initialization error.
+  // PrepareResult hold final values and the result's segment entries are
+  // complete. Rethrows a stream's initialization error.
   virtual void AwaitReady() = 0;
-
-  // Active storage-domain series, ascending segment id. Valid after
-  // AwaitReady and until Finalize.
-  virtual const std::vector<std::pair<SegmentId, const RwSeries*>>& segments() const = 0;
 
   // Joins every producer thread. The engine guarantees the queues are closed
   // (normal completion) or closed-and-drained (abort) first.
@@ -68,8 +63,8 @@ class ReplaySource {
   // First error a producer thread died with, if any; null otherwise.
   virtual std::exception_ptr TakeError() = 0;
 
-  // Post-run bookkeeping into the result (segment export, fault accounting).
-  // Called only on a successful run.
+  // Post-run bookkeeping into the result (fault accounting). Called only on
+  // a successful run.
   virtual void Finalize(WorkloadResult* result) = 0;
 
   // The source's fault driver; nullptr when faults are not simulated (always

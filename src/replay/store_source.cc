@@ -28,20 +28,12 @@ void StoreReplaySource::PrepareResult(WorkloadResult* result) {
   result->traces.window_seconds = meta.window_seconds;
   result->traces.sampling_rate = meta.sampling_rate;
 
-  // Step views reference the result-owned series; the map is frozen from here
-  // on (PrepareResult precedes StartStreams, and nobody inserts afterwards).
-  // SortedItems() is already in ascending id order, and SegmentSeriesMap's
-  // deque storage keeps the series pointers stable.
-  segments_.clear();
-  segments_.reserve(result->metrics.segment_series.size());
-  for (const auto& [id, series] : result->metrics.segment_series.SortedItems()) {
-    segments_.emplace_back(SegmentId(id), series);
-  }
-  for (const auto& [id, series] : segments_) {
-    if (id.value() >= fleet_.segments.size()) {
-      throw TraceStoreError(StoreErrorCode::kMismatch,
-                            "store segment id beyond the fleet's registry");
-    }
+  // Decoded segments are explicit entries in ascending id order, so checking
+  // the last id bounds them all.
+  const SegmentSeriesMap& segments = result->metrics.segment_series;
+  if (!segments.empty() && segments[segments.size() - 1].id >= fleet_.segments.size()) {
+    throw TraceStoreError(StoreErrorCode::kMismatch,
+                          "store segment id beyond the fleet's registry");
   }
 }
 

@@ -22,7 +22,6 @@
 #include <exception>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/replay/source.h"
@@ -49,9 +48,6 @@ class StoreReplaySource : public ReplaySource {
   void PrepareResult(WorkloadResult* result) override;
   void StartStreams(const std::vector<BoundedQueue<ShardBatch>*>& queues) override;
   void AwaitReady() override {}
-  const std::vector<std::pair<SegmentId, const RwSeries*>>& segments() const override {
-    return segments_;
-  }
   void Join() override;
   std::exception_ptr TakeError() override;
   void Finalize(WorkloadResult* /*result*/) override {}
@@ -64,7 +60,6 @@ class StoreReplaySource : public ReplaySource {
 
   const Fleet& fleet_;
   TraceStoreReader reader_;
-  std::vector<std::pair<SegmentId, const RwSeries*>> segments_;
   std::thread producer_;
   // Set by the producer thread on failure, drained by the engine. Guarded so
   // the discipline is provable; Join() alone would also order the accesses.

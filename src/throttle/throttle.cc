@@ -189,7 +189,7 @@ std::vector<double> SimulateLending(const Fleet& fleet,
   const size_t steps = offered_vd.empty() ? 0 : offered_vd.front().read_bytes.size();
   const double dt = offered_vd.empty() ? 1.0 : offered_vd.front().read_bytes.step_seconds();
   const std::vector<RwSeries> no_qps;
-  const std::vector<std::pair<SegmentId, const RwSeries*>> no_segments;
+  const SegmentSeriesMap no_segments;
   std::vector<double> gains;
   // One sink per group, stepped through the whole window: Algorithm 2 carries
   // no state across groups, so the gains equal one all-groups sink's, and each

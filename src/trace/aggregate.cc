@@ -1,6 +1,9 @@
 #include "src/trace/aggregate.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/trace/rollup_dense.h"
 
@@ -47,6 +50,12 @@ MetricDataset AggregateTraces(const Fleet& fleet, const TraceDataset& traces,
   metrics.window_steps = window_steps;
   metrics.qp_series.assign(fleet.qps.size(), RwSeries(window_steps, step_seconds));
 
+  // Segment series are built apart, behind a fleet-sized slot table (no
+  // per-record hash probe), then handed to the map as explicit entries in
+  // ascending id order.
+  std::vector<int32_t> slot_of(fleet.segments.size(), -1);
+  std::vector<std::pair<uint32_t, RwSeries>> segments;
+
   const double scale = 1.0 / traces.sampling_rate;
   for (const TraceRecord& r : traces.records) {
     size_t step = static_cast<size_t>(r.timestamp / step_seconds);
@@ -57,11 +66,19 @@ MetricDataset AggregateTraces(const Fleet& fleet, const TraceDataset& traces,
     qp.MutableBytes(r.op)[step] += bytes;
     qp.MutableOps(r.op)[step] += scale;
 
-    // Dense slot lookup — the per-record hash probe this loop used to pay is
-    // gone (SegmentSeriesMap indexes straight off the segment id).
-    RwSeries& seg = metrics.MutableSegmentSeries(r.segment);
+    int32_t& slot = slot_of[r.segment.value()];
+    if (slot < 0) {
+      slot = static_cast<int32_t>(segments.size());
+      segments.emplace_back(r.segment.value(), RwSeries(window_steps, step_seconds));
+    }
+    RwSeries& seg = segments[static_cast<size_t>(slot)].second;
     seg.MutableBytes(r.op)[step] += bytes;
     seg.MutableOps(r.op)[step] += scale;
+  }
+  std::sort(segments.begin(), segments.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [id, series] : segments) {
+    metrics.segment_series.Insert(id, std::move(series));
   }
   return metrics;
 }

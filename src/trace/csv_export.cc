@@ -104,8 +104,7 @@ bool WriteStorageMetricsCsv(const Fleet& fleet, const MetricDataset& metrics,
   // iteration order): the exported file is a fingerprintable product, and the
   // map's population history differs between the batch generator and the
   // streaming engine's shards.
-  for (const auto& [seg_value, series_ptr] : metrics.segment_series.SortedItems()) {
-    const RwSeries& series = *series_ptr;
+  metrics.segment_series.ForEachSorted([&](uint32_t seg_value, const RwSeries& series) {
     const Segment& segment = fleet.segments[seg_value];
     const Vd& vd = fleet.vds[segment.vd.value()];
     const StorageNodeId sn = fleet.block_servers[segment.server.value()].node;
@@ -118,7 +117,7 @@ bool WriteStorageMetricsCsv(const Fleet& fleet, const MetricDataset& metrics,
                    segment.server.value(), sn.value(), series.read_bytes[t],
                    series.write_bytes[t], series.read_ops[t], series.write_ops[t]);
     }
-  }
+  });
   return CloseChecked(std::move(file));
 }
 

@@ -1,6 +1,8 @@
 #include "src/trace/records.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <stdexcept>
 #include <utility>
 
 namespace ebs {
@@ -56,63 +58,110 @@ TimeSeries& RwSeries::MutableOps(OpType op) {
 
 double RwSeries::TotalBytes() const { return read_bytes.SumAll() + write_bytes.SumAll(); }
 
+RwSeries SegmentView::Materialize() const {
+  RwSeries series;
+  MaterializeInto(&series);
+  return series;
+}
+
+void SegmentView::MaterializeInto(RwSeries* out) const {
+  // Cell() for every t, with the weight test taken once per channel.
+  const auto fill = [](TimeSeries& dst, const TimeSeries& column, double weight) {
+    if (dst.size() != column.size() || dst.step_seconds() != column.step_seconds()) {
+      dst = TimeSeries(column.size(), column.step_seconds());
+    }
+    std::vector<double>& values = dst.mutable_values();
+    if (weight == 0.0) {
+      std::fill(values.begin(), values.end(), 0.0);
+      return;
+    }
+    for (size_t t = 0; t < values.size(); ++t) {
+      values[t] = column[t] * weight;
+    }
+  };
+  fill(out->read_bytes, source->read_bytes, read_weight);
+  fill(out->write_bytes, source->write_bytes, write_weight);
+  fill(out->read_ops, source->read_ops, read_weight);
+  fill(out->write_ops, source->write_ops, write_weight);
+}
+
 void SegmentSeriesMap::clear() {
-  slot_of_.clear();
-  ids_.clear();
-  series_.clear();
+  sources_.clear();
+  entries_.clear();
+  shared_sources_ = 0;
 }
 
-const RwSeries* SegmentSeriesMap::Find(uint32_t id) const {
-  if (id >= slot_of_.size() || slot_of_[id] == kAbsent) {
-    return nullptr;
+size_t SegmentSeriesMap::LowerBound(uint32_t id) const {
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), id,
+      [](const SegmentEntry& entry, uint32_t key) { return entry.id < key; });
+  return static_cast<size_t>(it - entries_.begin());
+}
+
+std::optional<SegmentView> SegmentSeriesMap::Find(uint32_t id) const {
+  const size_t at = LowerBound(id);
+  if (at == entries_.size() || entries_[at].id != id) {
+    return std::nullopt;
   }
-  return &series_[static_cast<size_t>(slot_of_[id])];
+  return View(entries_[at]);
 }
 
-RwSeries* SegmentSeriesMap::Find(uint32_t id) {
-  return const_cast<RwSeries*>(std::as_const(*this).Find(id));
-}
-
-RwSeries& SegmentSeriesMap::Register(uint32_t id, RwSeries&& series) {
-  if (id >= slot_of_.size()) {
-    slot_of_.resize(static_cast<size_t>(id) + 1, kAbsent);
+void SegmentSeriesMap::OwnSource(size_t at, uint32_t id, RwSeries series) {
+  SegmentEntry entry;
+  entry.id = id;
+  entry.source = static_cast<uint32_t>(sources_.size());
+  entry.read_weight = 1.0;
+  entry.write_weight = 1.0;
+  sources_.push_back(std::move(series));
+  if (at < entries_.size() && entries_[at].id == id) {
+    entries_[at] = entry;
+  } else {
+    entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(at), entry);
   }
-  slot_of_[id] = static_cast<int32_t>(ids_.size());
-  ids_.push_back(id);
-  series_.push_back(std::move(series));
-  return series_.back();
+}
+
+void SegmentSeriesMap::Insert(uint32_t id, RwSeries series) {
+  const size_t at = LowerBound(id);
+  if (at < entries_.size() && entries_[at].id == id && entries_[at].source >= shared_sources_) {
+    sources_[entries_[at].source] = std::move(series);  // explicit already: replace in place
+    return;
+  }
+  OwnSource(at, id, std::move(series));
 }
 
 RwSeries& SegmentSeriesMap::FindOrCreate(uint32_t id, size_t steps, double step_seconds) {
-  if (RwSeries* found = Find(id)) {
-    return *found;
+  const size_t at = LowerBound(id);
+  if (at == entries_.size() || entries_[at].id != id) {
+    OwnSource(at, id, RwSeries(steps, step_seconds));
+  } else if (entries_[at].source < shared_sources_) {
+    OwnSource(at, id, View(entries_[at]).Materialize());
   }
-  // Constructed in place with the window geometry — no default-construct-
-  // then-assign on the first touch of a segment.
-  return Register(id, RwSeries(steps, step_seconds));
+  return sources_[entries_[at].source];
 }
 
-RwSeries& SegmentSeriesMap::Insert(uint32_t id, RwSeries series) {
-  RwSeries* found = Find(id);
-  if (found != nullptr) {
-    *found = std::move(series);
-    return *found;
-  }
-  return Register(id, std::move(series));
+std::vector<RwSeries>& SegmentSeriesMap::ResetSources(size_t count, size_t steps,
+                                                       double step_seconds) {
+  clear();
+  sources_.assign(count, RwSeries(steps, step_seconds));
+  shared_sources_ = count;
+  return sources_;
 }
 
-std::vector<std::pair<uint32_t, const RwSeries*>> SegmentSeriesMap::SortedItems() const {
-  std::vector<std::pair<uint32_t, const RwSeries*>> items;
-  items.reserve(ids_.size());
-  for (size_t slot = 0; slot < ids_.size(); ++slot) {
-    items.emplace_back(ids_[slot], &series_[slot]);
+void SegmentSeriesMap::AssignEntries(std::vector<SegmentEntry> entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const SegmentEntry& a, const SegmentEntry& b) { return a.id < b.id; });
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].source >= sources_.size()) {
+      throw std::invalid_argument("segment entry names a source beyond the map's sources");
+    }
+    if (i > 0 && entries[i].id == entries[i - 1].id) {
+      throw std::invalid_argument("segment id assigned twice");
+    }
   }
-  std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return items;
+  entries_ = std::move(entries);
 }
 
-const RwSeries* MetricDataset::SegmentSeries(SegmentId id) const {
+std::optional<SegmentView> MetricDataset::SegmentSeries(SegmentId id) const {
   return segment_series.Find(id.value());
 }
 

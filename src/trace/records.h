@@ -11,8 +11,9 @@
 #ifndef SRC_TRACE_RECORDS_H_
 #define SRC_TRACE_RECORDS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -91,56 +92,118 @@ struct RwSeries {
   double TotalBytes() const;
 };
 
-// Sparse id-indexed collection of per-segment RwSeries. SegmentId is a dense
-// small integer, so the lookup is a flat slot vector — no hashing on the
-// per-record aggregation hot path — at ~4 bytes per fleet segment of index
-// overhead. References returned by FindOrCreate/Insert stay valid for the
-// container's lifetime (deque storage), which the workload generator relies
-// on: streams capture series pointers while later VMs keep inserting.
+// One active segment of a SegmentSeriesMap. Its read channels (bytes and
+// ops) are the source series' read channels times `read_weight`, its write
+// channels likewise with `write_weight`. A weight of 0.0 marks an op the
+// segment never carries: that op's channels are zero.
+struct SegmentEntry {
+  uint32_t id = 0;      // SegmentId::value()
+  uint32_t source = 0;  // index into the map's source series
+  double read_weight = 0.0;
+  double write_weight = 0.0;
+};
+
+// Read access to one segment's four channels. Cell t of a channel is
+// `source cell * weight`, or 0.0 under a zero weight. Cheap to copy; valid
+// while the map it came from is alive and unchanged.
+struct SegmentView {
+  uint32_t id = 0;
+  const RwSeries* source = nullptr;
+  double read_weight = 0.0;
+  double write_weight = 0.0;
+
+  size_t steps() const { return source->read_bytes.size(); }
+  double Bytes(OpType op, size_t t) const {
+    return op == OpType::kRead ? Cell(source->read_bytes, read_weight, t)
+                               : Cell(source->write_bytes, write_weight, t);
+  }
+
+  // The segment's series, cell by cell as above. MaterializeInto reuses
+  // *out's buffers.
+  RwSeries Materialize() const;
+  void MaterializeInto(RwSeries* out) const;
+
+  static double Cell(const TimeSeries& column, double weight, size_t t) {
+    return weight == 0.0 ? 0.0 : column[t] * weight;
+  }
+};
+
+// The storage domain: the active segments, each a SegmentEntry over one of
+// the map's source series, in ascending id order. Two kinds of entry share
+// this one representation:
+//  - derived (generated runs): every segment of a VD reads that VD's
+//    delivered series, scaled per op by the spatial model's weight. The
+//    generator stores one delivered series per VD instead of one series per
+//    segment;
+//  - explicit (store decode, trace aggregation, hand-built data): the entry
+//    owns its source and both weights are 1.0, which is exact (x * 1.0 == x).
+// Entries name their source by index, so a copied or moved map stays valid.
+// Lookups binary-search the sorted entries: no allocation depends on the
+// value of an id.
 //
-// Iteration is offered in ascending-id order only (SortedItems/ForEachSorted):
-// every consumer of this map feeds exported or fingerprinted products, and the
-// insertion order differs between the batch generator and the streaming
-// engine's shards, so an insertion-order walk would be a latent
-// nondeterminism bug (the ebs_lint unordered-iter contract).
+// Iteration is offered in ascending-id order only (operator[] over
+// [0, size()), ForEachSorted): every consumer feeds exported or
+// fingerprinted products, and the order must not depend on how the map was
+// built (the ebs_lint unordered-iter contract).
 class SegmentSeriesMap {
  public:
-  size_t size() const { return ids_.size(); }
-  bool empty() const { return ids_.empty(); }
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
   void clear();
 
-  // nullptr when the id was never inserted.
-  const RwSeries* Find(uint32_t id) const;
-  RwSeries* Find(uint32_t id);
+  // The i-th active segment in ascending id order; i < size().
+  SegmentView operator[](size_t i) const { return View(entries_[i]); }
 
-  // Returns the series for `id`, constructing RwSeries(steps, step_seconds)
-  // in place on first touch.
+  // std::nullopt when the id was never inserted.
+  std::optional<SegmentView> Find(uint32_t id) const;
+
+  // Stores `series` as the explicit series of `id`, replacing any earlier
+  // entry for the id.
+  void Insert(uint32_t id, RwSeries series);
+
+  // The explicit, writable series of `id`: created as RwSeries(steps,
+  // step_seconds) on first touch, materialized first if the entry is derived.
+  // Valid until the next insertion.
   RwSeries& FindOrCreate(uint32_t id, size_t steps, double step_seconds);
 
-  // Moves a fully-built series in; `id` must not be present yet.
-  RwSeries& Insert(uint32_t id, RwSeries series);
+  // Generated runs, step 1: clears the map and returns `count` zeroed source
+  // series (one per VD), which the VD streams fill in place. The vector must
+  // not be resized.
+  std::vector<RwSeries>& ResetSources(size_t count, size_t steps, double step_seconds);
+  // Step 2: the derived entries, in any order; sorted here. Throws
+  // std::invalid_argument on a repeated id or an out-of-range source.
+  void AssignEntries(std::vector<SegmentEntry> entries);
 
-  // (id, series) pairs in ascending id order — the only iteration offered.
-  std::vector<std::pair<uint32_t, const RwSeries*>> SortedItems() const;
-
+  // fn(id, series) for every segment in ascending id order, each series
+  // materialized into one reused scratch RwSeries.
   template <typename Fn>
   void ForEachSorted(Fn&& fn) const {
-    for (const auto& [id, series] : SortedItems()) {
-      fn(id, *series);
+    RwSeries scratch;
+    for (const SegmentEntry& entry : entries_) {
+      View(entry).MaterializeInto(&scratch);
+      fn(entry.id, std::as_const(scratch));
     }
   }
 
  private:
-  RwSeries& Register(uint32_t id, RwSeries&& series);
+  SegmentView View(const SegmentEntry& entry) const {
+    return {entry.id, &sources_[entry.source], entry.read_weight, entry.write_weight};
+  }
+  // Index of the first entry whose id is not below `id`.
+  size_t LowerBound(uint32_t id) const;
+  // Makes `series` the own source of `id`'s entry, which is entries_[at] or,
+  // when absent, is inserted there.
+  void OwnSource(size_t at, uint32_t id, RwSeries series);
 
-  static constexpr int32_t kAbsent = -1;
-  std::vector<int32_t> slot_of_;  // indexed by segment id value; kAbsent = none
-  std::vector<uint32_t> ids_;     // insertion order, parallel to series_
-  std::deque<RwSeries> series_;   // deque: stable references across growth
+  std::vector<RwSeries> sources_;
+  std::vector<SegmentEntry> entries_;  // ascending id
+  // sources_[0, shared_sources_) are per-VD series read by derived entries;
+  // each later source belongs to one explicit entry.
+  size_t shared_sources_ = 0;
 };
 
 // The metric dataset: per-QP series (compute domain) plus per-segment series
-// (storage domain; sparse — only segments that ever saw traffic).
+// (storage domain; sparse — only the segments of VDs that generated traffic).
 struct MetricDataset {
   double step_seconds = 1.0;
   size_t window_steps = 0;
@@ -148,7 +211,8 @@ struct MetricDataset {
   std::vector<RwSeries> qp_series;  // indexed by QpId::value()
   SegmentSeriesMap segment_series;  // keyed by SegmentId::value()
 
-  const RwSeries* SegmentSeries(SegmentId id) const;
+  std::optional<SegmentView> SegmentSeries(SegmentId id) const;
+  // SegmentSeriesMap::FindOrCreate with the dataset's window geometry.
   RwSeries& MutableSegmentSeries(SegmentId id);
 };
 

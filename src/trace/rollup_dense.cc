@@ -21,6 +21,15 @@ void AddInto(std::span<double> dst, const TimeSeries& src) {
   }
 }
 
+void AddWeightedInto(std::span<double> dst, const TimeSeries& src, double weight) {
+  if (weight == 0.0) {
+    return;
+  }
+  for (size_t t = 0; t < dst.size(); ++t) {
+    dst[t] += src[t] * weight;
+  }
+}
+
 }  // namespace
 
 void RwMatrix::AccumulateRow(size_t e, const RwSeries& src) {
@@ -28,6 +37,13 @@ void RwMatrix::AccumulateRow(size_t e, const RwSeries& src) {
   AddInto(WriteBytes(e), src.write_bytes);
   AddInto(ReadOps(e), src.read_ops);
   AddInto(WriteOps(e), src.write_ops);
+}
+
+void RwMatrix::AccumulateRow(size_t e, const SegmentView& src) {
+  AddWeightedInto(ReadBytes(e), src.source->read_bytes, src.read_weight);
+  AddWeightedInto(WriteBytes(e), src.source->write_bytes, src.write_weight);
+  AddWeightedInto(ReadOps(e), src.source->read_ops, src.read_weight);
+  AddWeightedInto(WriteOps(e), src.source->write_ops, src.write_weight);
 }
 
 RwSeries RwMatrix::ExtractSeries(size_t e) const {
@@ -55,14 +71,11 @@ std::vector<RwSeries> RwMatrix::ToSeriesVector() const {
 
 RollupSources::RollupSources(const MetricDataset& metrics)
     : RollupSources(metrics.window_steps, metrics.step_seconds, metrics.qp_series,
-                    metrics.segment_series.SortedItems()) {}
+                    metrics.segment_series) {}
 
 RollupSources::RollupSources(size_t window_steps, double dt, const std::vector<RwSeries>& qps,
-                             std::vector<std::pair<uint32_t, const RwSeries*>> sorted_segments)
-    : steps(window_steps),
-      step_seconds(dt),
-      qp_series(&qps),
-      segments(std::move(sorted_segments)) {}
+                             const SegmentSeriesMap& segments)
+    : steps(window_steps), step_seconds(dt), qp_series(&qps), segment_series(&segments) {}
 
 namespace {
 
@@ -81,14 +94,16 @@ RwMatrix RollupComputeSide(const Fleet& fleet, const RollupSources& sources,
 // Active segments are visited in ascending id order — the only order
 // SegmentSeriesMap offers — so the per-bucket float sums are deterministic and
 // independent of how the map was populated. This is what lets the streaming
-// replay engine, whose shards insert segments in a different order than the
+// replay engine, whose shards record segments in a different order than the
 // batch generator, produce bit-identical rollups.
 template <typename BucketFn>
 RwMatrix RollupStorageSide(const Fleet& fleet, const RollupSources& sources,
                            size_t bucket_count, BucketFn bucket_of) {
   RwMatrix out(bucket_count, sources.steps, sources.step_seconds);
-  for (const auto& [seg_value, src] : sources.segments) {
-    out.AccumulateRow(bucket_of(fleet.segments[seg_value]), *src);
+  const SegmentSeriesMap& segments = *sources.segment_series;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const SegmentView segment = segments[i];
+    out.AccumulateRow(bucket_of(fleet.segments[segment.id]), segment);
   }
   return out;
 }
@@ -143,10 +158,11 @@ const std::vector<RwSeries>& RollupCache::Get(Level level) const {
   util::MutexLock lock(&slot.mu);
   if (!slot.value.has_value()) {
     if (level == kSeg) {
+      const SegmentSeriesMap& segments = *sources_.segment_series;
       std::vector<RwSeries> flat;
-      flat.reserve(sources_.segments.size());
-      for (const auto& segment : sources_.segments) {
-        flat.push_back(*segment.second);
+      flat.reserve(segments.size());
+      for (size_t i = 0; i < segments.size(); ++i) {
+        flat.push_back(segments[i].Materialize());
       }
       slot.value = std::move(flat);
     } else {

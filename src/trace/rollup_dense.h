@@ -12,9 +12,11 @@
 // as the vector<RwSeries> Rollup* functions in aggregate.h (QPs in fleet
 // order, segments in ascending id order), and each accumulator element sees
 // the same addition sequence — so Row(e) of the matrix is bit-identical to
-// rollup[e] of the legacy path. ToSeriesVector() is the bridge for consumers
-// that still want per-entity RwSeries. RollupCache is the one holder of a
-// finished run's rollups that both facades and the replay rollup sink use.
+// rollup[e] of the legacy path. A segment's cells are multiplied out of its
+// source series as they are added (SegmentView::Cell), never stored.
+// ToSeriesVector() is the bridge for consumers that still want per-entity
+// RwSeries. RollupCache is the one holder of a finished run's rollups that
+// both facades and the replay rollup sink use.
 
 #ifndef SRC_TRACE_ROLLUP_DENSE_H_
 #define SRC_TRACE_ROLLUP_DENSE_H_
@@ -54,6 +56,10 @@ class RwMatrix {
 
   // rollup[e] += src, channel by channel (the RwSeries::Accumulate order).
   void AccumulateRow(size_t e, const RwSeries& src);
+  // The same for a segment: rollup[e][t] += src.source[t] * weight per
+  // channel. A zero-weight channel is skipped, which equals adding its 0.0
+  // cells: an accumulator starts at +0.0 and so never holds -0.0.
+  void AccumulateRow(size_t e, const SegmentView& src);
 
   // Materializes row `e` as a standalone RwSeries (bit-identical copies).
   RwSeries ExtractSeries(size_t e) const;
@@ -79,18 +85,17 @@ class RwMatrix {
 };
 
 // What a rollup folds: the per-QP series (compute domain, indexed by
-// QpId::value()) and the active segments' series in ascending id order
-// (storage domain). A MetricDataset converts implicitly; the replay rollup
-// sink builds one from the step view's columns and segment registry.
+// QpId::value()) and the active segments (storage domain). A MetricDataset
+// converts implicitly; the replay rollup sink builds one from the step view.
 struct RollupSources {
   RollupSources(const MetricDataset& metrics);
   RollupSources(size_t window_steps, double dt, const std::vector<RwSeries>& qps,
-                std::vector<std::pair<uint32_t, const RwSeries*>> sorted_segments);
+                const SegmentSeriesMap& segments);
 
   size_t steps;
   double step_seconds;
   const std::vector<RwSeries>* qp_series;
-  std::vector<std::pair<uint32_t, const RwSeries*>> segments;
+  const SegmentSeriesMap* segment_series;
 };
 
 // Matrix-native rollups; RollupTo*(fleet, metrics) in aggregate.h are thin
@@ -123,7 +128,8 @@ class RollupCache {
   const std::vector<RwSeries>& cn() const { return Get(kCn); }
   const std::vector<RwSeries>& bs() const { return Get(kBs); }
   const std::vector<RwSeries>& sn() const { return Get(kSn); }
-  // Active-segment series (copies), ascending segment id.
+  // Active-segment series, ascending segment id, each materialized from its
+  // source series on first access.
   const std::vector<RwSeries>& seg() const { return Get(kSeg); }
 
   void FillAll() const;

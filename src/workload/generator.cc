@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "src/fault/driver.h"
 #include "src/scenario/model.h"
@@ -52,18 +53,20 @@ WorkloadResult WorkloadGenerator::Generate() const {
     scenario.emplace(fleet_, config_.scenario, steps);
   }
 
-  const SegmentSeriesResolver segment_resolver = [&result](SegmentId id) {
-    return &result.metrics.MutableSegmentSeries(id);
-  };
+  // The storage domain: one delivered series per VD, which every segment of
+  // the VD reads through its SegmentEntry.
+  std::vector<RwSeries>& delivered_vd =
+      result.metrics.segment_series.ResetSources(fleet_.vds.size(), steps, dt);
+  std::vector<SegmentEntry> segment_entries;
 
   // Every VM's randomness comes from root.Fork(vm.id), and every metric series
   // belongs to exactly one VD, so building the streams first and stepping them
   // afterwards produces bit-identical output to the original single-pass loop.
   for (const Vm& vm : fleet_.vms) {
     VmStreamSet streams =
-        BuildVmStreams(fleet_, config_, vm, temporal, latency_model, root, segment_resolver,
-                       &result.metrics.qp_series, &result.offered_vd, &result.vd_truth,
-                       scenario ? &*scenario : nullptr);
+        BuildVmStreams(fleet_, config_, vm, temporal, latency_model, root,
+                       &result.metrics.qp_series, &result.offered_vd, &delivered_vd,
+                       &result.vd_truth, &segment_entries, scenario ? &*scenario : nullptr);
     for (const auto& stream : streams.streams) {
       for (size_t t = 0; t < steps; ++t) {
         if (faults) {
@@ -73,6 +76,8 @@ WorkloadResult WorkloadGenerator::Generate() const {
       }
     }
   }
+
+  result.metrics.segment_series.AssignEntries(std::move(segment_entries));
 
   // Traces in the canonical order, as DiTing would emit them. Each VD's
   // records were appended contiguously in emission order, so the stable sort

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/util/distributions.h"
 
@@ -113,9 +114,7 @@ VdTrafficStream::VdTrafficStream(const Fleet& fleet, const WorkloadConfig& confi
                                  double vd_read_bps, double vd_write_bps,
                                  const RateProcessGenerator& temporal,
                                  const LatencyModel& latency_model, Rng vd_rng,
-                                 VdStreamTargets targets,
-                                 const SegmentSeriesResolver& segment_resolver,
-                                 VdGroundTruth* truth,
+                                 VdStreamTargets targets, VdGroundTruth* truth,
                                  const scenario::CompiledVdCurve* scenario_curve)
     : fleet_(fleet),
       config_(config),
@@ -161,14 +160,6 @@ VdTrafficStream::VdTrafficStream(const Fleet& fleet, const WorkloadConfig& confi
   // Per-VD IO size medians, jittered around the app profile.
   read_io_median_ = profile.read_io_kib_median * kKiB * std::exp(0.3 * rng_.NextGaussian());
   write_io_median_ = profile.write_io_kib_median * kKiB * std::exp(0.3 * rng_.NextGaussian());
-
-  // Resolve active segment series pointers once per (vd, op).
-  for (const auto& [seg_index, weight] : spatial_.ActiveSegments(OpType::kRead)) {
-    read_segments_.emplace_back(segment_resolver(vd.segments[seg_index]), weight);
-  }
-  for (const auto& [seg_index, weight] : spatial_.ActiveSegments(OpType::kWrite)) {
-    write_segments_.emplace_back(segment_resolver(vd.segments[seg_index]), weight);
-  }
 
   cap_bps_ = vd.throughput_cap_mbps * kBytesPerMB * config.cap_scale;
   cap_iops_ = vd.iops_cap * config.cap_scale;
@@ -265,18 +256,18 @@ void VdTrafficStream::Step(size_t t, std::vector<TraceRecord>* samples) {
     }
   }
 
-  // Storage-domain metrics (per segment).
+  // Storage-domain metrics: each segment cell is this delivered value times
+  // the segment's spatial weight (SegmentSeriesMap multiplies on read). An op
+  // is recorded only when its bytes are positive, so a skipped op leaves +0.0
+  // and its segment cells read 0.0.
+  RwSeries& delivered = *targets_.delivered;
   if (read_bytes > 0.0) {
-    for (const auto& [series, weight] : read_segments_) {
-      series->read_bytes[t] += read_bytes * weight;
-      series->read_ops[t] += read_ops * weight;
-    }
+    delivered.read_bytes[t] = read_bytes;
+    delivered.read_ops[t] = read_ops;
   }
   if (write_bytes > 0.0) {
-    for (const auto& [series, weight] : write_segments_) {
-      series->write_bytes[t] += write_bytes * weight;
-      series->write_ops[t] += write_ops * weight;
-    }
+    delivered.write_bytes[t] = write_bytes;
+    delivered.write_ops[t] = write_ops;
   }
 
   // Sampled traces (thinned Poisson from the delivered stream).
@@ -328,12 +319,38 @@ void VdTrafficStream::Step(size_t t, std::vector<TraceRecord>* samples) {
   }
 }
 
+void VdTrafficStream::AppendSegmentEntries(std::vector<SegmentEntry>* entries) const {
+  // Both op lists ascend by segment index within the VD; merge them into one
+  // entry per segment.
+  const auto& reads = spatial_.ActiveSegments(OpType::kRead);
+  const auto& writes = spatial_.ActiveSegments(OpType::kWrite);
+  constexpr uint32_t kDone = std::numeric_limits<uint32_t>::max();
+  size_t r = 0;
+  size_t w = 0;
+  while (r < reads.size() || w < writes.size()) {
+    const uint32_t read_index = r < reads.size() ? reads[r].first : kDone;
+    const uint32_t write_index = w < writes.size() ? writes[w].first : kDone;
+    const uint32_t index = std::min(read_index, write_index);
+    SegmentEntry entry;
+    entry.id = vd_.segments[index].value();
+    entry.source = vd_.id.value();
+    if (read_index == index) {
+      entry.read_weight = reads[r++].second;
+    }
+    if (write_index == index) {
+      entry.write_weight = writes[w++].second;
+    }
+    entries->push_back(entry);
+  }
+}
+
 VmStreamSet BuildVmStreams(const Fleet& fleet, const WorkloadConfig& config, const Vm& vm,
                            const RateProcessGenerator& temporal,
                            const LatencyModel& latency_model, const Rng& root,
-                           const SegmentSeriesResolver& segment_resolver,
                            std::vector<RwSeries>* qp_series, std::vector<RwSeries>* offered_vd,
+                           std::vector<RwSeries>* delivered_vd,
                            std::vector<VdGroundTruth>* vd_truth,
+                           std::vector<SegmentEntry>* segment_entries,
                            const scenario::ScenarioModel* scenario) {
   VmStreamSet set;
   Rng vm_rng = root.Fork(vm.id.value());
@@ -372,6 +389,7 @@ VmStreamSet BuildVmStreams(const Fleet& fleet, const WorkloadConfig& config, con
 
     VdStreamTargets targets;
     targets.offered = &(*offered_vd)[vd.id.value()];
+    targets.delivered = &(*delivered_vd)[vd.id.value()];
     targets.qps.reserve(vd.qps.size());
     for (const QpId qp : vd.qps) {
       targets.qps.push_back(&(*qp_series)[qp.value()]);
@@ -379,8 +397,9 @@ VmStreamSet BuildVmStreams(const Fleet& fleet, const WorkloadConfig& config, con
 
     set.streams.push_back(std::make_unique<VdTrafficStream>(
         fleet, config, vd, profile, subsecond_cluster, vd_read_bps, vd_write_bps, temporal,
-        latency_model, vd_rng, std::move(targets), segment_resolver, &truth,
+        latency_model, vd_rng, std::move(targets), &truth,
         scenario != nullptr ? scenario->CurveFor(vd.id) : nullptr));
+    set.streams.back()->AppendSegmentEntries(segment_entries);
   }
   return set;
 }

@@ -15,9 +15,7 @@
 #define SRC_WORKLOAD_VD_STREAM_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/scenario/model.h"
@@ -31,17 +29,13 @@
 
 namespace ebs {
 
-// Maps a segment to the series its traffic accumulates into. Batch mode
-// resolves into MetricDataset::segment_series; the replay engine resolves
-// into shard-local storage so worker threads never mutate a shared map.
-using SegmentSeriesResolver = std::function<RwSeries*(SegmentId)>;
-
 // Where one VD's generated traffic lands. The caller owns every pointed-to
 // series and guarantees it outlives the stream. No two VDs ever share a
-// target series (QPs and segments belong to exactly one VD).
+// target series (QPs belong to exactly one VD).
 struct VdStreamTargets {
-  RwSeries* offered = nullptr;   // per-VD offered (pre-throttle) load
-  std::vector<RwSeries*> qps;    // one per VD QP, in QP order
+  RwSeries* offered = nullptr;    // per-VD offered (pre-throttle) load
+  RwSeries* delivered = nullptr;  // per-VD delivered load, the storage domain's source
+  std::vector<RwSeries*> qps;     // one per VD QP, in QP order
 };
 
 // One VD's traffic source. Step(t) must be called with strictly increasing t;
@@ -55,12 +49,16 @@ class VdTrafficStream {
                   const AppProfile& profile, bool subsecond_cluster, double vd_read_bps,
                   double vd_write_bps, const RateProcessGenerator& temporal,
                   const LatencyModel& latency_model, Rng vd_rng, VdStreamTargets targets,
-                  const SegmentSeriesResolver& segment_resolver, VdGroundTruth* truth,
-                  const scenario::CompiledVdCurve* scenario_curve);
+                  VdGroundTruth* truth, const scenario::CompiledVdCurve* scenario_curve);
 
   // Generates second `t`: writes the step's metric deltas into the targets
   // and appends the step's sampled IO records to *samples.
   void Step(size_t t, std::vector<TraceRecord>* samples);
+
+  // Appends one SegmentEntry per active segment of the VD: the segment reads
+  // the VD's delivered series (source index = VD id), scaled per op by the
+  // spatial model's weight, 0.0 for an op whose traffic never reaches it.
+  void AppendSegmentEntries(std::vector<SegmentEntry>* entries) const;
 
   VdId vd_id() const { return vd_.id; }
 
@@ -72,10 +70,6 @@ class VdTrafficStream {
   const LatencyModel& latency_model_;
   bool subsecond_cluster_ = false;
   VdStreamTargets targets_;
-  // Per-op (series, weight) pairs over the VD's active segments, resolved
-  // once at construction (mirrors the batch generator's `resolve` step).
-  std::vector<std::pair<RwSeries*, double>> read_segments_;
-  std::vector<std::pair<RwSeries*, double>> write_segments_;
 
   // Scenario multiplier timeline (nullptr = untouched VD). The cursor walks
   // the pieces as Step's t increases — pure per-stream state, so batch
@@ -105,15 +99,17 @@ struct VmStreamSet {
 
 // Builds the traffic streams of one VM, consuming the VM-level randomness
 // (active flags, volumes, VD Dirichlet split) exactly as the batch generator
-// does. qp_series / offered_vd / vd_truth must be pre-sized to the fleet;
-// only this VM's slots are written. `scenario` may be nullptr (no scenario);
+// does. qp_series / offered_vd / delivered_vd / vd_truth must be pre-sized to
+// the fleet; only this VM's slots are written. Each stream's segment entries
+// are appended to *segment_entries. `scenario` may be nullptr (no scenario);
 // when set, each stream picks up its VD's compiled multiplier curve.
 VmStreamSet BuildVmStreams(const Fleet& fleet, const WorkloadConfig& config, const Vm& vm,
                            const RateProcessGenerator& temporal,
                            const LatencyModel& latency_model, const Rng& root,
-                           const SegmentSeriesResolver& segment_resolver,
                            std::vector<RwSeries>* qp_series, std::vector<RwSeries>* offered_vd,
+                           std::vector<RwSeries>* delivered_vd,
                            std::vector<VdGroundTruth>* vd_truth,
+                           std::vector<SegmentEntry>* segment_entries,
                            const scenario::ScenarioModel* scenario);
 
 }  // namespace ebs

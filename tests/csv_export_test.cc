@@ -145,14 +145,14 @@ TEST_F(CsvExportFixture, StorageMetricsRowsMatchNonIdleSteps) {
   std::remove(path.c_str());
 
   size_t non_idle = 0;
-  for (const auto& [seg, series] : result_->metrics.segment_series.SortedItems()) {
+  result_->metrics.segment_series.ForEachSorted([&](uint32_t, const RwSeries& series) {
     for (size_t t = 0; t < result_->metrics.window_steps; ++t) {
-      if (series->read_bytes[t] > 0.0 || series->write_bytes[t] > 0.0 ||
-          series->read_ops[t] > 0.0 || series->write_ops[t] > 0.0) {
+      if (series.read_bytes[t] > 0.0 || series.write_bytes[t] > 0.0 ||
+          series.read_ops[t] > 0.0 || series.write_ops[t] > 0.0) {
         ++non_idle;
       }
     }
-  }
+  });
   EXPECT_GT(non_idle, 0u);
   ASSERT_EQ(lines.size(), non_idle + 1);
 }

@@ -182,10 +182,10 @@ TEST_P(WorkloadPropertyTest, GeneratorInvariantsHoldForAnySeed) {
     qp_total += series.TotalBytes();
   }
   double seg_total = 0.0;
-  for (const auto& [key, series] : result.metrics.segment_series.SortedItems()) {
-    seg_total += series->TotalBytes();
+  result.metrics.segment_series.ForEachSorted([&](uint32_t key, const RwSeries& series) {
+    seg_total += series.TotalBytes();
     EXPECT_LT(key, fleet.segments.size());
-  }
+  });
   EXPECT_NEAR(seg_total, qp_total, std::max(1.0, qp_total) * 1e-6);
 
   // Traces reference valid entities, in order, within the window.

@@ -66,21 +66,25 @@ class RollupEquivalenceFixture : public ::testing::Test {
     return out;
   }
 
-  // Legacy storage-side rollup: segment series copied into an ordered map
-  // (the sorted-key walk the old unordered_map path did explicitly), then
-  // accumulated in ascending id order.
+  // Legacy storage-side rollup: materialized segment series copied into an
+  // ordered map (the sorted-key walk the old unordered_map path did
+  // explicitly), then accumulated in ascending id order.
   template <typename BucketOf>
   static std::vector<RwSeries> LegacyStorageRollup(size_t entities, BucketOf bucket_of) {
     const MetricDataset& metrics = result_->metrics;
-    std::map<uint32_t, const RwSeries*> ordered;
-    for (const auto& [id, series] : metrics.segment_series.SortedItems()) {
-      ordered.emplace(id, series);
-    }
+    const std::map<uint32_t, RwSeries> ordered = OrderedSegments(metrics);
     std::vector<RwSeries> out(entities, RwSeries(metrics.window_steps, metrics.step_seconds));
     for (const auto& [seg_value, series] : ordered) {
-      out[bucket_of(fleet_->segments[seg_value])].Accumulate(*series);
+      out[bucket_of(fleet_->segments[seg_value])].Accumulate(series);
     }
     return out;
+  }
+
+  static std::map<uint32_t, RwSeries> OrderedSegments(const MetricDataset& metrics) {
+    std::map<uint32_t, RwSeries> ordered;
+    metrics.segment_series.ForEachSorted(
+        [&ordered](uint32_t id, const RwSeries& series) { ordered.emplace(id, series); });
+    return ordered;
   }
 
   static Fleet* fleet_;
@@ -175,17 +179,13 @@ TEST_F(RollupEquivalenceFixture, BsPeriodTrafficMatchesLegacyMapWalk) {
     slot_of_bs[bs.value()] = static_cast<int>(ref.size());
     ref.emplace_back(periods, 0.0);
   }
-  std::map<uint32_t, const RwSeries*> ordered;
-  for (const auto& [id, series] : metrics.segment_series.SortedItems()) {
-    ordered.emplace(id, series);
-  }
-  for (const auto& [seg_value, series] : ordered) {
+  for (const auto& [seg_value, series] : OrderedSegments(metrics)) {
     const Segment& segment = fleet_->segments[seg_value];
     const int slot = slot_of_bs[segment.server.value()];
     if (slot < 0) {
       continue;
     }
-    const TimeSeries& bytes = series->write_bytes;
+    const TimeSeries& bytes = series.write_bytes;
     for (size_t p = 0; p < periods; ++p) {
       double sum = 0.0;
       const size_t begin = p * period_steps;

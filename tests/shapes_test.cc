@@ -2,7 +2,12 @@
 // EXPERIMENTS.md records must keep holding when the model is tuned. Each test
 // pins one headline "shape" on a deliberately small (fast) simulation.
 
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -220,6 +225,33 @@ TEST(ValidationTest, RejectsBrokenConfigs) {
   config = DcPreset(1);
   config.workload.hot_prob_scale = -0.5;
   expect_rejected(config);
+
+  // Non-finite values. NaN fails every ordered comparison, so it slipped past
+  // the `x <= 0.0` style checks: a NaN sampling or rate scale (and an infinite
+  // rate scale) hung generation, a NaN step length threw std::length_error
+  // from an allocation, and a NaN cap scale silently turned throttling off.
+  using Field = std::function<double&(SimulationConfig&)>;
+  const std::vector<std::pair<std::string, Field>> fields = {
+      {"step_seconds", [](SimulationConfig& c) -> double& { return c.workload.step_seconds; }},
+      {"sampling_rate", [](SimulationConfig& c) -> double& { return c.workload.sampling_rate; }},
+      {"rate_scale", [](SimulationConfig& c) -> double& { return c.workload.rate_scale; }},
+      {"cap_scale", [](SimulationConfig& c) -> double& { return c.workload.cap_scale; }},
+      {"max_vd_mean_write_rate_mbps",
+       [](SimulationConfig& c) -> double& { return c.workload.max_vd_mean_write_rate_mbps; }},
+      {"hot_prob_scale", [](SimulationConfig& c) -> double& { return c.workload.hot_prob_scale; }},
+      {"vms_per_user_sigma",
+       [](SimulationConfig& c) -> double& { return c.fleet.vms_per_user_sigma; }},
+      {"vds_per_vm_sigma", [](SimulationConfig& c) -> double& { return c.fleet.vds_per_vm_sigma; }},
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const auto& [name, field] : fields) {
+    for (const double value : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+      SCOPED_TRACE(name + " = " + std::to_string(value));
+      config = DcPreset(1);
+      field(config) = value;
+      expect_rejected(config);
+    }
+  }
 }
 
 }  // namespace

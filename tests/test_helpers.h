@@ -1,10 +1,12 @@
 // Hand-built miniature fleets and metric datasets for unit-testing the
-// subsystem simulators with exactly-known inputs, and a record-for-record
-// trace comparison.
+// subsystem simulators with exactly-known inputs, a record-for-record trace
+// comparison, and a fingerprint of every storage-domain cell.
 
 #ifndef TESTS_TEST_HELPERS_H_
 #define TESTS_TEST_HELPERS_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -154,6 +156,28 @@ inline void ExpectSameRecords(const std::vector<TraceRecord>& a,
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(RecordFields(a[i]), RecordFields(b[i])) << "record " << i;
   }
+}
+
+// FNV-1a over every storage-domain cell: segments in ascending id, each as
+// its id followed by the bit patterns of its read-bytes, write-bytes,
+// read-ops and write-ops channels. Equal fingerprints mean bit-identical
+// segment series.
+inline uint64_t SegmentCellsFingerprint(const MetricDataset& metrics) {
+  uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      h = (h ^ bytes[i]) * 1099511628211ULL;
+    }
+  };
+  metrics.segment_series.ForEachSorted([&mix](uint32_t id, const RwSeries& series) {
+    mix(&id, sizeof(id));
+    for (const TimeSeries* channel :
+         {&series.read_bytes, &series.write_bytes, &series.read_ops, &series.write_ops}) {
+      mix(channel->values().data(), channel->size() * sizeof(double));
+    }
+  });
+  return h;
 }
 
 }  // namespace ebs

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,10 +22,13 @@
 #include <gtest/gtest.h>
 
 #include "src/core/simulation.h"
+#include "src/replay/engine.h"
+#include "src/replay/store_source.h"
 #include "src/trace/csv_export.h"
 #include "src/trace/format.h"
 #include "src/trace/store.h"
 #include "src/workload/generator.h"
+#include "tests/test_helpers.h"
 
 namespace ebs {
 namespace {
@@ -352,11 +357,11 @@ TEST_F(TraceStoreFixture, MetricsSectionRoundTripsExactly) {
     ExpectRwSeriesEqual(got.metrics.qp_series[q], result_->metrics.qp_series[q], "qp");
   }
   ASSERT_EQ(got.metrics.segment_series.size(), result_->metrics.segment_series.size());
-  for (const auto& [seg, series] : result_->metrics.segment_series.SortedItems()) {
-    const RwSeries* round_tripped = got.metrics.segment_series.Find(seg);
-    ASSERT_NE(round_tripped, nullptr) << "segment " << seg;
-    ExpectRwSeriesEqual(*round_tripped, *series, "segment");
-  }
+  result_->metrics.segment_series.ForEachSorted([&got](uint32_t seg, const RwSeries& series) {
+    const std::optional<SegmentView> round_tripped = got.metrics.segment_series.Find(seg);
+    ASSERT_TRUE(round_tripped.has_value()) << "segment " << seg;
+    ExpectRwSeriesEqual(round_tripped->Materialize(), series, "segment");
+  });
   ASSERT_EQ(got.offered_vd.size(), result_->offered_vd.size());
   for (size_t v = 0; v < got.offered_vd.size(); ++v) {
     ExpectRwSeriesEqual(got.offered_vd[v], result_->offered_vd[v], "offered_vd");
@@ -762,6 +767,58 @@ TEST_F(StoreCorruptionTest, OversizedMetricsCountsAreDecodeErrors) {
     }
   }
   std::remove(path.c_str());
+}
+
+TEST_F(StoreCorruptionTest, SegmentIdNearTwoToThe32DecodesAndFailsReplay) {
+  // A CRC-valid metrics section for a one-VD, one-QP fleet whose only segment
+  // is id 0xFFFFFFF0. Decoding once sized an id-indexed slot table from it
+  // (16 GiB); the segment map now keeps sorted entries, so the metrics decode
+  // returns normally and store replay rejects the id against the fleet.
+  constexpr uint32_t kHugeId = 0xFFFFFFF0u;
+  const Fleet fleet = MakeTinyFleet({{{1}}});
+  ASSERT_EQ(fleet.qps.size(), 1u);
+  ASSERT_EQ(fleet.vds.size(), 1u);
+  const auto zero_series = [](std::vector<uint8_t>* out) {
+    out->insert(out->end(), 8, 0);  // four all-zero blocks: [tag 0][length 0]
+  };
+  std::vector<uint8_t> section;
+  PutVarint(&section, 10);  // window_steps and step_seconds match the header
+  PutF64(&section, 1.0);
+  PutVarint(&section, 1);  // qp series
+  zero_series(&section);
+  PutVarint(&section, 1);  // segment series
+  PutVarint(&section, kHugeId);
+  zero_series(&section);
+  PutVarint(&section, 1);  // offered-VD series
+  zero_series(&section);
+  PutVarint(&section, 1);  // ground truth: flags, two f64, two varints, two f64
+  section.push_back(0);
+  PutF64(&section, 0.0);
+  PutF64(&section, 0.0);
+  PutVarint(&section, 0);
+  PutVarint(&section, 0);
+  PutF64(&section, 0.0);
+  PutF64(&section, 0.0);
+  for (int i = 0; i < 8; ++i) {
+    PutVarint(&section, 0);  // fault stats
+  }
+  const std::string corpus =
+      std::string(EBS_TEST_DATA_DIR) + "/fuzz/store/metrics_segment_id_near_2p32.ebst";
+  ASSERT_TRUE(ReadFileBytes(corpus) == StoreWithMetricsSection(section));
+
+  const TraceStoreReader reader(corpus);
+  WorkloadResult decoded;
+  reader.ReadMetricsInto(&decoded);
+  ASSERT_EQ(decoded.metrics.segment_series.size(), 1u);
+  EXPECT_EQ(decoded.metrics.segment_series[0].id, kHugeId);
+
+  ReplayEngine engine(fleet, std::make_unique<StoreReplaySource>(fleet, corpus));
+  try {
+    engine.Run();
+    ADD_FAILURE() << "store replay accepted a segment id beyond the fleet";
+  } catch (const TraceStoreError& error) {
+    EXPECT_EQ(error.code(), StoreErrorCode::kMismatch) << error.what();
+  }
 }
 
 TEST_F(StoreCorruptionTest, SpecificCorruptionsReportSpecificCodes) {

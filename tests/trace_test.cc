@@ -1,12 +1,27 @@
 // Tests for the dataset schemas, rollups and trace aggregation.
 
+#include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/core/simulation.h"
+#include "src/core/streaming.h"
+#include "src/fault/schedule.h"
+#include "src/replay/parallel_generate.h"
+#include "src/scenario/builders.h"
+#include "src/scenario/model.h"
+#include "src/scenario/parser.h"
 #include "src/topology/fleet.h"
 #include "src/trace/aggregate.h"
 #include "src/trace/records.h"
 #include "src/util/rng.h"
 #include "src/workload/generator.h"
+#include "tests/test_helpers.h"
 
 namespace ebs {
 namespace {
@@ -51,26 +66,12 @@ TEST(SegmentSeriesMapTest, FindOrCreateConstructsInPlaceOnce) {
 
 TEST(SegmentSeriesMapTest, FindReturnsNullForAbsentId) {
   SegmentSeriesMap map;
-  EXPECT_EQ(map.Find(3), nullptr);
+  EXPECT_FALSE(map.Find(3).has_value());
   map.FindOrCreate(3, 2, 1.0);
-  EXPECT_NE(map.Find(3), nullptr);
-  EXPECT_EQ(map.Find(2), nullptr);
-  EXPECT_EQ(map.Find(4), nullptr);   // beyond any registered id
-  EXPECT_EQ(map.Find(999), nullptr);
-}
-
-TEST(SegmentSeriesMapTest, ReferencesStableAcrossLaterInserts) {
-  // The workload generator caches RwSeries* while later VMs keep inserting:
-  // the deque storage must never move an existing series.
-  SegmentSeriesMap map;
-  RwSeries& early = map.FindOrCreate(0, 3, 1.0);
-  early.write_bytes[0] = 42.0;
-  for (uint32_t id = 1; id < 500; ++id) {
-    map.FindOrCreate(id, 3, 1.0);
-  }
-  EXPECT_EQ(map.Find(0), &early);
-  EXPECT_DOUBLE_EQ(early.write_bytes[0], 42.0);
-  EXPECT_EQ(map.size(), 500u);
+  EXPECT_TRUE(map.Find(3).has_value());
+  EXPECT_FALSE(map.Find(2).has_value());
+  EXPECT_FALSE(map.Find(4).has_value());  // beyond any registered id
+  EXPECT_FALSE(map.Find(999).has_value());
 }
 
 TEST(SegmentSeriesMapTest, SortedItemsAscendingRegardlessOfInsertOrder) {
@@ -98,7 +99,73 @@ TEST(SegmentSeriesMapTest, InsertOverwritesExistingSeries) {
   replacement.read_bytes[0] = 8.0;
   map.Insert(4, std::move(replacement));
   EXPECT_EQ(map.size(), 1u);
-  EXPECT_DOUBLE_EQ(map.Find(4)->read_bytes[0], 8.0);
+  EXPECT_DOUBLE_EQ(map.Find(4)->Bytes(OpType::kRead, 0), 8.0);
+}
+
+// Two VDs' delivered sources; VD 0 carries segments 12 and 3, VD 1 segment 7.
+SegmentSeriesMap DerivedMap() {
+  SegmentSeriesMap map;
+  std::vector<RwSeries>& sources = map.ResetSources(2, 2, 1.0);
+  sources[0].read_bytes[1] = 8.0;
+  sources[0].read_ops[1] = 2.0;
+  sources[0].write_bytes[0] = 5.0;
+  sources[0].write_ops[0] = 1.0;
+  sources[1].write_bytes[1] = 3.0;
+  map.AssignEntries({{12, 0, 0.75, 0.5}, {7, 1, 0.0, 1.0}, {3, 0, 0.25, 0.0}});
+  return map;
+}
+
+TEST(SegmentSeriesMapTest, DerivedEntriesReadTheirSourceTimesTheWeight) {
+  const SegmentSeriesMap map = DerivedMap();
+  ASSERT_EQ(map.size(), 3u);
+  EXPECT_EQ(map[0].id, 3u);  // sorted by AssignEntries
+  EXPECT_EQ(map[1].id, 7u);
+  EXPECT_EQ(map[2].id, 12u);
+
+  const RwSeries seg3 = map.Find(3)->Materialize();
+  EXPECT_EQ(seg3.read_bytes[1], 2.0);
+  EXPECT_EQ(seg3.read_ops[1], 0.5);
+  // A zero weight reads 0.0 whatever the source holds.
+  EXPECT_EQ(seg3.write_bytes[0], 0.0);
+  EXPECT_EQ(seg3.write_ops[0], 0.0);
+
+  const std::optional<SegmentView> seg12 = map.Find(12);
+  ASSERT_TRUE(seg12.has_value());
+  EXPECT_EQ(seg12->Bytes(OpType::kRead, 1), 6.0);
+  EXPECT_EQ(seg12->Bytes(OpType::kWrite, 0), 2.5);
+  EXPECT_EQ(seg12->Materialize().read_ops[1], 1.5);
+  EXPECT_EQ(seg12->Materialize().write_ops[0], 0.5);
+  EXPECT_EQ(map.Find(7)->Bytes(OpType::kWrite, 1), 3.0);
+  EXPECT_EQ(map.Find(7)->Bytes(OpType::kRead, 1), 0.0);
+  EXPECT_FALSE(map.Find(8).has_value());
+
+  std::vector<uint32_t> ids;
+  map.ForEachSorted([&](uint32_t id, const RwSeries& series) {
+    ids.push_back(id);
+    EXPECT_EQ(series.read_bytes.size(), 2u);
+  });
+  EXPECT_EQ(ids, (std::vector<uint32_t>{3, 7, 12}));
+}
+
+TEST(SegmentSeriesMapTest, WritingADerivedEntryMaterializesItFirst) {
+  SegmentSeriesMap map = DerivedMap();
+  RwSeries& seg12 = map.FindOrCreate(12, 2, 1.0);
+  EXPECT_EQ(seg12.read_bytes[1], 6.0);
+  seg12.read_bytes[1] = 100.0;
+  EXPECT_EQ(map.Find(12)->Bytes(OpType::kRead, 1), 100.0);
+  // Segment 3 reads the same VD source, which the write left alone.
+  EXPECT_EQ(map.Find(3)->Bytes(OpType::kRead, 1), 2.0);
+
+  map.Insert(7, RwSeries(2, 1.0));
+  EXPECT_EQ(map.Find(7)->Bytes(OpType::kWrite, 1), 0.0);
+  EXPECT_EQ(map.size(), 3u);
+}
+
+TEST(SegmentSeriesMapTest, AssignEntriesRejectsRepeatedIdsAndUnknownSources) {
+  SegmentSeriesMap map;
+  map.ResetSources(1, 2, 1.0);
+  EXPECT_THROW(map.AssignEntries({{4, 0, 1.0, 0.0}, {4, 0, 0.0, 1.0}}), std::invalid_argument);
+  EXPECT_THROW(map.AssignEntries({{4, 1, 1.0, 0.0}}), std::invalid_argument);
 }
 
 TEST(RwSeriesTest, AccumulateAddsAllFour) {
@@ -127,14 +194,14 @@ TEST(MetricDatasetTest, SegmentSeriesCreatedLazily) {
   MetricDataset metrics;
   metrics.window_steps = 4;
   metrics.step_seconds = 1.0;
-  EXPECT_EQ(metrics.SegmentSeries(SegmentId(7)), nullptr);
+  EXPECT_FALSE(metrics.SegmentSeries(SegmentId(7)).has_value());
   RwSeries& series = metrics.MutableSegmentSeries(SegmentId(7));
   series.read_bytes[0] = 1.0;
-  ASSERT_NE(metrics.SegmentSeries(SegmentId(7)), nullptr);
-  EXPECT_DOUBLE_EQ(metrics.SegmentSeries(SegmentId(7))->read_bytes[0], 1.0);
+  ASSERT_TRUE(metrics.SegmentSeries(SegmentId(7)).has_value());
+  EXPECT_DOUBLE_EQ(metrics.SegmentSeries(SegmentId(7))->Bytes(OpType::kRead, 0), 1.0);
   // Second access returns the same series.
   metrics.MutableSegmentSeries(SegmentId(7)).read_bytes[0] += 1.0;
-  EXPECT_DOUBLE_EQ(metrics.SegmentSeries(SegmentId(7))->read_bytes[0], 2.0);
+  EXPECT_DOUBLE_EQ(metrics.SegmentSeries(SegmentId(7))->Bytes(OpType::kRead, 0), 2.0);
 }
 
 TEST_F(TraceFixture, RollupsConserveTotals) {
@@ -156,9 +223,8 @@ TEST_F(TraceFixture, RollupsConserveTotals) {
 TEST_F(TraceFixture, StorageRollupsConserveSegmentTotals) {
   const MetricDataset& metrics = result_->metrics;
   double seg_total = 0.0;
-  for (const auto& [key, series] : metrics.segment_series.SortedItems()) {
-    seg_total += series->TotalBytes();
-  }
+  metrics.segment_series.ForEachSorted(
+      [&seg_total](uint32_t, const RwSeries& series) { seg_total += series.TotalBytes(); });
   for (const auto rollup : {RollupToBlockServer, RollupToStorageNode}) {
     double total = 0.0;
     for (const RwSeries& series : rollup(*fleet_, metrics)) {
@@ -177,9 +243,8 @@ TEST_F(TraceFixture, ComputeAndStorageDomainsAgree) {
     qp_total += series.TotalBytes();
   }
   double seg_total = 0.0;
-  for (const auto& [key, series] : metrics.segment_series.SortedItems()) {
-    seg_total += series->TotalBytes();
-  }
+  metrics.segment_series.ForEachSorted(
+      [&seg_total](uint32_t, const RwSeries& series) { seg_total += series.TotalBytes(); });
   EXPECT_NEAR(seg_total, qp_total, qp_total * 1e-6);
 }
 
@@ -239,6 +304,87 @@ TEST_F(TraceFixture, DownsampleKeepsApproximateFraction) {
                           static_cast<double>(result_->traces.records.size());
   EXPECT_NEAR(fraction, 0.25, 0.02);
   EXPECT_DOUBLE_EQ(thinned.sampling_rate, result_->traces.sampling_rate * 0.25);
+}
+
+// --- Storage domain: golden cells and copy safety ----------------------------
+
+// The segment-cell fingerprint of `config` from the batch facade and from the
+// streaming facade at 1 and 4 workers; each must equal `golden`.
+void ExpectSegmentCells(const SimulationConfig& config, uint64_t golden, const std::string& what) {
+  const EbsSimulation batch(config);
+  const uint64_t batch_print = SegmentCellsFingerprint(batch.metrics());
+  EXPECT_EQ(batch_print, golden) << what << " batch" << std::hex << " actual=0x" << batch_print;
+  for (const size_t workers : {1u, 4u}) {
+    StreamingSimulation stream(config, {.worker_threads = workers});
+    stream.Run();
+    const uint64_t print = SegmentCellsFingerprint(stream.metrics());
+    EXPECT_EQ(print, golden) << what << " @ " << workers << " workers" << std::hex
+                             << " actual=0x" << print;
+  }
+}
+
+// Golden fingerprints of every segment cell (SegmentCellsFingerprint). Each
+// input must reproduce them bit for bit from both facades at any worker count.
+TEST(StorageDomainGoldenTest, DcPresetSegmentCellsMatchGoldenFingerprints) {
+  ExpectSegmentCells(DcPreset(1), 0x25d7f273957190c7ULL, "DcPreset(1)");
+
+  // The perf ledger's closed_loop traffic: a diurnal burst scenario over a
+  // crash-heavy fault schedule.
+  SimulationConfig closed_loop = DcPreset(1);
+  const size_t steps = closed_loop.workload.window_steps;
+  closed_loop.workload.scenario =
+      scenario::DiurnalBurstScenario(steps, closed_loop.fleet.user_count);
+  closed_loop.workload.faults = CrashHeavySchedule(BuildFleet(closed_loop.fleet), steps, 7);
+  ExpectSegmentCells(closed_loop, 0xa9303d7b431adb3dULL, "closed loop");
+}
+
+TEST(StorageDomainGoldenTest, CommittedScenariosMatchGoldenFingerprints) {
+  // The scenario suite's fleet and window (tests/scenario_test.cc).
+  SimulationConfig config = DcPreset(1);
+  config.fleet.user_count = 48;
+  config.workload.window_steps = 240;
+  const scenario::ScenarioLimits limits =
+      scenario::LimitsForFleet(BuildFleet(config.fleet), config.workload.window_steps);
+  struct Golden {
+    const char* corpus;
+    uint64_t fingerprint;
+  };
+  constexpr Golden kGolden[] = {{"churn.scn", 0x332728f2eb659122ULL},
+                                {"diurnal.scn", 0xe748172871db6012ULL},
+                                {"flash_crowd.scn", 0x7999af1c2179eb24ULL},
+                                {"identity.scn", 0x0eaced5cc2b8b02dULL},
+                                {"snapshot_scan.scn", 0xb9a6f6f48269bc1bULL}};
+  for (const Golden& golden : kGolden) {
+    config.workload.scenario = scenario::LoadScenarioFile(
+        std::string(EBS_TEST_DATA_DIR) + "/scenarios/" + golden.corpus, limits);
+    ExpectSegmentCells(config, golden.fingerprint, golden.corpus);
+  }
+}
+
+TEST(StorageDomainTest, CopiedAndMovedResultsReadTheSameSegmentCells) {
+  // A copy, and a moved-from result that is assigned again, must read their
+  // own segment storage: with the original gone, a source the copy still
+  // shared with it would be a use after free (the suite runs under ASan).
+  SimulationConfig config = DcPreset(1);
+  config.fleet.user_count = 24;
+  config.workload.window_steps = 120;
+  const Fleet fleet = BuildFleet(config.fleet);
+  for (const size_t workers : {0u, 2u}) {  // 0: the batch generator
+    auto original = std::make_unique<WorkloadResult>(
+        workers == 0 ? WorkloadGenerator(fleet, config.workload).Generate()
+                     : GenerateWorkloadParallel(fleet, config.workload, workers));
+    ASSERT_GT(original->metrics.segment_series.size(), 0u);
+    const uint64_t print = SegmentCellsFingerprint(original->metrics);
+
+    const WorkloadResult copy = *original;
+    WorkloadResult moved = std::move(*original);
+    *original = copy;
+    EXPECT_EQ(SegmentCellsFingerprint(moved.metrics), print) << workers << " workers";
+    moved = WorkloadResult{};
+    EXPECT_EQ(SegmentCellsFingerprint(original->metrics), print) << workers << " workers";
+    original.reset();
+    EXPECT_EQ(SegmentCellsFingerprint(copy.metrics), print) << workers << " workers";
+  }
 }
 
 }  // namespace
