@@ -19,7 +19,9 @@
 # (tests/trace_store_test.cc): its truncation and byte-flip sweeps mutate
 # every byte of a valid store file, so a decoder path that reads out of
 # bounds or shifts past the type width on corrupt input fails here rather
-# than silently passing on well-formed files. They also run the page-cache
+# than silently passing on well-formed files. Both also run store replay
+# (tests/store_replay_test.cc), whose decoded segment maps are read through
+# the recorded source indices and weights. They also run the page-cache
 # tests (tests/cache_test.cc): the flat eviction caches do their own slot and
 # probe arithmetic, and the differential test drives every policy hit for hit
 # against the node-based reference over millions of accesses. And they run
@@ -115,7 +117,7 @@ cmake -S "${repo_root}" -B "${build_root}/ubsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=undefined >/dev/null
 cmake --build "${build_root}/ubsan" -j "${jobs}" \
   --target util_container_test util_stats_test trace_test csv_export_test obs_test \
-           fault_test trace_store_test cache_test \
+           fault_test trace_store_test store_replay_test cache_test \
            qmodel_test throttle_test hypervisor_test shapes_test \
            rollup_dense_test control_test replay_test
 
@@ -127,6 +129,7 @@ UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/csv_export_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/obs_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/fault_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/trace_store_test"
+UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/store_replay_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/cache_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/qmodel_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/throttle_test"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "src/obs/metrics.h"
 
@@ -28,10 +29,11 @@ void StoreReplaySource::PrepareResult(WorkloadResult* result) {
   result->traces.window_seconds = meta.window_seconds;
   result->traces.sampling_rate = meta.sampling_rate;
 
-  // Decoded segments are explicit entries in ascending id order, so checking
-  // the last id bounds them all.
-  const SegmentSeriesMap& segments = result->metrics.segment_series;
-  if (!segments.empty() && segments[segments.size() - 1].id >= fleet_.segments.size()) {
+  // The decoded segment entries are the recorded map's own (derived entries
+  // over its source series), in ascending id order, so checking the last id
+  // bounds them all.
+  const std::vector<SegmentEntry>& entries = result->metrics.segment_series.entries();
+  if (!entries.empty() && entries.back().id >= fleet_.segments.size()) {
     throw TraceStoreError(StoreErrorCode::kMismatch,
                           "store segment id beyond the fleet's registry");
   }

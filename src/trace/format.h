@@ -61,7 +61,12 @@ class TraceStoreError : public std::runtime_error {
 
 inline constexpr uint32_t kStoreMagic = 0x54534245;    // "EBST" little-endian
 inline constexpr uint32_t kStoreTrailerMagic = 0x45425354;  // "TSBE"
-inline constexpr uint32_t kStoreVersion = 1;
+inline constexpr uint32_t kStoreVersion = 2;
+
+// Most records one chunk may hold. The header's chunk_target must lie in
+// [1, kStoreMaxChunkRecords] and bounds every chunk in the footer index, so a
+// reader never sizes a chunk from a larger count.
+inline constexpr uint32_t kStoreMaxChunkRecords = 65536;
 
 // Header flag bits.
 inline constexpr uint32_t kStoreFlagExportPrecision = 1u << 0;

@@ -135,8 +135,10 @@ struct SegmentView {
 //    delivered series, scaled per op by the spatial model's weight. The
 //    generator stores one delivered series per VD instead of one series per
 //    segment;
-//  - explicit (store decode, trace aggregation, hand-built data): the entry
-//    owns its source and both weights are 1.0, which is exact (x * 1.0 == x).
+//  - explicit (trace aggregation, hand-built data): the entry owns its
+//    source and both weights are 1.0, which is exact (x * 1.0 == x).
+// The EBST store writes the sources and the entries as they are, and its
+// decoder rebuilds them with ResetSources and AssignEntries.
 // Entries name their source by index, so a copied or moved map stays valid.
 // Lookups binary-search the sorted entries: no allocation depends on the
 // value of an id.
@@ -173,6 +175,11 @@ class SegmentSeriesMap {
   // Step 2: the derived entries, in any order; sorted here. Throws
   // std::invalid_argument on a repeated id or an out-of-range source.
   void AssignEntries(std::vector<SegmentEntry> entries);
+
+  // The map as it is held: the source series, and the entries in ascending
+  // id order.
+  const std::vector<RwSeries>& sources() const { return sources_; }
+  const std::vector<SegmentEntry>& entries() const { return entries_; }
 
   // fn(id, series) for every segment in ascending id order, each series
   // materialized into one reused scratch RwSeries.

@@ -670,16 +670,16 @@ void AppendRwSeries(std::vector<uint8_t>* out, const RwSeries& series) {
   }
 }
 
-// Decodes the four series blocks straight into a zero-filled RwSeries.
-RwSeries DecodeRwSeries(ByteReader* reader, size_t steps, double step_seconds) {
-  RwSeries series(steps, step_seconds);
+// Decodes the four series blocks straight into `series`, zero-filled and
+// sized to the window.
+void DecodeRwSeries(ByteReader* reader, RwSeries* series) {
   for (TimeSeries* s :
-       {&series.read_bytes, &series.write_bytes, &series.read_ops, &series.write_ops}) {
+       {&series->read_bytes, &series->write_bytes, &series->read_ops, &series->write_ops}) {
     DecodedBlock block = NextBlock(reader, "series");
     double* values = s->mutable_values().data();
     uint64_t prev = 0;
     if (block.encoding == kEncExactPlain || block.encoding == kEncExactRle) {
-      ReadList(&block.payload, steps, block.encoding == kEncExactRle, "series",
+      ReadList(&block.payload, s->size(), block.encoding == kEncExactRle, "series",
                [&](size_t i, int64_t x) {
                  prev += static_cast<uint64_t>(x);
                  values[i] = DoubleOf(prev);
@@ -689,7 +689,6 @@ RwSeries DecodeRwSeries(ByteReader* reader, size_t steps, double step_seconds) {
     }
     ExpectExhausted(block.payload, "series");
   }
-  return series;
 }
 
 // Reads an item count and rejects one the rest of the section cannot hold
@@ -706,14 +705,14 @@ uint64_t GetCount(ByteReader* reader, size_t min_item_bytes, const char* what) {
 }
 
 // Smallest encodings: an RwSeries is four blocks of at least [tag][len]; a
-// segment entry adds its id varint; a truth record is flags, four f64 and
-// two varints.
+// segment entry is two varints and two f64; a truth record is flags, four
+// f64 and two varints.
 constexpr size_t kMinRwSeriesBytes = 4 * 2;
-constexpr size_t kMinSegmentBytes = 1 + kMinRwSeriesBytes;
+constexpr size_t kMinEntryBytes = 2 * 1 + 2 * 8;
 constexpr size_t kMinTruthBytes = 1 + 4 * 8 + 2 * 1;
 
 // The metrics section leaves in pieces of about this size, so the writer
-// never holds the whole section (127 MB for a full DcPreset(1) run) in
+// never holds the whole section (37 MB for a full DcPreset(1) run) in
 // memory.
 constexpr size_t kSectionPieceBytes = size_t{1} << 20;
 
@@ -738,11 +737,22 @@ void EncodeMetricsSection(const WorkloadResult& result, Emit emit) {
     series(s);
   }
 
-  PutVarint(&out, metrics.segment_series.size());
-  metrics.segment_series.ForEachSorted([&](uint32_t id, const RwSeries& s) {
-    PutVarint(&out, id);
+  // The storage domain as SegmentSeriesMap holds it: the source series, then
+  // the entries in ascending id order, each id a delta from the previous one.
+  const SegmentSeriesMap& segments = metrics.segment_series;
+  PutVarint(&out, segments.sources().size());
+  for (const RwSeries& s : segments.sources()) {
     series(s);
-  });
+  }
+  PutVarint(&out, segments.entries().size());
+  uint32_t prev_id = 0;
+  for (const SegmentEntry& entry : segments.entries()) {
+    PutVarint(&out, entry.id - prev_id);
+    PutVarint(&out, entry.source);
+    PutF64(&out, entry.read_weight);
+    PutF64(&out, entry.write_weight);
+    prev_id = entry.id;
+  }
 
   PutVarint(&out, result.offered_vd.size());
   for (const RwSeries& s : result.offered_vd) {
@@ -788,35 +798,56 @@ void DecodeMetricsSection(ByteReader reader, const TraceStoreMeta& meta,
   metrics.window_steps = steps;
   metrics.step_seconds = step_seconds;
 
-  const uint64_t qp_count = GetCount(&reader, kMinRwSeriesBytes, "qp");
-  metrics.qp_series.clear();
-  metrics.qp_series.reserve(static_cast<size_t>(qp_count));
-  for (uint64_t i = 0; i < qp_count; ++i) {
-    metrics.qp_series.push_back(DecodeRwSeries(&reader, steps, step_seconds));
-  }
+  // Each list of series is sized only after its count passed GetCount, then
+  // decoded in place.
+  const auto series_list = [&](const char* what, std::vector<RwSeries>* out) {
+    out->assign(static_cast<size_t>(GetCount(&reader, kMinRwSeriesBytes, what)),
+                RwSeries(steps, step_seconds));
+    for (RwSeries& s : *out) {
+      DecodeRwSeries(&reader, &s);
+    }
+  };
+  series_list("qp", &metrics.qp_series);
 
-  const uint64_t segment_count = GetCount(&reader, kMinSegmentBytes, "segment");
-  metrics.segment_series.clear();
-  uint64_t prev_id = 0;
-  for (uint64_t i = 0; i < segment_count; ++i) {
-    uint64_t id = 0;
-    if (!reader.GetVarint(&id) || id > std::numeric_limits<uint32_t>::max()) {
+  // The storage domain, rebuilt as the generator builds it. Every entry is
+  // checked here, so AssignEntries never throws: ids strictly ascending,
+  // sources in range, weights finite and non-negative.
+  const uint64_t source_count = GetCount(&reader, kMinRwSeriesBytes, "source");
+  for (RwSeries& s : metrics.segment_series.ResetSources(static_cast<size_t>(source_count),
+                                                         steps, step_seconds)) {
+    DecodeRwSeries(&reader, &s);
+  }
+  std::vector<SegmentEntry> entries(
+      static_cast<size_t>(GetCount(&reader, kMinEntryBytes, "entry")));
+  for (size_t i = 0; i < entries.size(); ++i) {
+    SegmentEntry& entry = entries[i];
+    uint64_t id_delta = 0;
+    uint64_t source = 0;
+    if (!reader.GetVarint(&id_delta) || !reader.GetVarint(&source) ||
+        !reader.GetF64(&entry.read_weight) || !reader.GetF64(&entry.write_weight)) {
+      DecodeFail("metrics segment entry overrun");
+    }
+    if (id_delta > std::numeric_limits<uint32_t>::max()) {
       DecodeFail("metrics segment id overrun");
     }
-    if (i > 0 && id <= prev_id) {
+    // Ids are deltas modulo 2^32 from the previous id; the first is absolute.
+    entry.id = static_cast<uint32_t>(id_delta) + (i > 0 ? entries[i - 1].id : 0);
+    if (i > 0 && entry.id <= entries[i - 1].id) {
       DecodeFail("metrics segment ids not strictly ascending");
     }
-    prev_id = id;
-    metrics.segment_series.Insert(static_cast<uint32_t>(id),
-                                  DecodeRwSeries(&reader, steps, step_seconds));
+    if (source >= source_count) {
+      DecodeFail("metrics segment entry names a source beyond the section's sources");
+    }
+    entry.source = static_cast<uint32_t>(source);
+    for (const double weight : {entry.read_weight, entry.write_weight}) {
+      if (!std::isfinite(weight) || weight < 0.0) {
+        DecodeFail("metrics segment weight not finite and non-negative");
+      }
+    }
   }
+  metrics.segment_series.AssignEntries(std::move(entries));
 
-  const uint64_t vd_count = GetCount(&reader, kMinRwSeriesBytes, "offered-vd");
-  result->offered_vd.clear();
-  result->offered_vd.reserve(static_cast<size_t>(vd_count));
-  for (uint64_t i = 0; i < vd_count; ++i) {
-    result->offered_vd.push_back(DecodeRwSeries(&reader, steps, step_seconds));
-  }
+  series_list("offered-vd", &result->offered_vd);
 
   const uint64_t truth_count = GetCount(&reader, kMinTruthBytes, "truth");
   result->vd_truth.clear();
@@ -862,6 +893,9 @@ TraceStoreWriter::TraceStoreWriter(const std::string& path, const TraceStoreMeta
     : meta_(meta), options_(options) {
   if (options_.chunk_records == 0) {
     options_.chunk_records = 1;
+  }
+  if (options_.chunk_records > kStoreMaxChunkRecords) {
+    return;  // refused: no reader accepts a chunk_target above the bound
   }
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
@@ -1121,6 +1155,9 @@ TraceStoreReader::TraceStoreReader(const std::string& path) {
     if ((flags & ~(kStoreFlagExportPrecision | kStoreFlagHasMetrics)) != 0) {
       throw TraceStoreError(StoreErrorCode::kHeaderCorrupt, "unknown header flags");
     }
+    if (chunk_target == 0 || chunk_target > kStoreMaxChunkRecords) {
+      throw TraceStoreError(StoreErrorCode::kHeaderCorrupt, "chunk_target out of range");
+    }
     info_.precision = (flags & kStoreFlagExportPrecision) != 0 ? StorePrecision::kExport
                                                                : StorePrecision::kExact;
 
@@ -1142,8 +1179,8 @@ TraceStoreReader::TraceStoreReader(const std::string& path) {
         throw TraceStoreError(StoreErrorCode::kFooterCorrupt, "chunk index overrun");
       }
       const uint64_t offset = prev_offset + offset_delta;
-      if (records == 0 || records > std::numeric_limits<uint32_t>::max() ||
-          offset < kStoreHeaderBytes || (i > 0 && offset <= prev_offset) ||
+      if (records == 0 || records > chunk_target || offset < kStoreHeaderBytes ||
+          (i > 0 && offset <= prev_offset) ||
           offset + kStoreChunkHeaderBytes > footer_offset) {
         throw TraceStoreError(StoreErrorCode::kFooterCorrupt, "chunk index entry invalid");
       }
@@ -1264,7 +1301,11 @@ TraceDataset TraceStoreReader::ReadAll() const {
   TraceDataset dataset;
   dataset.window_seconds = info_.meta.window_seconds;
   dataset.sampling_rate = info_.meta.sampling_rate;
-  dataset.records.reserve(static_cast<size_t>(info_.record_count));
+  // The footer's total is only a claim until the chunks decode, and its
+  // entries may overlap: reserve at most one record per file byte, so a
+  // forged total cannot size the dataset. Any real store stays under it.
+  dataset.records.reserve(
+      static_cast<size_t>(std::min(info_.record_count, info_.file_bytes)));
   for (size_t i = 0; i < chunks_.size(); ++i) {
     ReadChunk(i, &dataset.records);
   }
@@ -1276,7 +1317,7 @@ void TraceStoreReader::ReadMetricsInto(WorkloadResult* result) const {
     throw TraceStoreError(StoreErrorCode::kNoMetrics,
                           "store was written without a metrics section");
   }
-  // Not zero-filled first: the read overwrites every byte (paper scale: ~130 MB).
+  // Not zero-filled first: the read overwrites every byte (DcPreset(1): 37 MB).
   const size_t size = static_cast<size_t>(footer_.metrics_size);
   const std::unique_ptr<uint8_t[]> section = std::make_unique_for_overwrite<uint8_t[]>(size);
   ReadAt(footer_.metrics_offset, section.get(), size);

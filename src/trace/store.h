@@ -6,18 +6,25 @@
 // signed; see src/trace/format.h for the wire primitives):
 //
 //   +-----------------------------------------------------------------+
-//   | Header (48 B): magic "EBST", version, flags, chunk_target,      |
+//   | Header (48 B): magic "EBST", version (2), flags, chunk_target,  |
 //   |   sampling_rate f64, window_seconds f64, step_seconds f64,      |
 //   |   window_steps u32, header CRC32                                |
 //   +-----------------------------------------------------------------+
 //   | Chunk 0..N-1: [record_count u32][payload_size u32][CRC32 u32]   |
+//   |   record_count <= chunk_target <= kStoreMaxChunkRecords         |
 //   |   payload := one column block per schema column, in order:      |
 //   |     step, vd, timestamp, op, size, offset, user, vm, qp, wt,    |
 //   |     cn, segment, bs, sn, latency[5], fault retries/flags        |
 //   |   block := [encoding u8][len varint][bytes]                     |
 //   +-----------------------------------------------------------------+
-//   | Metrics section (optional): per-QP / per-segment / offered-VD   |
-//   |   RwSeries, VD ground truth, fault stats — delta-encoded        |
+//   | Metrics section (optional):                                     |
+//   |   [window_steps varint][step_seconds f64]                       |
+//   |   [qp count][qp RwSeries...]                                    |
+//   |   [source count][source RwSeries...]    the segment map's       |
+//   |   [entry count][entries...]             sources and entries     |
+//   |   [offered-VD count][offered RwSeries...][VD truth][fault stats]|
+//   |   entry := [id delta varint][source varint][read_weight f64]    |
+//   |            [write_weight f64]                                   |
 //   +-----------------------------------------------------------------+
 //   | Footer: record_count, chunk index (offset, records), metrics    |
 //   |   range — the seek map for chunk-streaming readers              |
@@ -41,6 +48,16 @@
 // two-byte all-zero marker when the column is entirely zero. Prediction
 // state resets at every chunk boundary, so any chunk can be decoded on its
 // own through the footer's seek index.
+//
+// The metrics section stores the storage domain the way SegmentSeriesMap
+// holds it: the map's source series (one delivered series per VD for a
+// generated run), then its entry table, sorted by segment id. An RwSeries is
+// four blocks of exact f64 bit-pattern deltas at either precision, and the
+// weights are raw f64, so a decoded map reads every cell bit for bit as the
+// written one did. The decoder rejects an entry whose id does not ascend,
+// whose source index is out of range or whose weight is not finite and
+// non-negative (kDecodeError) before AssignEntries sees it. A version-1 file
+// (one series per segment) is kBadVersion; there is no read path for it.
 //
 // Precision: kExact stores timestamps/latencies as IEEE754 bit patterns —
 // read-back is bit-identical to the in-memory dataset. kExport quantizes
@@ -77,6 +94,7 @@ enum class StorePrecision {
 struct TraceStoreOptions {
   StorePrecision precision = StorePrecision::kExact;
   // Records per chunk; the memory bound of streaming readers and writers.
+  // The writer refuses (ok() is false) a value above kStoreMaxChunkRecords.
   size_t chunk_records = 4096;
 };
 
@@ -181,7 +199,10 @@ struct StoreChunkInfo {
 // Validating reader. The constructor parses and CRC-checks the trailer,
 // footer, and header; chunk payloads are CRC-checked as they are read. Every
 // corruption mode — truncation, flipped bytes, over-long varints, dangling
-// offsets — throws TraceStoreError with a specific StoreErrorCode.
+// offsets — throws TraceStoreError with a specific StoreErrorCode. A header
+// chunk_target outside [1, kStoreMaxChunkRecords] is kHeaderCorrupt, and a
+// chunk index entry above chunk_target is kFooterCorrupt, so no chunk is
+// sized from more than kStoreMaxChunkRecords records.
 class TraceStoreReader {
  public:
   explicit TraceStoreReader(const std::string& path);

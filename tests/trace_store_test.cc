@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -356,7 +357,20 @@ TEST_F(TraceStoreFixture, MetricsSectionRoundTripsExactly) {
   for (size_t q = 0; q < got.metrics.qp_series.size(); ++q) {
     ExpectRwSeriesEqual(got.metrics.qp_series[q], result_->metrics.qp_series[q], "qp");
   }
-  ASSERT_EQ(got.metrics.segment_series.size(), result_->metrics.segment_series.size());
+  // The map comes back as it was held, source for source and entry for
+  // entry: decode builds no per-segment series.
+  const SegmentSeriesMap& segments = got.metrics.segment_series;
+  ASSERT_EQ(segments.sources().size(), result_->metrics.segment_series.sources().size());
+  ASSERT_EQ(segments.entries().size(), result_->metrics.segment_series.entries().size());
+  for (size_t i = 0; i < segments.entries().size(); ++i) {
+    const SegmentEntry& g = segments.entries()[i];
+    const SegmentEntry& w = result_->metrics.segment_series.entries()[i];
+    EXPECT_EQ(g.id, w.id) << "entry " << i;
+    EXPECT_EQ(g.source, w.source) << "entry " << i;
+    EXPECT_EQ(Bits(g.read_weight), Bits(w.read_weight)) << "entry " << i;
+    EXPECT_EQ(Bits(g.write_weight), Bits(w.write_weight)) << "entry " << i;
+  }
+  ASSERT_EQ(segments.size(), result_->metrics.segment_series.size());
   result_->metrics.segment_series.ForEachSorted([&got](uint32_t seg, const RwSeries& series) {
     const std::optional<SegmentView> round_tripped = got.metrics.segment_series.Find(seg);
     ASSERT_TRUE(round_tripped.has_value()) << "segment " << seg;
@@ -398,8 +412,8 @@ TEST_F(TraceStoreFixture, WrittenBytesArePinnedAtBothPrecisions) {
   const struct {
     StorePrecision precision;
     uint64_t fnv;
-  } cases[] = {{StorePrecision::kExact, 0x0d47f01765277b59ull},
-               {StorePrecision::kExport, 0x385381f60bb3e2afull}};
+  } cases[] = {{StorePrecision::kExact, 0xbac6771cccb2688bull},
+               {StorePrecision::kExport, 0x37c7e66857ce2639ull}};
   for (const auto& c : cases) {
     const std::string path = TempPath("pinned_bytes.ebst");
     ASSERT_TRUE(WriteWorkloadToStore(path, *result_, 1.0,
@@ -530,6 +544,29 @@ TEST_F(TraceStoreFixture, AppendRejectsOutOfWindowAndRegressingSteps) {
   std::remove(path.c_str());
 }
 
+TEST_F(TraceStoreFixture, WriterRefusesChunksAboveTheRecordBound) {
+  // No reader accepts a chunk_target above kStoreMaxChunkRecords, and one of
+  // 2^32 or more used to be truncated into the u32 header field.
+  const std::string path = TempPath("rt_chunk_bound.ebst");
+  for (const size_t chunk_records : {size_t{kStoreMaxChunkRecords} + 1, (size_t{1} << 32) + 7}) {
+    TraceStoreMeta meta;
+    meta.window_steps = 40;
+    TraceStoreWriter writer(path, meta, {.chunk_records = chunk_records});
+    EXPECT_FALSE(writer.ok()) << chunk_records;
+    EXPECT_FALSE(writer.Append(result_->traces.records[0], 0)) << chunk_records;
+    EXPECT_FALSE(writer.Finish()) << chunk_records;
+    EXPECT_FALSE(WriteDatasetToStore(path, result_->traces, 1.0, 40,
+                                     {.chunk_records = chunk_records}))
+        << chunk_records;
+  }
+  ASSERT_TRUE(WriteDatasetToStore(path, result_->traces, 1.0, 40,
+                                  {.chunk_records = kStoreMaxChunkRecords}));
+  const TraceStoreReader reader(path);
+  const TraceDataset decoded = reader.ReadAll();
+  std::remove(path.c_str());
+  ExpectRecordsBitIdentical(decoded.records, result_->traces.records);
+}
+
 // ---------------------------------------------------------------------------
 // Corruption battery. Every mutation of a valid file must surface as a typed
 // TraceStoreError — never UB, never silently wrong data.
@@ -620,33 +657,106 @@ class StoreCorruptionTest : public ::testing::Test {
     return layout;
   }
 
-  // A store with no chunks whose metrics section is `section` (for a 10-step
-  // window), every CRC valid.
-  static std::vector<uint8_t> StoreWithMetricsSection(const std::vector<uint8_t>& section) {
+  // The header of a hand-built store: a 10-step window, no flags.
+  static std::vector<uint8_t> Header(uint32_t chunk_target = 4096) {
     std::vector<uint8_t> bytes;
     PutU32(&bytes, kStoreMagic);
     PutU32(&bytes, kStoreVersion);
-    PutU32(&bytes, 0);     // flags
-    PutU32(&bytes, 4096);  // chunk_target
+    PutU32(&bytes, 0);  // flags
+    PutU32(&bytes, chunk_target);
     PutF64(&bytes, kTraceSamplingRate);
     PutF64(&bytes, 10.0);  // window_seconds
     PutF64(&bytes, 1.0);   // step_seconds
     PutU32(&bytes, 10);    // window_steps
     PutU32(&bytes, Crc32(bytes));
-    bytes.insert(bytes.end(), section.begin(), section.end());
+    return bytes;
+  }
 
+  // Appends `footer`, then the trailer that seals it.
+  static void AppendFooterAndTrailer(std::vector<uint8_t>* bytes,
+                                     const std::vector<uint8_t>& footer) {
+    const uint64_t footer_offset = bytes->size();
+    bytes->insert(bytes->end(), footer.begin(), footer.end());
+    PutU64(bytes, footer_offset);
+    PutU64(bytes, footer.size());
+    PutU32(bytes, Crc32(footer));
+    PutU32(bytes, kStoreTrailerMagic);
+  }
+
+  // A store with no chunks whose metrics section is `section` (for a 10-step
+  // window), every CRC valid.
+  static std::vector<uint8_t> StoreWithMetricsSection(const std::vector<uint8_t>& section) {
+    std::vector<uint8_t> bytes = Header();
+    bytes.insert(bytes.end(), section.begin(), section.end());
     std::vector<uint8_t> footer;
     PutVarint(&footer, 0);  // records
     PutVarint(&footer, 0);  // chunks
     PutVarint(&footer, kStoreHeaderBytes);
     PutVarint(&footer, section.size());
     PutU32(&footer, Crc32(section));
-    const uint64_t footer_offset = bytes.size();
-    bytes.insert(bytes.end(), footer.begin(), footer.end());
-    PutU64(&bytes, footer_offset);
-    PutU64(&bytes, footer.size());
-    PutU32(&bytes, Crc32(footer));
-    PutU32(&bytes, kStoreTrailerMagic);
+    AppendFooterAndTrailer(&bytes, footer);
+    return bytes;
+  }
+
+  // One row of a metrics section's segment entry table as it travels: the id
+  // as a delta from the previous id (the first is absolute).
+  struct WireEntry {
+    uint64_t id_delta = 0;
+    uint64_t source = 0;
+    double read_weight = 1.0;
+    double write_weight = 1.0;
+  };
+
+  // A metrics section for a one-VD, one-QP fleet over a 10-step window: an
+  // all-zero qp series, one all-zero source series, `entries`, an all-zero
+  // offered-VD series, a zeroed truth record and zeroed fault stats.
+  static std::vector<uint8_t> SectionWithEntries(const std::vector<WireEntry>& entries) {
+    const auto zero_series = [](std::vector<uint8_t>* out) {
+      out->insert(out->end(), 8, 0);  // four all-zero blocks: [tag 0][length 0]
+    };
+    std::vector<uint8_t> section;
+    PutVarint(&section, 10);  // window_steps and step_seconds match the header
+    PutF64(&section, 1.0);
+    PutVarint(&section, 1);  // qp series
+    zero_series(&section);
+    PutVarint(&section, 1);  // source series
+    zero_series(&section);
+    PutVarint(&section, entries.size());
+    for (const WireEntry& entry : entries) {
+      PutVarint(&section, entry.id_delta);
+      PutVarint(&section, entry.source);
+      PutF64(&section, entry.read_weight);
+      PutF64(&section, entry.write_weight);
+    }
+    PutVarint(&section, 1);  // offered-VD series
+    zero_series(&section);
+    PutVarint(&section, 1);  // ground truth: flags, two f64, two varints, two f64
+    section.push_back(0);
+    PutF64(&section, 0.0);
+    PutF64(&section, 0.0);
+    PutVarint(&section, 0);
+    PutVarint(&section, 0);
+    PutF64(&section, 0.0);
+    PutF64(&section, 0.0);
+    for (int i = 0; i < 8; ++i) {
+      PutVarint(&section, 0);  // fault stats
+    }
+    return section;
+  }
+
+  // `bytes` with its first chunk's payload_size shrunk by one and the chunk
+  // CRC resealed over the shorter payload: the CRC gate passes, and the
+  // column decoder meets a block that overruns the payload.
+  static std::vector<uint8_t> ShrinkFirstChunkPayload(std::vector<uint8_t> bytes) {
+    const size_t chunk = kStoreHeaderBytes;  // the first chunk follows the header
+    ByteReader header(bytes.data() + chunk, kStoreChunkHeaderBytes);
+    uint32_t records = 0;
+    uint32_t payload_size = 0;
+    EXPECT_TRUE(header.GetU32(&records) && header.GetU32(&payload_size));
+    EXPECT_GT(payload_size, 0u);
+    PutU32At(&bytes, chunk + 4, payload_size - 1);
+    PutU32At(&bytes, chunk + 8,
+             Crc32(bytes.data() + chunk + kStoreChunkHeaderBytes, payload_size - 1));
     return bytes;
   }
 
@@ -742,13 +852,13 @@ TEST_F(StoreCorruptionTest, ResealedByteFlipsReachTheDecoders) {
 }
 
 TEST_F(StoreCorruptionTest, OversizedMetricsCountsAreDecodeErrors) {
-  // CRC-valid sections whose qp, segment, offered-VD or ground-truth count
-  // is 2^39 - 1. A count is bounded by the bytes left in the section, so it
-  // is rejected before anything is reserved for it (reserving the qp count
-  // used to throw std::bad_alloc).
+  // CRC-valid sections whose qp, source, entry, offered-VD or ground-truth
+  // count is 2^39 - 1. A count is bounded by the bytes left in the section,
+  // so it is rejected before anything is sized for it (reserving the qp
+  // count used to throw std::bad_alloc).
   constexpr uint64_t kHugeCount = (uint64_t{1} << 39) - 1;
   const std::string path = TempPath("corruption_counts.ebst");
-  for (int zero_counts = 0; zero_counts < 4; ++zero_counts) {
+  for (int zero_counts = 0; zero_counts < 5; ++zero_counts) {
     std::vector<uint8_t> section;
     PutVarint(&section, 10);  // window_steps and step_seconds match the header
     PutF64(&section, 1.0);
@@ -778,33 +888,10 @@ TEST_F(StoreCorruptionTest, SegmentIdNearTwoToThe32DecodesAndFailsReplay) {
   const Fleet fleet = MakeTinyFleet({{{1}}});
   ASSERT_EQ(fleet.qps.size(), 1u);
   ASSERT_EQ(fleet.vds.size(), 1u);
-  const auto zero_series = [](std::vector<uint8_t>* out) {
-    out->insert(out->end(), 8, 0);  // four all-zero blocks: [tag 0][length 0]
-  };
-  std::vector<uint8_t> section;
-  PutVarint(&section, 10);  // window_steps and step_seconds match the header
-  PutF64(&section, 1.0);
-  PutVarint(&section, 1);  // qp series
-  zero_series(&section);
-  PutVarint(&section, 1);  // segment series
-  PutVarint(&section, kHugeId);
-  zero_series(&section);
-  PutVarint(&section, 1);  // offered-VD series
-  zero_series(&section);
-  PutVarint(&section, 1);  // ground truth: flags, two f64, two varints, two f64
-  section.push_back(0);
-  PutF64(&section, 0.0);
-  PutF64(&section, 0.0);
-  PutVarint(&section, 0);
-  PutVarint(&section, 0);
-  PutF64(&section, 0.0);
-  PutF64(&section, 0.0);
-  for (int i = 0; i < 8; ++i) {
-    PutVarint(&section, 0);  // fault stats
-  }
   const std::string corpus =
       std::string(EBS_TEST_DATA_DIR) + "/fuzz/store/metrics_segment_id_near_2p32.ebst";
-  ASSERT_TRUE(ReadFileBytes(corpus) == StoreWithMetricsSection(section));
+  ASSERT_TRUE(ReadFileBytes(corpus) ==
+              StoreWithMetricsSection(SectionWithEntries({{.id_delta = kHugeId}})));
 
   const TraceStoreReader reader(corpus);
   WorkloadResult decoded;
@@ -821,6 +908,120 @@ TEST_F(StoreCorruptionTest, SegmentIdNearTwoToThe32DecodesAndFailsReplay) {
   }
 }
 
+TEST_F(StoreCorruptionTest, MalformedSegmentEntriesAreDecodeErrors) {
+  // Each CRC-valid section names one source; every bad entry is caught
+  // before AssignEntries could throw std::invalid_argument.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* what;
+    std::vector<WireEntry> entries;
+  } cases[] = {
+      {"source at the source count", {{.id_delta = 3, .source = 1}}},
+      {"NaN read weight", {{.id_delta = 3, .read_weight = nan}}},
+      {"+inf write weight", {{.id_delta = 3, .write_weight = inf}}},
+      {"negative weight", {{.id_delta = 3, .read_weight = -0.5}}},
+      {"repeated id", {{.id_delta = 3}, {.id_delta = 0}}},
+      {"descending id", {{.id_delta = 3}, {.id_delta = 0xFFFFFFFFu}}},  // 3 - 1 mod 2^32
+      {"id delta beyond 32 bits", {{.id_delta = uint64_t{1} << 32}}},
+  };
+  const std::string path = TempPath("corruption_entries.ebst");
+  for (const auto& c : cases) {
+    WriteFileBytes(path, StoreWithMetricsSection(SectionWithEntries(c.entries)));
+    EXPECT_EQ(CodeOf(path), StoreErrorCode::kDecodeError) << c.what;
+  }
+
+  // The same table with valid entries decodes: two segments sharing the one
+  // source, a zero write weight and a -0.0 read weight included.
+  WriteFileBytes(path, StoreWithMetricsSection(SectionWithEntries(
+                           {{.id_delta = 3, .write_weight = 0.0},
+                            {.id_delta = 2, .read_weight = -0.0, .write_weight = 0.25}})));
+  const TraceStoreReader reader(path);
+  WorkloadResult decoded;
+  reader.ReadMetricsInto(&decoded);
+  std::remove(path.c_str());
+  const SegmentSeriesMap& segments = decoded.metrics.segment_series;
+  ASSERT_EQ(segments.sources().size(), 1u);
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments[0].id, 3u);
+  EXPECT_EQ(segments[1].id, 5u);
+  EXPECT_EQ(segments[1].write_weight, 0.25);
+}
+
+TEST_F(StoreCorruptionTest, ChunkRecordCountBombIsAFooterError) {
+  // A CRC-valid store whose only chunk claims 2^32 - 1 records over 22
+  // all-zero column blocks. It used to open, and then ReadAll and ReadChunk
+  // sized ~2^32 records (std::bad_alloc). A chunk may not hold more records
+  // than the header's chunk_target, so the file is rejected at open.
+  constexpr uint32_t kClaimed = 0xFFFFFFFFu;
+  std::vector<uint8_t> bytes = Header();
+  const std::vector<uint8_t> payload(22 * 2, 0);  // [tag 0][length 0] per column
+  PutU32(&bytes, kClaimed);
+  PutU32(&bytes, static_cast<uint32_t>(payload.size()));
+  PutU32(&bytes, Crc32(payload));
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  std::vector<uint8_t> footer;
+  PutVarint(&footer, kClaimed);  // records
+  PutVarint(&footer, 1);         // chunks: (offset delta, records)
+  PutVarint(&footer, kStoreHeaderBytes);
+  PutVarint(&footer, kClaimed);
+  PutVarint(&footer, 0);  // no metrics section
+  PutVarint(&footer, 0);
+  PutU32(&footer, 0);
+  AppendFooterAndTrailer(&bytes, footer);
+
+  const std::string corpus =
+      std::string(EBS_TEST_DATA_DIR) + "/fuzz/store/chunk_record_count_bomb.ebst";
+  ASSERT_EQ(bytes.size(), 146u);
+  ASSERT_TRUE(ReadFileBytes(corpus) == bytes);
+  EXPECT_EQ(CodeOf(corpus), StoreErrorCode::kFooterCorrupt);
+}
+
+TEST_F(StoreCorruptionTest, ForgedRecordTotalDoesNotSizeReadAll) {
+  // A CRC-valid footer listing 30,000 chunks of 65,536 records each, at
+  // overlapping offsets into zero filler (a chunk count is only bounded by
+  // the file size over 12). Every entry is within chunk_target, yet ReadAll
+  // used to reserve their ~2^31 records before reading a chunk
+  // (std::bad_alloc). The first chunk header now fails the read.
+  constexpr uint32_t kChunks = 30000;
+  std::vector<uint8_t> bytes = Header(kStoreMaxChunkRecords);
+  bytes.resize(bytes.size() + size_t{12} * kChunks);
+  std::vector<uint8_t> footer;
+  PutVarint(&footer, uint64_t{kChunks} * kStoreMaxChunkRecords);  // records
+  PutVarint(&footer, kChunks);
+  for (uint32_t i = 0; i < kChunks; ++i) {  // (offset delta, records)
+    PutVarint(&footer, i == 0 ? kStoreHeaderBytes : 1);
+    PutVarint(&footer, kStoreMaxChunkRecords);
+  }
+  PutVarint(&footer, 0);  // no metrics section
+  PutVarint(&footer, 0);
+  PutU32(&footer, 0);
+  AppendFooterAndTrailer(&bytes, footer);
+  const std::string path = TempPath("corruption_total.ebst");
+  WriteFileBytes(path, bytes);
+  EXPECT_EQ(CodeOf(path), StoreErrorCode::kChunkCorrupt);
+  std::remove(path.c_str());
+}
+
+TEST_F(StoreCorruptionTest, CommittedStoresSpeakThisVersion) {
+  // A format change must re-record the committed stores: an input rejected
+  // for its version or magic no longer reaches the code it targets.
+  const std::filesystem::path data(EBS_TEST_DATA_DIR);
+  std::vector<std::filesystem::path> stores = {data / "golden_small.ebst"};
+  for (const auto& entry : std::filesystem::directory_iterator(data / "fuzz" / "store")) {
+    stores.push_back(entry.path());
+  }
+  EXPECT_GE(stores.size(), 5u);
+  for (const std::filesystem::path& store : stores) {
+    try {
+      ReadEverything(store.string());
+    } catch (const TraceStoreError& error) {
+      EXPECT_NE(error.code(), StoreErrorCode::kBadVersion) << store;
+      EXPECT_NE(error.code(), StoreErrorCode::kBadMagic) << store;
+    }
+  }
+}
+
 TEST_F(StoreCorruptionTest, SpecificCorruptionsReportSpecificCodes) {
   const std::string path = TempPath("corruption_code.ebst");
 
@@ -831,12 +1032,24 @@ TEST_F(StoreCorruptionTest, SpecificCorruptionsReportSpecificCodes) {
     WriteFileBytes(path, bytes);
     EXPECT_EQ(CodeOf(path), StoreErrorCode::kBadMagic);
   }
-  {  // Unsupported version.
-    std::vector<uint8_t> bytes(*base_);
-    bytes[4] = 99;
-    FixHeaderCrc(&bytes);
-    WriteFileBytes(path, bytes);
-    EXPECT_EQ(CodeOf(path), StoreErrorCode::kBadVersion);
+  {  // Unsupported versions. Version 1 wrote one series per segment, and
+     // there is no read path for it.
+    for (const uint32_t version : {1u, 99u}) {
+      std::vector<uint8_t> bytes(*base_);
+      PutU32At(&bytes, 4, version);
+      FixHeaderCrc(&bytes);
+      WriteFileBytes(path, bytes);
+      EXPECT_EQ(CodeOf(path), StoreErrorCode::kBadVersion) << version;
+    }
+  }
+  {  // chunk_target outside [1, kStoreMaxChunkRecords].
+    for (const uint32_t chunk_target : {0u, kStoreMaxChunkRecords + 1}) {
+      std::vector<uint8_t> bytes(*base_);
+      PutU32At(&bytes, 12, chunk_target);
+      FixHeaderCrc(&bytes);
+      WriteFileBytes(path, bytes);
+      EXPECT_EQ(CodeOf(path), StoreErrorCode::kHeaderCorrupt) << chunk_target;
+    }
   }
   {  // Unknown header flag bit.
     std::vector<uint8_t> bytes(*base_);
@@ -889,23 +1102,15 @@ TEST_F(StoreCorruptionTest, SpecificCorruptionsReportSpecificCodes) {
   {  // Payload truncated by one byte with the chunk CRC recomputed to match:
      // the CRC gate passes, so the column decoder itself must catch the
      // overrun and report kDecodeError (not kChunkCorrupt).
-    std::vector<uint8_t> bytes(*base_);
-    const size_t chunk = kStoreHeaderBytes;  // first chunk follows the header
-    uint32_t payload_size = 0;
-    for (size_t i = 0; i < 4; ++i) {
-      payload_size |= static_cast<uint32_t>(bytes[chunk + 4 + i]) << (8 * i);
-    }
-    ASSERT_GT(payload_size, 0u);
-    const uint32_t shrunk = payload_size - 1;
-    for (size_t i = 0; i < 4; ++i) {
-      bytes[chunk + 4 + i] = static_cast<uint8_t>(shrunk >> (8 * i));
-    }
-    const uint32_t crc = Crc32(bytes.data() + chunk + kStoreChunkHeaderBytes, shrunk);
-    for (size_t i = 0; i < 4; ++i) {
-      bytes[chunk + 8 + i] = static_cast<uint8_t>(crc >> (8 * i));
-    }
-    WriteFileBytes(path, bytes);
+    WriteFileBytes(path, ShrinkFirstChunkPayload(*base_));
     EXPECT_EQ(CodeOf(path), StoreErrorCode::kDecodeError);
+    // The golden store shrunk the same way is a fuzz_store corpus input.
+    const std::string corpus =
+        std::string(EBS_TEST_DATA_DIR) + "/fuzz/store/chunk_crc_valid_decode_error.ebst";
+    EXPECT_TRUE(ReadFileBytes(corpus) ==
+                ShrinkFirstChunkPayload(
+                    ReadFileBytes(std::string(EBS_TEST_DATA_DIR) + "/golden_small.ebst")));
+    EXPECT_EQ(CodeOf(corpus), StoreErrorCode::kDecodeError);
   }
   {  // Missing file.
     EXPECT_EQ(CodeOf(TempPath("no_such_store.ebst")), StoreErrorCode::kIoError);
@@ -970,7 +1175,7 @@ TEST(TraceStoreGoldenTest, WriterReproducesCommittedCorpusByteForByte) {
   std::remove(path.c_str());
   const std::vector<uint8_t> golden =
       ReadFileBytes(std::string(EBS_TEST_DATA_DIR) + "/golden_small.ebst");
-  ASSERT_EQ(golden.size(), 14422u);
+  ASSERT_EQ(golden.size(), 10743u);
   ASSERT_EQ(written.size(), golden.size());
   EXPECT_TRUE(written == golden);
 }

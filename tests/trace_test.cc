@@ -1,11 +1,14 @@
 // Tests for the dataset schemas, rollups and trace aggregation.
 
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,7 @@
 #include "src/topology/fleet.h"
 #include "src/trace/aggregate.h"
 #include "src/trace/records.h"
+#include "src/trace/store.h"
 #include "src/util/rng.h"
 #include "src/workload/generator.h"
 #include "tests/test_helpers.h"
@@ -308,8 +312,9 @@ TEST_F(TraceFixture, DownsampleKeepsApproximateFraction) {
 
 // --- Storage domain: golden cells and copy safety ----------------------------
 
-// The segment-cell fingerprint of `config` from the batch facade and from the
-// streaming facade at 1 and 4 workers; each must equal `golden`.
+// The segment-cell fingerprint of `config` from the batch facade, from the
+// streaming facade at 1 and 4 workers, and from a replay of the batch run's
+// EBST store; each must equal `golden`.
 void ExpectSegmentCells(const SimulationConfig& config, uint64_t golden, const std::string& what) {
   const EbsSimulation batch(config);
   const uint64_t batch_print = SegmentCellsFingerprint(batch.metrics());
@@ -321,6 +326,17 @@ void ExpectSegmentCells(const SimulationConfig& config, uint64_t golden, const s
     EXPECT_EQ(print, golden) << what << " @ " << workers << " workers" << std::hex
                              << " actual=0x" << print;
   }
+
+  // Per-process name: ctest runs the golden cases as parallel processes.
+  const std::string path = std::string(::testing::TempDir()) + "/" +
+                           std::to_string(getpid()) + "_segment_cells.ebst";
+  ASSERT_TRUE(WriteWorkloadToStore(path, batch.workload(), config.workload.step_seconds));
+  StreamingSimulation replay(path, config);
+  replay.Run();
+  std::remove(path.c_str());
+  const uint64_t replay_print = SegmentCellsFingerprint(replay.metrics());
+  EXPECT_EQ(replay_print, golden) << what << " store replay" << std::hex << " actual=0x"
+                                  << replay_print;
 }
 
 // Golden fingerprints of every segment cell (SegmentCellsFingerprint). Each
