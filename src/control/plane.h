@@ -45,8 +45,10 @@ class ControlPlane {
   const ControlLoop& loop() const { return loop_; }
   const DecisionLog& log() const { return loop_.log(); }
   OnlineLendingSink& lending() { return lending_; }
+  const OnlineLendingSink& lending() const { return lending_; }
   OnlineCacheSink& cache() { return cache_; }
   OnlineWtCovSink& wt_cov() { return wt_cov_; }
+  const OnlineWtCovSink& wt_cov() const { return wt_cov_; }
 
  private:
   OnlineLendingSink lending_;

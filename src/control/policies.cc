@@ -106,6 +106,7 @@ void MigrationPolicy::OnStart(const Fleet& fleet) {
   ewma_.assign(fleet.segments.size(), 0.0);
   seen_.assign(fleet.segments.size(), 0);
   distrust_.assign(fleet.segments.size(), 0);
+  candidates_.assign(fleet.block_servers.size(), {});
   mispredictions_ = 0;
 }
 
@@ -150,20 +151,25 @@ void MigrationPolicy::Evaluate(const ControlSignal& signal, PeriodContext* conte
   const double threshold = config_.exporter_threshold * context->threshold_scale * mean;
   const double budget = config_.migration_budget * context->budget_scale * mean;
 
-  // 3. Exporters in ascending BS id; peel hottest trusted segments first.
+  // 3. Bucket the trusted segments by their current BS in one pass, ascending
+  // id within a bucket. Exact: the loop applies decisions only after Evaluate
+  // returns, so no assignment moves during the exporter scan below.
+  for (std::vector<std::pair<double, uint32_t>>& bucket : candidates_) {
+    bucket.clear();
+  }
+  for (const auto& [seg, bytes] : *signal.segment_bytes) {
+    if (distrust_[seg] == 0) {
+      candidates_[actuator_->CurrentBs(SegmentId(seg)).value()].emplace_back(ewma_[seg], seg);
+    }
+  }
+
+  // 4. Exporters in ascending BS id; peel hottest trusted segments first.
   uint32_t migrations = 0;
   for (uint32_t bs = 0; bs < predicted.size(); ++bs) {
     if (down[bs] != 0 || predicted[bs] <= threshold) {
       continue;
     }
-    std::vector<std::pair<double, uint32_t>> candidates;  // (forecast, segment)
-    for (const auto& [seg, bytes] : *signal.segment_bytes) {
-      if (distrust_[seg] != 0 ||
-          actuator_->CurrentBs(SegmentId(seg)).value() != bs) {
-        continue;
-      }
-      candidates.emplace_back(ewma_[seg], seg);
-    }
+    std::vector<std::pair<double, uint32_t>>& candidates = candidates_[bs];
     std::sort(candidates.begin(), candidates.end(),
               [](const std::pair<double, uint32_t>& a, const std::pair<double, uint32_t>& b) {
                 if (a.first != b.first) {

@@ -24,6 +24,7 @@
 #define SRC_CONTROL_POLICIES_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/balancer/actuator.h"
@@ -111,6 +112,9 @@ class MigrationPolicy : public Policy {
   std::vector<double> ewma_;       // by segment id: traffic forecast
   std::vector<uint8_t> seen_;      // by segment id: has at least one sample
   std::vector<uint8_t> distrust_;  // by segment id: scratch, valid per period
+  // By BS id: the trusted (forecast, segment) pairs it serves; per-period
+  // scratch whose capacity is reused.
+  std::vector<std::vector<std::pair<double, uint32_t>>> candidates_;
   uint64_t mispredictions_ = 0;
 };
 

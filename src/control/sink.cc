@@ -1,7 +1,5 @@
 #include "src/control/sink.h"
 
-#include <algorithm>
-
 namespace ebs {
 namespace control {
 
@@ -18,30 +16,40 @@ void ControlSink::OnStart(const Fleet& fleet, size_t /*window_steps*/,
   period_begin_step_ = 0;
   prev_slo_violations_ = 0;
   vd_offered_acc_.assign(fleet.vds.size(), 0.0);
-  segment_acc_.clear();
   loop_->OnRunStart();
 }
 
 void ControlSink::OnStepComplete(const ReplayStepView& view) {
   const size_t step = view.step;
-  for (size_t vd = 0; vd < view.offered_vd.size(); ++vd) {
-    const RwSeries& series = view.offered_vd[vd];
-    vd_offered_acc_[vd] += series.read_bytes[step] + series.write_bytes[step];
-  }
-  // The segment entries are fixed (ascending id) for the whole run, so a
-  // vector parallel to them accumulates without lookups. Each cell is read
-  // from its VD's delivered column times the segment's weight.
-  const SegmentSeriesMap& segments = view.segments;
-  if (segment_acc_.size() < segments.size()) {
-    segment_acc_.resize(segments.size(), 0.0);
-  }
-  for (size_t i = 0; i < segments.size(); ++i) {
-    const SegmentView segment = segments[i];
-    segment_acc_[i] += segment.Bytes(OpType::kRead, step) + segment.Bytes(OpType::kWrite, step);
-  }
-
   if ((step + 1 - period_begin_step_) < period_steps_) {
     return;  // period still open; a trailing partial period never decides
+  }
+
+  // Every column of the period is final now (<= view.step), so each row is
+  // swept once, front to back. Each total starts at 0.0 and adds read + write
+  // in ascending step order; the decision-log goldens pin that order.
+  const size_t begin = period_begin_step_;
+  for (size_t vd = 0; vd < view.offered_vd.size(); ++vd) {
+    const RwSeries& series = view.offered_vd[vd];
+    double bytes = 0.0;
+    for (size_t t = begin; t <= step; ++t) {
+      bytes += series.read_bytes[t] + series.write_bytes[t];
+    }
+    vd_offered_acc_[vd] = bytes;
+  }
+  // Each segment cell is read from its VD's delivered column times the
+  // segment's weight; the entries are in ascending id order.
+  segment_bytes_.clear();
+  const SegmentSeriesMap& segments = view.segments;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const SegmentView segment = segments[i];
+    double bytes = 0.0;
+    for (size_t t = begin; t <= step; ++t) {
+      bytes += segment.Bytes(OpType::kRead, t) + segment.Bytes(OpType::kWrite, t);
+    }
+    if (bytes > 0.0) {
+      segment_bytes_.emplace_back(segment.id, bytes);
+    }
   }
 
   ControlSignal signal;
@@ -50,13 +58,6 @@ void ControlSink::OnStepComplete(const ReplayStepView& view) {
   signal.step_end = static_cast<uint32_t>(step + 1);
   signal.step_seconds = step_seconds_;
   signal.vd_offered_bytes = &vd_offered_acc_;
-
-  segment_bytes_.clear();
-  for (size_t i = 0; i < segments.size(); ++i) {
-    if (segment_acc_[i] > 0.0) {
-      segment_bytes_.emplace_back(segments[i].id, segment_acc_[i]);
-    }
-  }
   signal.segment_bytes = &segment_bytes_;
 
   down_bs_.clear();
@@ -95,8 +96,6 @@ void ControlSink::OnStepComplete(const ReplayStepView& view) {
 
   ++period_;
   period_begin_step_ = static_cast<uint32_t>(step + 1);
-  std::fill(vd_offered_acc_.begin(), vd_offered_acc_.end(), 0.0);
-  std::fill(segment_acc_.begin(), segment_acc_.end(), 0.0);
 }
 
 }  // namespace control

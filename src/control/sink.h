@@ -1,11 +1,13 @@
 // ControlSink: the control plane's tap at the replay engine's merge point.
 //
-// Runs on the merge thread like every sink, accumulating the full-scale
-// per-step columns (offered per-VD load, per-segment traffic) into
-// per-period totals. At each complete period boundary it settles the
-// queueing model to the boundary's virtual time (AdvanceTo), assembles a
-// ControlSignal, and hands it to the ControlLoop — whose decisions actuate
-// the mitigation sinks for the steps that follow.
+// Runs on the merge thread like every sink. Steps inside a period return at
+// once; at each complete period's last step the sink sweeps the period's
+// full-scale columns (offered per-VD load, per-segment traffic) into
+// per-period totals, row by row — every column <= the view's step is final,
+// and the view's vectors stay alive until OnFinish (ReplayStepView). It then
+// settles the queueing model to the boundary's virtual time (AdvanceTo),
+// assembles a ControlSignal, and hands it to the ControlLoop — whose decisions
+// actuate the mitigation sinks for the steps that follow.
 //
 // Registration order matters and is part of the determinism contract: the
 // control sink must run AFTER the sinks it actuates (lending, cache, qmodel,
@@ -13,7 +15,7 @@
 // processing t, and every actuation takes effect from step t+1 — the first
 // step of the next period — in batch and streaming alike.
 //
-// A trailing partial period observes but never decides: only complete
+// A trailing partial period is never swept and never decides: only complete
 // periods are evaluated, so the decision log does not depend on whether the
 // window divides evenly.
 
@@ -62,8 +64,7 @@ class ControlSink : public ReplaySink {
   uint32_t period_begin_step_ = 0;
   uint64_t prev_slo_violations_ = 0;
 
-  std::vector<double> vd_offered_acc_;   // by VD id, this period
-  std::vector<double> segment_acc_;      // parallel to the step view's segment entries
+  std::vector<double> vd_offered_acc_;                      // by VD id, this period
   std::vector<std::pair<uint32_t, double>> segment_bytes_;  // scratch for the signal
   std::vector<uint32_t> down_bs_;                           // scratch for the signal
 };

@@ -82,6 +82,24 @@ std::string ValidateControlConfig(const control::ControlConfig& config) {
   if (config.period_steps == 0) {
     return "control: period_steps must be >= 1";
   }
+  if (!IsFraction(config.ewma_alpha) || !IsFraction(config.base_lending_rate) ||
+      !IsFraction(config.raised_lending_rate)) {
+    return "control: ewma_alpha and the lending rates must be in [0, 1]";
+  }
+  if (!IsPositive(config.exporter_threshold) || !IsPositive(config.hot_vd_factor) ||
+      !IsPositive(config.throttle_cap_scale)) {
+    return "control: exporter_threshold, hot_vd_factor and throttle_cap_scale must be finite "
+           "and positive";
+  }
+  for (const double value : {config.migration_budget, config.misprediction_tolerance,
+                             config.crash_budget_boost, config.crash_threshold_relief,
+                             config.high_cov, config.lending_budget}) {
+    if (!IsNonNegative(value)) {
+      return "control: migration_budget, misprediction_tolerance, crash_budget_boost, "
+             "crash_threshold_relief, high_cov and lending_budget must be finite and "
+             "non-negative";
+    }
+  }
   switch (config.cache_policy) {
     case CachePolicy::kFifo:
     case CachePolicy::kLru:

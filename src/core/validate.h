@@ -14,8 +14,11 @@ namespace ebs {
 // human-readable description of the first problem found.
 std::string ValidateFleetConfig(const FleetConfig& config);
 std::string ValidateWorkloadConfig(const WorkloadConfig& config);
-// Checked only when control is enabled: a positive period, and a cache policy
-// and block size the plane's OnlineCacheSink accepts.
+// Checked only when control is enabled: a positive period; ewma_alpha and
+// both lending rates in [0, 1]; exporter_threshold, hot_vd_factor and
+// throttle_cap_scale finite and positive; the budgets, tolerances, crash
+// factors and high_cov finite and non-negative; and a cache policy and block
+// size the plane's OnlineCacheSink accepts.
 std::string ValidateControlConfig(const control::ControlConfig& config);
 std::string ValidateSimulationConfig(const SimulationConfig& config);
 

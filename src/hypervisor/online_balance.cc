@@ -18,12 +18,48 @@ void OnlineWtCovSink::OnStart(const Fleet& fleet, size_t /*window_steps*/,
                               double /*step_seconds*/) {
   fleet_ = &fleet;
   degraded_steps_seen_ = 0;
+  // Each WT's QPs in fleet order, as one CSR table.
+  wt_qp_begin_.assign(fleet.wts.size() + 1, 0);
+  for (const Qp& qp : fleet.qps) {
+    ++wt_qp_begin_[qp.bound_wt.value() + 1];
+  }
+  for (size_t w = 0; w < fleet.wts.size(); ++w) {
+    wt_qp_begin_[w + 1] += wt_qp_begin_[w];
+  }
+  wt_qps_.resize(fleet.qps.size());
+  std::vector<uint32_t> cursor(wt_qp_begin_.begin(), wt_qp_begin_.end() - 1);
+  for (const Qp& qp : fleet.qps) {
+    wt_qps_[cursor[qp.bound_wt.value()]++] = qp.id.value();
+  }
   window_acc_.assign(fleet.wts.size(), 0.0);
-  step_total_.assign(fleet.wts.size(), 0.0);
   per_node_.assign(fleet.nodes.size(), {});
   samples_.clear();
   latest_window_mean_cov_ = 0.0;
   complete_windows_ = 0;
+}
+
+void OnlineWtCovSink::FoldWindow(const ReplayStepView& view) {
+  // Two-stage accumulation keeps the FP addition order of a WT rollup: a
+  // WT's QPs fold (fleet order) into each step's WT total first, then the
+  // steps fold into the window in ascending order. Every column of the
+  // window is final (<= view.step), so each QP row is read once, front to
+  // back, into the window's per-step totals.
+  const size_t begin = view.step + 1 - cov_window_steps_;
+  step_totals_.resize(cov_window_steps_);
+  for (size_t w = 0; w < window_acc_.size(); ++w) {
+    std::fill(step_totals_.begin(), step_totals_.end(), 0.0);
+    for (uint32_t q = wt_qp_begin_[w]; q < wt_qp_begin_[w + 1]; ++q) {
+      const TimeSeries& row = view.qp_series[wt_qps_[q]].Bytes(op_);
+      for (size_t k = 0; k < step_totals_.size(); ++k) {
+        step_totals_[k] += row[begin + k];
+      }
+    }
+    double window_total = 0.0;
+    for (const double step_total : step_totals_) {
+      window_total += step_total;
+    }
+    window_acc_[w] = window_total;
+  }
 }
 
 void OnlineWtCovSink::OnStepComplete(const ReplayStepView& view) {
@@ -31,20 +67,11 @@ void OnlineWtCovSink::OnStepComplete(const ReplayStepView& view) {
   if (fault_driver_ != nullptr && fault_driver_->StepDegraded(view.step)) {
     ++degraded_steps_seen_;  // samples below are fault-immune; just flag it
   }
-  // Two-stage accumulation keeps the FP addition order of a WT rollup: QPs
-  // fold (fleet order) into the per-step WT value first, then steps fold into
-  // the window in ascending order.
-  std::fill(step_total_.begin(), step_total_.end(), 0.0);
-  for (const Qp& qp : fleet_->qps) {
-    step_total_[qp.bound_wt.value()] += view.qp_series[qp.id.value()].Bytes(op_)[view.step];
-  }
-  for (size_t w = 0; w < window_acc_.size(); ++w) {
-    window_acc_[w] += step_total_[w];
-  }
-
   if ((view.step + 1) % cov_window_steps_ != 0) {
-    return;
+    return;  // window still open; a trailing partial window never samples
   }
+  FoldWindow(view);
+
   double window_cov_sum = 0.0;
   size_t window_cov_count = 0;
   for (const ComputeNode& node : fleet_->nodes) {
@@ -65,7 +92,6 @@ void OnlineWtCovSink::OnStepComplete(const ReplayStepView& view) {
   latest_window_mean_cov_ =
       window_cov_count > 0 ? window_cov_sum / static_cast<double>(window_cov_count) : 0.0;
   ++complete_windows_;
-  std::fill(window_acc_.begin(), window_acc_.end(), 0.0);
 }
 
 void OnlineWtCovSink::OnFinish() {

@@ -1,14 +1,18 @@
 // Online WT-balance observation (§4.1) for the replay engine.
 //
-// OnlineWtCovSink accumulates per-WT traffic window by window as the stream
-// plays and emits one normalized-CoV sample per (node, complete window) with
-// traffic, without ever holding the full per-WT rollup. It is the only
-// implementation of the WT-CoV windows: the batch WtCovSamples steps this
-// sink over a materialized MetricDataset.
+// OnlineWtCovSink emits one normalized-CoV sample per (node, complete window)
+// with traffic as the stream plays, without ever holding the full per-WT
+// rollup. Steps inside a window only count degraded steps; at a window's last
+// step the sink folds the window's per-QP columns into per-WT totals, reading
+// back to the window's first step — every column <= the view's step is final.
+// A trailing partial window is never folded. It is the only implementation
+// of the WT-CoV windows: the batch WtCovSamples steps this sink over a
+// materialized MetricDataset.
 
 #ifndef SRC_HYPERVISOR_ONLINE_BALANCE_H_
 #define SRC_HYPERVISOR_ONLINE_BALANCE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/fault/driver.h"
@@ -25,6 +29,8 @@ class OnlineWtCovSink : public ReplaySink {
   OnlineWtCovSink(OpType op, size_t cov_window_steps);
 
   void OnStart(const Fleet& fleet, size_t window_steps, double step_seconds) override;
+  // Folds and samples the window that closes at view.step; other steps only
+  // count degraded steps.
   void OnStepComplete(const ReplayStepView& view) override;
   void OnFinish() override;
 
@@ -48,14 +54,19 @@ class OnlineWtCovSink : public ReplaySink {
   uint64_t complete_windows() const { return complete_windows_; }
 
  private:
+  // Folds the window closing at view.step into window_acc_.
+  void FoldWindow(const ReplayStepView& view);
+
   OpType op_;
   size_t cov_window_steps_;
 
   const Fleet* fleet_ = nullptr;
   const FaultDriver* fault_driver_ = nullptr;
   uint64_t degraded_steps_seen_ = 0;
-  std::vector<double> window_acc_;   // per-WT bytes in the current window
-  std::vector<double> step_total_;   // per-WT bytes of the current step
+  std::vector<uint32_t> wt_qp_begin_;  // by WT id: its first entry in wt_qps_
+  std::vector<uint32_t> wt_qps_;       // QP ids grouped by WT, fleet order within
+  std::vector<double> window_acc_;     // per-WT bytes of the window being sampled
+  std::vector<double> step_totals_;    // one WT's bytes per step of that window
   std::vector<std::vector<double>> per_node_;  // samples grouped by node
   std::vector<double> samples_;
   double latest_window_mean_cov_ = 0.0;

@@ -44,7 +44,13 @@ inline bool ReplayEventBefore(const ReplayEvent& a, const ReplayEvent& b) {
 
 // Read-only view handed to sinks at each step boundary. Columns <= step hold
 // final values; later columns may still be written by worker threads and must
-// not be read.
+// not be read. A sink may read any column <= step, not only column step: the
+// control-plane sinks (lending, WT-CoV, control) read back to the start of
+// their period at its last step. The vectors the view refers to stay alive,
+// with their final columns unchanged, until OnFinish returns, so a sink may
+// keep a pointer to them for work it defers to a later step or to OnFinish.
+// Every driver guarantees this: the replay engine, DriveSinksOverResult,
+// SimulateLending and WtCovSamples.
 struct ReplayStepView {
   size_t step = 0;
   double step_seconds = 1.0;

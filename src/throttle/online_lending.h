@@ -1,9 +1,13 @@
 // Online limited-lending throttler (§5, Appendix B) for the replay engine.
 //
-// OnlineLendingSink runs Algorithm 2 step by step as the stream plays: at
-// each step boundary it reads the just-completed column of the offered per-VD
-// load, updates every sharing group's caps (periodic reset, first-throttle
-// lending) and throttle counters, and reports per-group lending gains at the
+// OnlineLendingSink runs Algorithm 2 period by period as the stream plays.
+// Steps inside a period only mark themselves pending; at each period's last
+// step the sink steps every sharing group through the pending columns of the
+// offered per-VD load (periodic cap reset, first-throttle lending, throttle
+// counters), group by group — groups share no state, and every column <= the
+// view's step is final. It keeps a pointer to the view's offered_vd for the
+// flushes SetLendingRate and OnFinish make, which the ReplayStepView contract
+// keeps valid until OnFinish. Per-group lending gains are reported at the
 // end. It is the only implementation of Algorithm 2: the batch
 // SimulateLending steps this sink over a materialized offered_vd.
 
@@ -23,7 +27,9 @@ namespace ebs {
 
 class OnlineLendingSink : public ReplaySink {
  public:
-  // Throws std::invalid_argument when config.period_steps is 0.
+  // Throws std::invalid_argument when config.period_steps is 0, when
+  // config.lending_rate is outside [0, 1] (or NaN), or when config.cap_scale
+  // is not finite and positive.
   OnlineLendingSink(std::vector<SharingGroup> groups, ThrottleConfig config);
 
   void OnStart(const Fleet& fleet, size_t window_steps, double step_seconds) override;
@@ -32,7 +38,8 @@ class OnlineLendingSink : public ReplaySink {
 
   // One gain per group with any throttling, in group order — what
   // SimulateLending(fleet, offered_vd, groups, config) returns. Valid after
-  // OnFinish.
+  // OnFinish, like the throttle counts (before it they cover the completed
+  // periods only).
   const std::vector<double>& gains() const { return gains_; }
   uint64_t baseline_throttled_seconds() const;
   uint64_t lending_throttled_seconds() const;
@@ -48,10 +55,11 @@ class OnlineLendingSink : public ReplaySink {
   uint64_t degraded_steps_seen() const { return degraded_steps_seen_; }
 
   // Closed-loop actuation hook: replaces Algorithm 2's lending rate p for
-  // every step processed from now on. OnStepComplete reads the rate fresh
-  // each step, so a rate set at a period boundary (the control loop runs
-  // after this sink in the chain) governs the whole next period. Clamped to
-  // [0, 1] — p outside that range has no meaning in Algorithm 2.
+  // every step completed from now on. Steps already completed but still
+  // pending run under the old rate first, so a rate set at a period boundary
+  // (the control loop runs after this sink in the chain) governs exactly the
+  // whole next period. Clamped to [0, 1] — p outside that range has no
+  // meaning in Algorithm 2; NaN throws std::invalid_argument.
   void SetLendingRate(double p);
   double lending_rate() const { return config_.lending_rate; }
 
@@ -74,16 +82,23 @@ class OnlineLendingSink : public ReplaySink {
     bool lent_this_period = false;
     uint64_t baseline_throttled = 0;
     uint64_t lending_throttled = 0;
-    std::vector<Usage> usage;     // per-step scratch
   };
+
+  // Runs every group through the pending steps [pending_begin_, pending_end_).
+  void Flush();
+  // One step of Algorithm 2 for group g.
+  void StepGroup(size_t g, size_t t);
 
   std::vector<SharingGroup> groups_;
   ThrottleConfig config_;
 
-  const Fleet* fleet_ = nullptr;
   const FaultDriver* fault_driver_ = nullptr;
   uint64_t degraded_steps_seen_ = 0;
   std::vector<GroupState> state_;
+  std::vector<Usage> usage_;  // one group's usage at one step; scratch
+  const std::vector<RwSeries>* offered_ = nullptr;  // the view's offered_vd
+  size_t pending_begin_ = 0;  // first completed step Algorithm 2 has not run
+  size_t pending_end_ = 0;    // one past the last completed step
   std::vector<double> gains_;
   obs::ObsHistogram* step_timer_ = obs::MetricRegistry::Global().GetTimer("sink.lending.step");
 };

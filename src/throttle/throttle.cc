@@ -192,9 +192,11 @@ std::vector<double> SimulateLending(const Fleet& fleet,
   const SegmentSeriesMap no_segments;
   std::vector<double> gains;
   // One sink per group, stepped through the whole window: Algorithm 2 carries
-  // no state across groups, so the gains equal one all-groups sink's, and each
-  // VD's series is read front to back instead of one column per step across
-  // every group, which keeps the reads in cache.
+  // no state across groups, so the gains equal one all-groups sink's, and the
+  // few series of one group stay in cache for the whole window. One
+  // all-groups sink sweeps every group's rows at each period boundary, which
+  // measured 2.4x slower (Release, 4-vCPU Xeon; DcPreset(1): 243 groups,
+  // 60-step periods).
   for (const SharingGroup& group : groups) {
     OnlineLendingSink lending({group}, config);
     lending.OnStart(fleet, steps, dt);

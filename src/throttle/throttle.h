@@ -87,7 +87,9 @@ ReductionRates ComputeReductionRates(const Fleet& fleet,
 // Limited-lending simulation (Algorithm 2): steps an OnlineLendingSink over
 // `offered_vd`, one group at a time. Returns one lending gain per group that
 // experienced any throttling, in group order: (t_without - t_with) /
-// (t_w/o + t_w). Throws std::invalid_argument when config.period_steps is 0.
+// (t_w/o + t_w). With at least one group, throws std::invalid_argument for a
+// config the sink rejects (a zero period_steps, a lending_rate outside
+// [0, 1], a cap_scale that is not finite and positive).
 std::vector<double> SimulateLending(const Fleet& fleet,
                                     const std::vector<RwSeries>& offered_vd,
                                     const std::vector<SharingGroup>& groups,

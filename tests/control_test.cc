@@ -8,7 +8,9 @@
 //      hotspot edges, fault response evacuates newly-down servers once.
 //   2. The determinism contract: the decision log is bit-identical batch vs
 //      streaming at 1/2/4 workers, healthy and under CrashHeavySchedule, and
-//      pinned to a golden fingerprint on the battery preset.
+//      pinned to golden fingerprints on the battery preset (healthy, crash
+//      heavy, and with a trailing partial period). The overlay sinks read no
+//      metric column after the step they were handed.
 //   3. Properties: token conservation, store-replay idempotency (replaying a
 //      kExact store reproduces the generating run's log), and the identity
 //      contract — all policies disabled is fingerprint-identical to the seed.
@@ -16,7 +18,10 @@
 //      fleet, the control loop's migrations reduce SLO violations and P99
 //      against the identical open-loop run.
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -26,10 +31,12 @@
 
 #include "src/balancer/actuator.h"
 #include "src/control/loop.h"
+#include "src/control/plane.h"
 #include "src/control/policies.h"
 #include "src/control/policy.h"
 #include "src/control/signal.h"
 #include "src/core/simulation.h"
+#include "src/core/sink_drive.h"
 #include "src/core/streaming.h"
 #include "src/core/validate.h"
 #include "src/fault/schedule.h"
@@ -311,6 +318,152 @@ TEST(ControlDeterminismTest, GoldenFingerprintOnTheBatteryPreset) {
   EXPECT_EQ(batch.control_plane()->loop().periods_evaluated(), 3u);
 }
 
+// The crash-heavy battery's decision-log fingerprint: evacuations, pressure
+// and migrations all land in it. Same update rule as the healthy golden.
+constexpr uint64_t kGoldenCrashHeavyFingerprint = 0x54c9a89b81a9cadbull;
+
+TEST(ControlDeterminismTest, GoldenFingerprintOnTheCrashHeavyBatteryPreset) {
+  const EbsSimulation batch(BatteryConfig(/*crash_heavy=*/true));
+  ASSERT_NE(batch.control_log(), nullptr);
+  const control::DecisionLog& log = *batch.control_log();
+  EXPECT_FALSE(log.Filtered(ActionKind::kEvacuateSegment).empty());
+  EXPECT_FALSE(log.Filtered(ActionKind::kSetPressure).empty());
+  EXPECT_FALSE(log.Filtered(ActionKind::kMigrateSegment).empty());
+  EXPECT_EQ(log.Fingerprint(), kGoldenCrashHeavyFingerprint)
+      << "decision log changed; audit with DecisionLog::Format():\n"
+      << log.Format();
+}
+
+// The battery over a 70-step window: three complete 20-step periods and a
+// trailing 10-step partial period. The partial period never decides and
+// closes no CoV window, but its throttled seconds still count.
+SimulationConfig TrailingPartialConfig() {
+  SimulationConfig config = BatteryConfig(/*crash_heavy=*/false);
+  config.workload.window_steps = 70;
+  return config;
+}
+
+// What a run's control plane produced, in comparable form.
+struct PlaneOutputs {
+  uint64_t decisions = 0;  // DecisionLog::Fingerprint
+  uint64_t baseline_throttled = 0;
+  uint64_t lending_throttled = 0;
+  uint64_t wt_cov_samples = 0;  // DoublesFingerprint of the samples
+  uint64_t periods = 0;
+
+  bool operator==(const PlaneOutputs&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PlaneOutputs& o) {
+  return os << std::hex << "{decisions 0x" << o.decisions << ", wt_cov 0x" << o.wt_cov_samples
+            << std::dec << ", throttled " << o.baseline_throttled << "/" << o.lending_throttled
+            << ", periods " << o.periods << "}";
+}
+
+PlaneOutputs OutputsOf(const control::ControlPlane& plane) {
+  return {plane.log().Fingerprint(), plane.lending().baseline_throttled_seconds(),
+          plane.lending().lending_throttled_seconds(),
+          DoublesFingerprint(plane.wt_cov().samples()), plane.loop().periods_evaluated()};
+}
+
+constexpr PlaneOutputs kGoldenTrailingPartial = {
+    .decisions = 0xee73738c94b2456aull,
+    .baseline_throttled = 52,
+    .lending_throttled = 38,
+    .wt_cov_samples = 0x0877d1aa5b479ea3ull,
+    .periods = 3,
+};
+
+TEST(ControlDeterminismTest, GoldenTrailingPartialPeriodBatchMatchesStreaming) {
+  const SimulationConfig config = TrailingPartialConfig();
+  const EbsSimulation batch(config);
+  ASSERT_NE(batch.control_plane(), nullptr);
+  EXPECT_EQ(OutputsOf(*batch.control_plane()), kGoldenTrailingPartial)
+      << "audit with DecisionLog::Format():\n"
+      << batch.control_log()->Format();
+  for (const size_t workers : {1u, 2u, 4u}) {
+    StreamingSimulation stream(config, {.worker_threads = workers});
+    stream.Run();
+    ASSERT_NE(stream.control_plane(), nullptr);
+    EXPECT_EQ(OutputsOf(*stream.control_plane()), kGoldenTrailingPartial)
+        << "workers=" << workers;
+  }
+}
+
+// Copies column `t` of `real` into `copy`, channel by channel.
+void RevealColumn(const std::vector<RwSeries>& real, std::vector<RwSeries>* copy, size_t t) {
+  for (size_t i = 0; i < real.size(); ++i) {
+    for (const OpType op : {OpType::kRead, OpType::kWrite}) {
+      (*copy)[i].MutableBytes(op)[t] = real[i].Bytes(op)[t];
+      (*copy)[i].MutableOps(op)[t] = real[i].Ops(op)[t];
+    }
+  }
+}
+
+// Registered first: at OnStepComplete(t) it copies column t of every metric
+// series of `real` into the NaN-filled `copy`, so a sink behind it that reads
+// a column after the step it was handed sees NaN.
+class RevealSink : public ReplaySink {
+ public:
+  RevealSink(const WorkloadResult& real, WorkloadResult* copy,
+             std::vector<RwSeries>* copy_sources)
+      : real_(real), copy_(copy), copy_sources_(copy_sources) {}
+
+  void OnStepComplete(const ReplayStepView& view) override {
+    RevealColumn(real_.metrics.qp_series, &copy_->metrics.qp_series, view.step);
+    RevealColumn(real_.offered_vd, &copy_->offered_vd, view.step);
+    RevealColumn(real_.metrics.segment_series.sources(), copy_sources_, view.step);
+  }
+
+ private:
+  const WorkloadResult& real_;
+  WorkloadResult* copy_;
+  std::vector<RwSeries>* copy_sources_;
+};
+
+void FillNan(std::vector<RwSeries>* series) {
+  for (RwSeries& s : *series) {
+    for (TimeSeries* channel : {&s.read_bytes, &s.write_bytes, &s.read_ops, &s.write_ops}) {
+      std::fill(channel->mutable_values().begin(), channel->mutable_values().end(),
+                std::numeric_limits<double>::quiet_NaN());
+    }
+  }
+}
+
+TEST(SinkContractTest, OverlaySinksReadNoColumnAheadOfTheStep) {
+  // Crash-heavy with a trailing partial period: every policy and every
+  // flush path runs.
+  SimulationConfig config = BatteryConfig(/*crash_heavy=*/true);
+  config.workload.window_steps = 70;
+  const EbsSimulation batch(config);
+  const WorkloadResult& real = batch.workload();
+  const size_t steps = config.workload.window_steps;
+  const double dt = config.workload.step_seconds;
+
+  WorkloadResult copy = real;
+  FillNan(&copy.metrics.qp_series);
+  FillNan(&copy.offered_vd);
+  SegmentSeriesMap& segments = copy.metrics.segment_series;
+  std::vector<RwSeries>& sources =
+      segments.ResetSources(real.metrics.segment_series.sources().size(), steps, dt);
+  FillNan(&sources);
+  segments.AssignEntries(real.metrics.segment_series.entries());
+
+  RevealSink reveal(real, &copy, &sources);
+  OverlaySinks overlays(batch.fleet(), config);
+  std::vector<ReplaySink*> sinks = {&reveal};
+  for (ReplaySink* sink : overlays.Sinks()) {
+    sinks.push_back(sink);
+  }
+  DriveSinksOverResult(batch.fleet(), copy, steps, dt, sinks);
+
+  ASSERT_NE(overlays.qmodel(), nullptr);
+  ASSERT_NE(overlays.plane(), nullptr);
+  EXPECT_EQ(overlays.qmodel()->result().Fingerprint(), batch.queue_result()->Fingerprint());
+  EXPECT_EQ(OutputsOf(*overlays.plane()), OutputsOf(*batch.control_plane()));
+  EXPECT_EQ(overlays.plane()->wt_cov().samples(), batch.control_plane()->wt_cov().samples());
+}
+
 TEST(ControlDeterminismTest, CrashHeavyScheduleChangesTheDecisions) {
   // The fault-response policy must actually react to the schedule: the
   // crash-heavy log differs from the healthy one and carries evacuations.
@@ -355,6 +508,52 @@ TEST(ControlConfigTest, UnusableCacheSettingsAreRejectedByBothFacades) {
   // Control off: the cache fields are unused, so they pass.
   frozen.control.enabled = false;
   EXPECT_EQ(ValidateSimulationConfig(frozen), "");
+}
+
+TEST(ControlConfigTest, NonFiniteAndOutOfRangeParametersAreRejectedByBothFacades) {
+  // Each of these used to validate and then silently change the run: NaN
+  // rates and scales turned throttling off or moved the decision log.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Field {
+    const char* name;
+    double ControlConfig::*member;
+    double out_of_range;
+  };
+  const Field fields[] = {
+      {"ewma_alpha", &ControlConfig::ewma_alpha, 1.5},
+      {"base_lending_rate", &ControlConfig::base_lending_rate, -0.1},
+      {"raised_lending_rate", &ControlConfig::raised_lending_rate, 1.1},
+      {"exporter_threshold", &ControlConfig::exporter_threshold, 0.0},
+      {"hot_vd_factor", &ControlConfig::hot_vd_factor, -8.0},
+      {"throttle_cap_scale", &ControlConfig::throttle_cap_scale, -1.0},
+      {"migration_budget", &ControlConfig::migration_budget, -0.2},
+      {"misprediction_tolerance", &ControlConfig::misprediction_tolerance, -1.0},
+      {"crash_budget_boost", &ControlConfig::crash_budget_boost, -2.0},
+      {"crash_threshold_relief", &ControlConfig::crash_threshold_relief, -0.75},
+      {"high_cov", &ControlConfig::high_cov, -0.5},
+      {"lending_budget", &ControlConfig::lending_budget, -12.0},
+  };
+  for (const Field& field : fields) {
+    for (const double value : {kNan, kInf, -kInf, field.out_of_range}) {
+      SCOPED_TRACE(std::string(field.name) + " = " + std::to_string(value));
+      SimulationConfig config = BatteryConfig(false);
+      config.control.*field.member = value;
+      EXPECT_NE(ValidateControlConfig(config.control), "");
+      EXPECT_NE(ValidateSimulationConfig(config), "");
+      EXPECT_THROW(EbsSimulation{config}, std::invalid_argument);
+      EXPECT_THROW(StreamingSimulation{config}, std::invalid_argument);
+    }
+  }
+  // The bounds are inclusive where the parameter allows it.
+  SimulationConfig edges = BatteryConfig(false);
+  edges.control.ewma_alpha = 1.0;
+  edges.control.base_lending_rate = 0.0;
+  edges.control.raised_lending_rate = 1.0;
+  edges.control.migration_budget = 0.0;
+  edges.control.high_cov = 0.0;
+  edges.control.lending_budget = 0.0;
+  EXPECT_EQ(ValidateSimulationConfig(edges), "");
 }
 
 // --- Properties ---------------------------------------------------------------

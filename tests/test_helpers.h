@@ -158,18 +158,30 @@ inline void ExpectSameRecords(const std::vector<TraceRecord>& a,
   }
 }
 
+// Folds `size` bytes at `data` into the FNV-1a state `h`.
+inline void FnvMix(uint64_t* h, const void* data, size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    *h = (*h ^ bytes[i]) * 1099511628211ULL;
+  }
+}
+
+inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+
+// FNV-1a over the bit patterns of `values`, in order.
+inline uint64_t DoublesFingerprint(const std::vector<double>& values) {
+  uint64_t h = kFnvOffsetBasis;
+  FnvMix(&h, values.data(), values.size() * sizeof(double));
+  return h;
+}
+
 // FNV-1a over every storage-domain cell: segments in ascending id, each as
 // its id followed by the bit patterns of its read-bytes, write-bytes,
 // read-ops and write-ops channels. Equal fingerprints mean bit-identical
 // segment series.
 inline uint64_t SegmentCellsFingerprint(const MetricDataset& metrics) {
-  uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](const void* data, size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < size; ++i) {
-      h = (h ^ bytes[i]) * 1099511628211ULL;
-    }
-  };
+  uint64_t h = kFnvOffsetBasis;
+  const auto mix = [&h](const void* data, size_t size) { FnvMix(&h, data, size); };
   metrics.segment_series.ForEachSorted([&mix](uint32_t id, const RwSeries& series) {
     mix(&id, sizeof(id));
     for (const TimeSeries* channel :

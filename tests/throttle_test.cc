@@ -1,7 +1,9 @@
 // Tests for throttle detection, RAR/reduction-rate math and limited lending,
 // on hand-built offered-load series.
 
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +192,82 @@ TEST_F(ThrottleFixture, ZeroPeriodIsRejectedByTheOnlineSink) {
   ThrottleConfig config;
   config.period_steps = 0;
   EXPECT_THROW(OnlineLendingSink(groups_, config), std::invalid_argument);
+}
+
+TEST_F(ThrottleFixture, TrailingPartialPeriodThrottlesCount) {
+  // 10 steps, period 4: periods [0, 4) and [4, 8), then a trailing partial
+  // period [8, 10) whose throttled seconds count like any other.
+  Offer(0, 1, 150e6, 100.0);  // throttles; VD1's 100 MB headroom: VD0 cap 180
+  Offer(0, 2, 150e6, 100.0);  // baseline only
+  Offer(0, 8, 150e6, 100.0);  // caps were reset at 8: throttles and lends again
+  Offer(0, 9, 150e6, 100.0);  // baseline only
+  Offer(1, 9, 30e6, 100.0);   // over VD1's lent-down 20 MB cap
+  ThrottleConfig config;
+  config.lending_rate = 0.8;
+  config.period_steps = 4;
+
+  OnlineLendingSink lending(groups_, config);
+  const std::vector<RwSeries> no_qps;
+  const SegmentSeriesMap no_segments;
+  lending.OnStart(fleet_, offered_.front().read_bytes.size(), 1.0);
+  for (size_t t = 0; t < offered_.front().read_bytes.size(); ++t) {
+    lending.OnStepComplete({t, 1.0, no_qps, offered_, no_segments});
+  }
+  lending.OnFinish();
+  EXPECT_EQ(lending.baseline_throttled_seconds(), 4u);
+  EXPECT_EQ(lending.lending_throttled_seconds(), 3u);
+  ASSERT_EQ(lending.gains().size(), 1u);
+  EXPECT_DOUBLE_EQ(lending.gains()[0], 1.0 / 7.0);
+  EXPECT_EQ(SimulateLending(fleet_, offered_, groups_, config), lending.gains());
+}
+
+TEST_F(ThrottleFixture, SetLendingRateGovernsOnlyLaterSteps) {
+  // The loan at step 1 is made at p = 0.8 (VD0 cap 180 MB), so step 3 is
+  // clear, although the rate drops to 0 mid-period after step 2.
+  Offer(0, 1, 150e6, 100.0);
+  Offer(0, 3, 150e6, 100.0);
+  ThrottleConfig config;
+  config.lending_rate = 0.8;
+  config.period_steps = 10;
+  OnlineLendingSink lending(groups_, config);
+  const std::vector<RwSeries> no_qps;
+  const SegmentSeriesMap no_segments;
+  lending.OnStart(fleet_, offered_.front().read_bytes.size(), 1.0);
+  for (size_t t = 0; t < offered_.front().read_bytes.size(); ++t) {
+    if (t == 3) {
+      lending.SetLendingRate(0.0);
+    }
+    lending.OnStepComplete({t, 1.0, no_qps, offered_, no_segments});
+  }
+  lending.OnFinish();
+  EXPECT_EQ(lending.baseline_throttled_seconds(), 2u);
+  EXPECT_EQ(lending.lending_throttled_seconds(), 1u);
+}
+
+TEST_F(ThrottleFixture, NonFiniteOrOutOfRangeLendingParametersAreRejected) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double rate : {kNan, kInf, -kInf, -0.1, 1.5}) {
+    SCOPED_TRACE(rate);
+    ThrottleConfig config;
+    config.lending_rate = rate;
+    EXPECT_THROW(OnlineLendingSink(groups_, config), std::invalid_argument);
+    EXPECT_THROW(SimulateLending(fleet_, offered_, groups_, config), std::invalid_argument);
+  }
+  for (const double scale : {kNan, kInf, -kInf, 0.0, -1.0}) {
+    SCOPED_TRACE(scale);
+    ThrottleConfig config;
+    config.cap_scale = scale;
+    EXPECT_THROW(OnlineLendingSink(groups_, config), std::invalid_argument);
+    EXPECT_THROW(SimulateLending(fleet_, offered_, groups_, config), std::invalid_argument);
+  }
+  // The closed loop's hook clamps a rate outside [0, 1] and rejects NaN.
+  OnlineLendingSink lending(groups_, {});
+  EXPECT_THROW(lending.SetLendingRate(kNan), std::invalid_argument);
+  lending.SetLendingRate(1.5);
+  EXPECT_EQ(lending.lending_rate(), 1.0);
+  lending.SetLendingRate(-kInf);
+  EXPECT_EQ(lending.lending_rate(), 0.0);
 }
 
 TEST(ResourceKindTest, Names) {
