@@ -41,7 +41,7 @@ int main() {
   double baseline_ms = 0.0;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     const auto start = Clock::now();
-    ebs::StreamingSimulation sim(config, {.worker_threads = threads, .queue_capacity = 8});
+    ebs::StreamingSimulation sim(config, {.worker_threads = threads});
     sim.Run();
     const double ms = MillisSince(start);
     if (threads == 1) {

@@ -121,14 +121,14 @@ int main() {
 
   ebs::TablePrinter replay_table({"pipeline", "wall ms", "events", "speedup"});
   const auto regen_start = Clock::now();
-  ebs::StreamingSimulation regen(config, {.worker_threads = 1, .queue_capacity = 8});
+  ebs::StreamingSimulation regen(config, {.worker_threads = 1});
   regen.Run();
   const double regen_ms = MillisSince(regen_start);
   replay_table.AddRow({"regenerate (1T)", ebs::TablePrinter::Fmt(regen_ms, 1),
                        std::to_string(regen.stats().events), "1.00x"});
 
   const auto replay_start = Clock::now();
-  ebs::StreamingSimulation replay(export_path, config, {.queue_capacity = 8});
+  ebs::StreamingSimulation replay(export_path, config);
   replay.Run();
   const double replay_ms = MillisSince(replay_start);
   replay_table.AddRow({"replay from store", ebs::TablePrinter::Fmt(replay_ms, 1),

@@ -143,9 +143,9 @@ echo "== [9/13] Configure + build: ThreadSanitizer =="
 cmake -S "${repo_root}" -B "${build_root}/tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=thread >/dev/null
 cmake --build "${build_root}/tsan" -j "${jobs}" \
-  --target replay_test fault_test striped_table_test control_test scenario_test
+  --target replay_test fault_test striped_table_test control_test scenario_test workload_test
 
-echo "== [10/13] Replay + fault chaos + striped-table + control + scenario tests (TSan) =="
+echo "== [10/13] Replay + fault chaos + striped-table + control + scenario + generator tests (TSan) =="
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/replay_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/fault_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/striped_table_test"
@@ -155,6 +155,9 @@ TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/control_test"
 # Scenario battery: every committed time-varying scenario replayed batch vs
 # streaming at 1/2/4 workers, fingerprints compared under the race detector.
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/scenario_test"
+# Generate() is the replay engine, so the generator suite starts shard
+# threads too: its goldens run at 1/2/4 workers under the race detector.
+TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/workload_test"
 
 echo "== [11/13] Latency bench vs committed baseline =="
 "${build_root}/release/bench/bench_latency" "${build_root}/BENCH_LATENCY.fresh.json" \

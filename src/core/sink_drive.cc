@@ -29,11 +29,8 @@ void DriveSinksOverResult(const Fleet& fleet, const WorkloadResult& result,
       if (record.timestamp >= step_end && t + 1 < window_steps) {
         break;
       }
-      ReplayEvent event;
-      event.record = record;
-      event.step = static_cast<uint32_t>(t);
-      event.shard = 0;
-      event.sequence = vd_sequence[record.vd.value()]++;
+      const ReplayEvent event{record, static_cast<uint32_t>(t), 0,
+                              vd_sequence[record.vd.value()]++};
       for (ReplaySink* sink : sinks) {
         sink->OnEvent(event);
       }

@@ -122,6 +122,9 @@ std::string ValidateSimulationConfig(const SimulationConfig& config) {
   if (error.empty()) {
     error = ValidateWorkloadConfig(config.workload);
   }
+  if (error.empty() && config.queueing.enabled) {
+    error = qmodel::ValidateQueueModelConfig(config.queueing);
+  }
   if (error.empty() && config.control.enabled) {
     error = ValidateControlConfig(config.control);
   }

@@ -20,6 +20,8 @@ std::string ValidateWorkloadConfig(const WorkloadConfig& config);
 // factors and high_cov finite and non-negative; and a cache policy and block
 // size the plane's OnlineCacheSink accepts.
 std::string ValidateControlConfig(const control::ControlConfig& config);
+// Also checks queueing (qmodel::ValidateQueueModelConfig) and control when
+// enabled.
 std::string ValidateSimulationConfig(const SimulationConfig& config);
 
 // Returns `config` when ValidateSimulationConfig accepts it; otherwise throws

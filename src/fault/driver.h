@@ -3,9 +3,9 @@
 // The driver precomputes, per step, which components are degraded, and
 // applies fault effects to sampled IO records as a pure function of
 // (schedule, fleet, record): no RNG, no mutable state, no dependence on call
-// order. Batch generation applies it record by record after synthesis; each
-// replay shard applies it inside GenerateStep — both yield bit-identical
-// streams because the transform commutes with any partition of the records.
+// order. Each replay shard applies it to the records it generates; the
+// transform commutes with any partition of the records, so the stream does
+// not depend on the worker count.
 //
 // Availability resolution per IO: the attempt sequence is fixed up front as
 // [primary BS, FailoverCandidates(fleet, segment)...]. Attempt i fails iff

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 
 namespace ebs {
 namespace qmodel {
@@ -42,10 +43,14 @@ double LatencyHist::BucketHigh(size_t bucket) {
 }
 
 void LatencyHist::Record(double us) {
-  if (us < 0.0) {
-    us = 0.0;
+  if (std::isnan(us)) {
+    throw std::invalid_argument("qmodel: NaN latency sample");
   }
-  const auto quantized = static_cast<uint64_t>(us);
+  us = std::max(us, 0.0);
+  // The cast is defined only below 2^64 (+inf included); every sample past
+  // the last octave lands in the last bucket anyway.
+  constexpr uint64_t kTop = 1ULL << kMaxOctaveBits;
+  const uint64_t quantized = us < static_cast<double>(kTop) ? static_cast<uint64_t>(us) : kTop;
   ++buckets_[BucketOf(quantized)];
   ++count_;
   sum_us_ += us;

@@ -34,7 +34,9 @@ class LatencyHist {
 
   LatencyHist() : buckets_(kBucketCount, 0) {}
 
-  // Records one latency sample (negative values clamp to 0).
+  // Records one latency sample: negative values clamp to 0, values past the
+  // last octave (+inf included) land in the last bucket, and NaN throws
+  // std::invalid_argument.
   void Record(double us);
   // Adds another histogram's samples (bucket-wise).
   void Accumulate(const LatencyHist& other);

@@ -80,6 +80,24 @@ uint64_t QueueModelResult::Fingerprint() const {
   return h;
 }
 
+std::string ValidateQueueModelConfig(const QueueModelConfig& config) {
+  // Each test is false for NaN and the infinities.
+  for (const double value : {config.wt.bytes_per_sec, config.wt.per_io_us,
+                             config.wt.queue_capacity_us, config.bs.bytes_per_sec,
+                             config.bs.per_io_us, config.bs.queue_capacity_us,
+                             config.overflow_penalty_us, config.flash_read_us, config.slo.read_us,
+                             config.slo.write_us}) {
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      return "qmodel: service rates, per-IO costs, queue capacities, overflow_penalty_us, "
+             "flash_read_us and the SLO targets must be finite and non-negative";
+    }
+  }
+  if (!(std::isfinite(config.load_scale) && config.load_scale > 0.0)) {
+    return "qmodel: load_scale must be finite and positive";
+  }
+  return {};
+}
+
 QueueSimulator::QueueSimulator(const Fleet& fleet, const QueueModelConfig& config,
                                double sampling_rate, double window_seconds)
     : fleet_(fleet),
@@ -90,6 +108,9 @@ QueueSimulator::QueueSimulator(const Fleet& fleet, const QueueModelConfig& confi
       obs_events_(obs::MetricRegistry::Global().GetCounter("qmodel.events")),
       obs_slo_violations_(obs::MetricRegistry::Global().GetCounter("qmodel.slo_violations")),
       obs_overflows_(obs::MetricRegistry::Global().GetCounter("qmodel.overflows")) {
+  if (const std::string problem = ValidateQueueModelConfig(config_); !problem.empty()) {
+    throw std::invalid_argument(problem);
+  }
   if (!config_.segment_bs_remap.empty() &&
       config_.segment_bs_remap.size() != fleet.segments.size()) {
     throw std::invalid_argument("qmodel: segment_bs_remap must cover every segment");

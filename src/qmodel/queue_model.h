@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <deque>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -169,6 +170,12 @@ struct QueueInterimStats {
   double p99_us = 0.0;           // interpolated P99 of completions so far
 };
 
+// Empty when `config` can run; otherwise the first problem found: a WT or
+// BS service rate, per-IO cost or queue capacity, the overflow penalty, the
+// flash read time or an SLO target that is negative or not finite, or a
+// load_scale that is not finite and positive.
+std::string ValidateQueueModelConfig(const QueueModelConfig& config);
+
 // The event-driven simulator. Feed IOs in the canonical merged-stream order
 // (timestamp, vd, sequence) — the replay engine's sink order, which every
 // batch dataset already has (TraceRecordBefore) — then call Finish().
@@ -176,9 +183,10 @@ class QueueSimulator {
  public:
   // `sampling_rate` is the trace thinning rate (WorkloadConfig::sampling_rate)
   // driving the occupancy upscale; `window_seconds` the observation window.
-  // Throws std::invalid_argument when a per-segment or per-VD table does not
-  // cover the fleet, and std::out_of_range when segment_bs_remap names a
-  // block server the fleet does not have.
+  // Throws std::invalid_argument when ValidateQueueModelConfig rejects
+  // `config` or a per-segment or per-VD table does not cover the fleet, and
+  // std::out_of_range when segment_bs_remap names a block server the fleet
+  // does not have.
   QueueSimulator(const Fleet& fleet, const QueueModelConfig& config, double sampling_rate,
                  double window_seconds);
 

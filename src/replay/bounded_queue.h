@@ -1,7 +1,7 @@
 // Bounded MPSC/SPSC blocking queue.
 //
 // The replay engine gives each generation shard one of these: the worker
-// pushes per-second event batches, the merge thread pops them. The capacity
+// pushes blocks of event batches, the merge thread pops them. The capacity
 // bound is the engine's backpressure mechanism — a shard that runs ahead of
 // the merge blocks instead of buffering the whole window in RAM.
 //

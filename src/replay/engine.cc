@@ -1,7 +1,7 @@
 #include "src/replay/engine.h"
 
+#include <algorithm>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -39,7 +39,8 @@ WorkloadResult ReplayEngine::Run() {
   queues.reserve(stream_count);
   queue_ptrs.reserve(stream_count);
   for (size_t s = 0; s < stream_count; ++s) {
-    queues.push_back(std::make_unique<BoundedQueue<ShardBatch>>(options_.queue_capacity));
+    queues.push_back(std::make_unique<BoundedQueue<ShardBatch>>(
+        std::max(options_.queue_capacity, kMinQueueBlocks)));
     queue_ptrs.push_back(queues.back().get());
   }
 
@@ -78,53 +79,65 @@ WorkloadResult ReplayEngine::Run() {
       sink->OnStart(fleet_, steps, dt);
     }
 
+    // Each stream's current block. Its next block is popped at the first step
+    // past it, so the merge needs only one block per stream in hand.
     std::vector<ShardBatch> current(stream_count);
+    std::vector<const std::vector<ReplayEvent>*> runs(stream_count);  // step t's events
+    using Head = std::pair<size_t, size_t>;  // (index in run, stream)
+    const auto later = [&runs](const Head& a, const Head& b) {
+      return ReplayEventBefore((*runs[b.second])[b.first], (*runs[a.second])[a.first]);
+    };
+    std::vector<Head> heap;
+    heap.reserve(stream_count);
     const bool observing = registry.enabled();
     for (size_t t = 0; t < steps; ++t) {
       for (size_t s = 0; s < stream_count; ++s) {
-        if (observing) {
-          // Depth just before the pop: how far production runs ahead of the
-          // merge (capacity = full backpressure, 0 = merge-bound).
-          backlog->Record(queues[s]->size());
+        ShardBatch& batch = current[s];
+        if (t >= batch.first_step + batch.steps.size()) {
+          if (observing) {
+            // Depth just before the pop: how far production runs ahead of
+            // the merge (capacity = full backpressure, 0 = merge-bound).
+            backlog->Record(queues[s]->size());
+          }
+          bool popped = false;
+          {
+            obs::ScopedTimer wait_timer(pop_wait);
+            popped = queues[s]->Pop(&batch);
+          }
+          if (!popped || batch.first_step != t || batch.steps.empty()) {
+            throw std::runtime_error("replay stream ended before the window completed");
+          }
         }
-        bool popped = false;
-        {
-          obs::ScopedTimer wait_timer(pop_wait);
-          popped = queues[s]->Pop(&current[s]);
-        }
-        if (!popped || current[s].step != t) {
-          throw std::runtime_error("replay stream ended before the window completed");
-        }
+        runs[s] = &batch.steps[t - batch.first_step];
       }
-      // K-way heap merge of the second's per-stream sorted batches. Every
-      // stream is totally ordered by ReplayEventBefore (batches are sorted
+      // K-way heap merge of the second's per-stream sorted runs. Every
+      // stream is totally ordered by ReplayEventBefore (each step is sorted
       // and timestamps never cross step boundaries), so popping the least
       // head yields the global stream order.
-      using Head = std::pair<size_t, size_t>;  // (index in batch, stream)
-      const auto later = [&current](const Head& a, const Head& b) {
-        return ReplayEventBefore(current[b.second].events[b.first],
-                                 current[a.second].events[a.first]);
-      };
-      std::priority_queue<Head, std::vector<Head>, decltype(later)> heap(later);
+      heap.clear();
       for (size_t s = 0; s < stream_count; ++s) {
-        if (!current[s].events.empty()) {
-          heap.push({0, s});
+        if (!runs[s]->empty()) {
+          heap.push_back({0, s});
         }
       }
+      std::make_heap(heap.begin(), heap.end(), later);
       uint64_t step_events = 0;
       while (!heap.empty()) {
-        const auto [index, s] = heap.top();
-        heap.pop();
-        const ReplayEvent& event = current[s].events[index];
-        ++stats_.events;
+        std::pop_heap(heap.begin(), heap.end(), later);
+        const auto [index, s] = heap.back();
+        const ReplayEvent& event = (*runs[s])[index];
         ++step_events;
         for (ReplaySink* sink : sinks_) {
           sink->OnEvent(event);
         }
-        if (index + 1 < current[s].events.size()) {
-          heap.push({index + 1, s});
+        if (index + 1 < runs[s]->size()) {
+          heap.back().first = index + 1;
+          std::push_heap(heap.begin(), heap.end(), later);
+        } else {
+          heap.pop_back();
         }
       }
+      stats_.events += step_events;
       merged->Add(step_events);
 
       const ReplayStepView view{t, dt, result.metrics.qp_series, result.offered_vd,

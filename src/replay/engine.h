@@ -5,18 +5,18 @@
 // source (GeneratorShardSource) turns the fleet synthesizer into an online
 // system: VMs are partitioned across worker threads (deterministically seeded
 // per VM, so the output is independent of the partition), each shard
-// generates per-second event batches into a bounded queue, and the engine
-// k-way heap-merges the shard streams. A StoreReplaySource feeds the same
-// merge from an EBST trace store on disk instead. Memory stays bounded by
-// streams x queue-capacity seconds of events instead of the whole trace
-// dataset; full-scale per-second metrics are still assembled (they are a
-// fixed-size product, not per-IO).
+// generates blocks of kReplayBlockSteps seconds into a bounded queue, and the
+// engine k-way heap-merges the shard streams one second at a time. A
+// StoreReplaySource feeds the same merge from an EBST trace store on disk
+// instead. Memory stays bounded by streams x queue-capacity blocks of events
+// instead of the whole trace dataset; full-scale per-second metrics are still
+// assembled (they are a fixed-size product, not per-IO).
 //
 // Determinism: for a fixed (fleet, config.seed), the merged event stream, the
 // metric dataset, and every per-second view handed to sinks are identical for
-// any worker-thread count — the replay determinism test locks this in against
-// the batch WorkloadGenerator — and replaying a store written from that
-// stream reproduces it fingerprint-identically.
+// any worker-thread count — the generator goldens in tests/workload_test.cc
+// pin them — and replaying a store written from that stream reproduces it
+// fingerprint-identically.
 
 #ifndef SRC_REPLAY_ENGINE_H_
 #define SRC_REPLAY_ENGINE_H_
@@ -33,13 +33,18 @@
 
 namespace ebs {
 
+// The fewest blocks a stream's queue holds, so the merge never waits on a
+// block that is still being generated.
+inline constexpr size_t kMinQueueBlocks = 2;
+
 struct ReplayOptions {
   // Generation worker threads; clamped to the VM count. Ignored by sources
   // with a fixed stream count (store replay is a single stream).
   size_t worker_threads = 1;
-  // Per-stream queue bound, in one-second batches. Production stalls when the
-  // merge falls this far behind (backpressure instead of unbounded RAM).
-  size_t queue_capacity = 8;
+  // Per-stream queue bound, in ShardBatch blocks, at least kMinQueueBlocks.
+  // Production stalls when the merge falls this far behind (backpressure
+  // instead of unbounded RAM).
+  size_t queue_capacity = kMinQueueBlocks;
 };
 
 struct ReplayStats {

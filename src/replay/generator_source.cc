@@ -43,11 +43,8 @@ void GeneratorShardSource::PrepareResult(WorkloadResult* result) {
   result->vd_truth.assign(fleet_.vds.size(), VdGroundTruth{});
   result->traces.window_seconds = static_cast<double>(steps) * dt;
   result->traces.sampling_rate = config_.sampling_rate;
-  qp_series_ = &result->metrics.qp_series;
-  offered_vd_ = &result->offered_vd;
+  result_ = result;
   delivered_vd_ = &result->metrics.segment_series.ResetSources(fleet_.vds.size(), steps, dt);
-  vd_truth_ = &result->vd_truth;
-  segment_series_ = &result->metrics.segment_series;
 }
 
 void GeneratorShardSource::StartStreams(
@@ -62,7 +59,7 @@ void GeneratorShardSource::StartStreams(
   for (size_t s = 0; s < shards_.size(); ++s) {
     const std::string prefix = "replay.shard" + std::to_string(s);
     obs::ObsHistogram* init_timer = registry.GetTimer(prefix + ".init");
-    obs::ObsHistogram* generate_timer = registry.GetTimer(prefix + ".generate_step");
+    obs::ObsHistogram* generate_timer = registry.GetTimer(prefix + ".generate_block");
     obs::ObsHistogram* push_wait = registry.GetTimer("replay.queue.push_wait");
     obs::Counter* dropped = registry.GetCounter("replay.batches_dropped");
     BoundedQueue<ShardBatch>* queue = queues[s];
@@ -70,7 +67,7 @@ void GeneratorShardSource::StartStreams(
                            dropped] {
       try {
         obs::ScopedTimer timer(init_timer);
-        shards_[s]->Init(qp_series_, offered_vd_, delivered_vd_, vd_truth_);
+        shards_[s]->Init(result_, delivered_vd_);
       } catch (...) {
         init_done_[s].set_exception(std::current_exception());
         queue->Close();
@@ -78,12 +75,13 @@ void GeneratorShardSource::StartStreams(
       }
       init_done_[s].set_value();
       try {
-        for (size_t t = 0; t < steps; ++t) {
+        for (size_t first = 0; first < steps;) {
           ShardBatch batch;
           {
             obs::ScopedTimer timer(generate_timer);
-            batch = shards_[s]->GenerateStep(t);
+            batch = shards_[s]->GenerateBlock(first);
           }
+          first += batch.steps.size();
           // Push blocks while the queue is at capacity (backpressure) and
           // fails once the merge side closed the queue (abort).
           obs::ScopedTimer wait_timer(push_wait);
@@ -115,7 +113,7 @@ void GeneratorShardSource::AwaitReady() {
     entries.insert(entries.end(), shard->segment_entries().begin(),
                    shard->segment_entries().end());
   }
-  segment_series_->AssignEntries(std::move(entries));
+  result_->metrics.segment_series.AssignEntries(std::move(entries));
 }
 
 void GeneratorShardSource::Join() {

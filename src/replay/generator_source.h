@@ -1,11 +1,11 @@
-// The generate-online replay source: today's sharded synthesis path,
-// extracted from ReplayEngine so the merge loop can also be fed from disk
-// (store_source.h).
+// The generate-online replay source: the sharded synthesis path, apart from
+// ReplayEngine so the merge loop can also be fed from disk (store_source.h).
 //
 // VMs are round-robin partitioned across worker threads (deterministically
 // seeded per VM, so the merged output is independent of the partition), each
-// shard generates per-second batches into its bounded queue, and the full-
-// scale metric arrays are written in place during initialization.
+// shard generates blocks of kReplayBlockSteps seconds into its bounded queue,
+// and the full-scale metric arrays are written in place as the blocks are
+// generated.
 
 #ifndef SRC_REPLAY_GENERATOR_SOURCE_H_
 #define SRC_REPLAY_GENERATOR_SOURCE_H_
@@ -52,12 +52,9 @@ class GeneratorShardSource : public ReplaySource {
   std::unique_ptr<FaultDriver> fault_driver_;
   std::vector<std::unique_ptr<ReplayShard>> shards_;
 
-  // Shared result slots handed to shards; set by PrepareResult.
-  std::vector<RwSeries>* qp_series_ = nullptr;
-  std::vector<RwSeries>* offered_vd_ = nullptr;
-  std::vector<RwSeries>* delivered_vd_ = nullptr;
-  std::vector<VdGroundTruth>* vd_truth_ = nullptr;
-  SegmentSeriesMap* segment_series_ = nullptr;
+  // The result whose shared slots the shards fill; set by PrepareResult.
+  WorkloadResult* result_ = nullptr;
+  std::vector<RwSeries>* delivered_vd_ = nullptr;  // its storage-domain sources
 
   std::vector<std::promise<void>> init_done_;
   // Written by worker threads on failure, drained by the engine after Join.

@@ -1,5 +1,6 @@
 #include "src/replay/parallel_generate.h"
 
+#include <thread>
 #include <utility>
 
 #include "src/replay/engine.h"
@@ -15,6 +16,15 @@ WorkloadResult GenerateWorkloadParallel(const Fleet& fleet, const WorkloadConfig
   WorkloadResult result = engine.Run();
   result.traces = collector.TakeDataset();
   return result;
+}
+
+size_t DefaultGenerateWorkers() {
+  const unsigned cores = std::thread::hardware_concurrency();
+  return cores > 1 ? cores - 1 : 1;
+}
+
+WorkloadResult WorkloadGenerator::Generate() const {
+  return GenerateWorkloadParallel(fleet_, config_, DefaultGenerateWorkers());
 }
 
 }  // namespace ebs

@@ -1,14 +1,7 @@
-// Parallel batch generation: the replay engine with a TraceCollectorSink as
-// its only sink. VMs are round-robin partitioned across worker threads
-// (deterministically seeded per VM, so the output is independent of the
-// partition) and the engine's merge emits the canonical (timestamp, vd,
-// sequence) stream into the collector.
-//
-// This is the materializing entry point for callers that want the whole
-// WorkloadResult generated on several threads — the tier sweeps in
-// bench_scale, where generation (not aggregation) is the wall. The result is
-// bit-identical to WorkloadGenerator::Generate, record order included, for
-// any worker count.
+// Batch generation: the replay engine with a TraceCollectorSink as its only
+// sink, so the trace dataset is the merged (timestamp, vd, sequence) stream.
+// WorkloadGenerator::Generate (src/workload/generator.h) is defined here: it
+// runs GenerateWorkloadParallel on DefaultGenerateWorkers() threads.
 
 #ifndef SRC_REPLAY_PARALLEL_GENERATE_H_
 #define SRC_REPLAY_PARALLEL_GENERATE_H_
@@ -20,12 +13,15 @@
 
 namespace ebs {
 
-// Deterministic in (fleet, config.seed); independent of worker_threads (which
-// is clamped to [1, VM count]). Faults behave as in the streaming engine:
-// per-record transforms applied shard-side, UnrecoverableFaultError at a
-// scheduled abort step.
+// Deterministic in (fleet, config.seed); bit-identical, record order
+// included, for any worker_threads (clamped to [1, VM count]). Throws
+// UnrecoverableFaultError at a scheduled abort step.
 WorkloadResult GenerateWorkloadParallel(const Fleet& fleet, const WorkloadConfig& config,
                                         size_t worker_threads);
+
+// Generate()'s worker count: hardware_concurrency() - 1, at least 1, which
+// leaves a core to the merge thread. No setting: the output cannot change.
+size_t DefaultGenerateWorkers();
 
 }  // namespace ebs
 

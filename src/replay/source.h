@@ -1,12 +1,12 @@
 // Event-stream producers for the replay engine.
 //
-// ReplayEngine's merge loop is agnostic to where its per-step batches come
-// from: a ReplaySource owns the producer side — one bounded queue per stream,
-// one ShardBatch per window step per stream, batches internally sorted by
-// ReplayEventBefore. Two implementations exist:
+// ReplayEngine's merge loop is agnostic to where its batches come from: a
+// ReplaySource owns the producer side — one bounded queue per stream, one
+// ShardBatch per block of consecutive window steps per stream, each step's
+// events sorted by ReplayEventBefore. Two implementations exist:
 //
-//  - GeneratorShardSource (generator_source.h): today's path — VMs are
-//    partitioned across worker threads that synthesize traffic online;
+//  - GeneratorShardSource (generator_source.h): VMs are partitioned across
+//    worker threads that synthesize traffic online;
 //  - StoreReplaySource (store_source.h): a single stream decoding an EBST
 //    trace store (src/trace/store.h), so the same engine/sink pipeline
 //    re-runs from disk.
@@ -46,9 +46,9 @@ class ReplaySource {
   // anyone afterwards (streams may hold pointers into them).
   virtual void PrepareResult(WorkloadResult* result) = 0;
 
-  // Launches the producer threads. Stream i pushes one batch per step, in
-  // step order, into queues[i], closing it when done (or on abort, when a
-  // Push fails because the engine closed the queue).
+  // Launches the producer threads. Stream i pushes batches covering its steps
+  // in order into queues[i], closing it when done (or on abort, when a Push
+  // fails because the engine closed the queue).
   virtual void StartStreams(const std::vector<BoundedQueue<ShardBatch>*>& queues) = 0;
 
   // Blocks until every stream finished initialization: the shared arrays of

@@ -66,21 +66,35 @@ void StoreReplaySource::StreamChunks(BoundedQueue<ShardBatch>* queue) {
   obs::Counter* dropped = registry.GetCounter("replay.batches_dropped");
   try {
     const uint32_t total_steps = reader_.info().meta.window_steps;
-    if (total_steps == 0) {
-      queue->Close();
-      return;
-    }
-    ShardBatch batch;
-    batch.step = 0;
     // Reconstructs the per-VD emission indices the generator path stamps.
     // They only matter as merge tie-breaks, and a store source is a single
     // totally-ordered stream — but keeping them makes the event streams of
-    // the two paths identical field for field. VdId is a dense fleet index,
-    // so a flat vector replaces the per-record hash probe the old
-    // unordered_map paid (ValidateRecord bounds-checks the id before use).
+    // the two paths identical field for field. Indexed by VdId, which
+    // ValidateRecord bounds-checks before use.
     std::vector<uint64_t> vd_sequence(fleet_.vds.size(), 0);
     std::vector<TraceRecord> records;
     std::vector<uint32_t> steps;
+    ShardBatch batch;
+    std::vector<ReplayEvent> events;  // the step being filled
+    uint32_t step = 0;
+    // Closes the step being filled and hands the block over once it holds
+    // kReplayBlockSteps steps or the window's last one. False once the
+    // engine closed the queue.
+    const auto end_step = [&] {
+      batch.steps.push_back(std::exchange(events, {}));
+      ++step;
+      if (batch.steps.size() < kReplayBlockSteps && step < total_steps) {
+        return true;
+      }
+      obs::ScopedTimer wait_timer(push_wait);
+      if (!queue->Push(std::move(batch))) {
+        dropped->Increment();
+        return false;
+      }
+      batch = ShardBatch{};
+      batch.first_step = step;
+      return true;
+    };
     for (size_t chunk = 0; chunk < reader_.chunks().size(); ++chunk) {
       records.clear();
       steps.clear();
@@ -89,43 +103,26 @@ void StoreReplaySource::StreamChunks(BoundedQueue<ShardBatch>* queue) {
         reader_.ReadChunk(chunk, &records, &steps);
       }
       for (size_t i = 0; i < records.size(); ++i) {
-        // Within a chunk the reader validated step monotonicity; across
-        // chunks it is this stream's invariant.
-        if (steps[i] < batch.step) {
+        // Within a chunk the reader validated step monotonicity and bounded
+        // every step by the window; across chunks monotonicity is this
+        // stream's invariant.
+        if (steps[i] < step) {
           throw TraceStoreError(StoreErrorCode::kChunkCorrupt,
                                 "step regression across chunk boundary");
         }
-        while (batch.step < steps[i]) {
-          const uint32_t next = batch.step + 1;
-          obs::ScopedTimer wait_timer(push_wait);
-          if (!queue->Push(std::move(batch))) {
-            dropped->Increment();
+        while (step < steps[i]) {
+          if (!end_step()) {
             return;
           }
-          batch = ShardBatch{};
-          batch.step = next;
         }
         ValidateRecord(records[i]);
-        ReplayEvent event;
-        event.record = records[i];
-        event.step = steps[i];
-        event.shard = 0;
-        event.sequence = vd_sequence[records[i].vd.value()]++;
-        batch.events.push_back(std::move(event));
+        events.push_back({records[i], steps[i], 0, vd_sequence[records[i].vd.value()]++});
       }
     }
-    while (true) {
-      const uint32_t next = batch.step + 1;
-      obs::ScopedTimer wait_timer(push_wait);
-      if (!queue->Push(std::move(batch))) {
-        dropped->Increment();
+    while (step < total_steps) {
+      if (!end_step()) {
         return;
       }
-      if (next >= total_steps) {
-        break;
-      }
-      batch = ShardBatch{};
-      batch.step = next;
     }
   } catch (...) {
     util::MutexLock lock(&error_mu_);

@@ -6,9 +6,10 @@
 // full-scale per-second series, so per-step sink views (lending, WT-CoV,
 // rollups) are loaded from the file and are bit-identical to the generating
 // run's. A single producer stream decodes chunks and emits one ShardBatch per
-// window step — file order IS the merged order, because stores are written
-// from the merged stream — so every sink observes the exact event sequence of
-// the original run, at any worker count, without paying for generation.
+// block of kReplayBlockSteps window steps — file order IS the merged order,
+// because stores are written from the merged stream — so every sink observes
+// the exact event sequence of the original run, at any worker count, without
+// paying for generation.
 //
 // Fault replay caveat: recorded fault outcomes (retries, timeouts, failovers
 // and their latency costs) are baked into the records and replay exactly, but

@@ -101,9 +101,8 @@ bool WriteStorageMetricsCsv(const Fleet& fleet, const MetricDataset& metrics,
   std::fputs("step,user,vm,vd,segment,bs,sn,read_bytes,write_bytes,read_ops,write_ops\n",
              file.get());
   // Emit rows in ascending segment-id order (SegmentSeriesMap's only
-  // iteration order): the exported file is a fingerprintable product, and the
-  // map's population history differs between the batch generator and the
-  // streaming engine's shards.
+  // iteration order): the exported file is a fingerprintable product, whatever
+  // the map's population history.
   metrics.segment_series.ForEachSorted([&](uint32_t seg_value, const RwSeries& series) {
     const Segment& segment = fleet.segments[seg_value];
     const Vd& vd = fleet.vds[segment.vd.value()];

@@ -52,11 +52,10 @@ struct TraceRecord {
   bool fault_failed_over = false; // re-homed to a different BlockServer
 };
 
-// The canonical trace order: timestamp, then VD. A VD's records with equal
-// timestamps keep their emission order, so datasets are sorted with a stable
-// sort under this key. Every producer emits it (the batch generator, the
-// replay engine's merged stream, store replay) and every batch consumer that
-// needs the stream order (RunOverTraces, DriveSinksOverResult) requires it.
+// The canonical trace order: timestamp, then VD, a VD's records with equal
+// timestamps in emission order. Every producer emits it (the replay engine's
+// merged stream, store replay) and every batch consumer that needs the stream
+// order (RunOverTraces, DriveSinksOverResult) requires it.
 inline bool TraceRecordBefore(const TraceRecord& a, const TraceRecord& b) {
   if (a.timestamp != b.timestamp) {
     return a.timestamp < b.timestamp;

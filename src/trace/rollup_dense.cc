@@ -93,9 +93,7 @@ RwMatrix RollupComputeSide(const Fleet& fleet, const RollupSources& sources,
 // Sums segment-level series into buckets chosen by `bucket_of(segment)`.
 // Active segments are visited in ascending id order — the only order
 // SegmentSeriesMap offers — so the per-bucket float sums are deterministic and
-// independent of how the map was populated. This is what lets the streaming
-// replay engine, whose shards record segments in a different order than the
-// batch generator, produce bit-identical rollups.
+// independent of how the map was populated, e.g. by how many replay shards.
 template <typename BucketFn>
 RwMatrix RollupStorageSide(const Fleet& fleet, const RollupSources& sources,
                            size_t bucket_count, BucketFn bucket_of) {

@@ -8,11 +8,14 @@
 // segments using the VD's spatial model. The same per-second delivered rates
 // feed (a) the full-scale second-level metric dataset and (b) a thinned
 // Poisson stream of per-IO trace records.
+// The per-VD streams of vd_stream.h produce both; the replay engine's shards
+// (src/replay) step them, also for WorkloadGenerator::Generate.
 
 #ifndef SRC_WORKLOAD_GENERATOR_H_
 #define SRC_WORKLOAD_GENERATOR_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/fault/schedule.h"
@@ -93,9 +96,12 @@ struct WorkloadResult {
 
 class WorkloadGenerator {
  public:
-  WorkloadGenerator(const Fleet& fleet, WorkloadConfig config);
+  WorkloadGenerator(const Fleet& fleet, WorkloadConfig config)
+      : fleet_(fleet), config_(std::move(config)) {}
 
-  // Deterministic in (fleet, config.seed).
+  // Deterministic in (fleet, config.seed). GenerateWorkloadParallel on
+  // DefaultGenerateWorkers() threads; defined in src/replay, which every
+  // caller links through ebs_core.
   WorkloadResult Generate() const;
 
  private:

@@ -125,8 +125,8 @@ VdTrafficStream::VdTrafficStream(const Fleet& fleet, const WorkloadConfig& confi
       targets_(std::move(targets)),
       scenario_curve_(scenario_curve),
       rng_(vd_rng),
-      // Construction consumes rng_ in exactly the batch generator's order:
-      // spatial model, read process, write process, QP split, IO medians.
+      // Construction consumes rng_ in a fixed order: spatial model, read
+      // process, write process, QP split, IO medians.
       spatial_(vd, MakeEffectiveProfile(profile, config), vd_read_bps * WindowSeconds(temporal),
                vd_write_bps * WindowSeconds(temporal), rng_),
       read_series_(config.episodic_reads
@@ -344,15 +344,14 @@ void VdTrafficStream::AppendSegmentEntries(std::vector<SegmentEntry>* entries) c
   }
 }
 
-VmStreamSet BuildVmStreams(const Fleet& fleet, const WorkloadConfig& config, const Vm& vm,
-                           const RateProcessGenerator& temporal,
-                           const LatencyModel& latency_model, const Rng& root,
-                           std::vector<RwSeries>* qp_series, std::vector<RwSeries>* offered_vd,
-                           std::vector<RwSeries>* delivered_vd,
-                           std::vector<VdGroundTruth>* vd_truth,
-                           std::vector<SegmentEntry>* segment_entries,
-                           const scenario::ScenarioModel* scenario) {
-  VmStreamSet set;
+void BuildVmStreams(const Fleet& fleet, const WorkloadConfig& config, const Vm& vm,
+                    const RateProcessGenerator& temporal, const LatencyModel& latency_model,
+                    const Rng& root, std::vector<RwSeries>* qp_series,
+                    std::vector<RwSeries>* offered_vd, std::vector<RwSeries>* delivered_vd,
+                    std::vector<VdGroundTruth>* vd_truth,
+                    std::vector<SegmentEntry>* segment_entries,
+                    const scenario::ScenarioModel* scenario,
+                    std::vector<std::unique_ptr<VdTrafficStream>>* streams) {
   Rng vm_rng = root.Fork(vm.id.value());
   const AppProfile& profile = GetAppProfile(vm.app);
 
@@ -395,13 +394,12 @@ VmStreamSet BuildVmStreams(const Fleet& fleet, const WorkloadConfig& config, con
       targets.qps.push_back(&(*qp_series)[qp.value()]);
     }
 
-    set.streams.push_back(std::make_unique<VdTrafficStream>(
+    streams->push_back(std::make_unique<VdTrafficStream>(
         fleet, config, vd, profile, subsecond_cluster, vd_read_bps, vd_write_bps, temporal,
         latency_model, vd_rng, std::move(targets), &truth,
         scenario != nullptr ? scenario->CurveFor(vd.id) : nullptr));
-    set.streams.back()->AppendSegmentEntries(segment_entries);
+    streams->back()->AppendSegmentEntries(segment_entries);
   }
-  return set;
 }
 
 }  // namespace ebs

@@ -4,12 +4,10 @@
 // traffic needs comes from Rng::Fork(vm.id), so two VMs never share generator
 // state. VdTrafficStream exposes that structure as an incremental API — build
 // the streams of a VM once (the expensive part: spatial model, whole-window
-// rate processes, QP split), then generate one second at a time. The batch
-// WorkloadGenerator and the streaming ReplayEngine share this code path, which
-// is what makes their outputs bit-identical for the same seed: the stream
-// consumes its Rng in exactly the order the original single-pass generator
-// did, and every metric target it writes belongs to exactly one VD, so
-// concurrently stepped streams of different VDs never alias.
+// rate processes, QP split), then generate one second at a time. A stream's
+// output depends only on its own state, and every metric target it writes
+// belongs to exactly one VD, so the replay shards may step streams of
+// different VDs in any interleaving, on any thread, with identical results.
 
 #ifndef SRC_WORKLOAD_VD_STREAM_H_
 #define SRC_WORKLOAD_VD_STREAM_H_
@@ -72,8 +70,7 @@ class VdTrafficStream {
   VdStreamTargets targets_;
 
   // Scenario multiplier timeline (nullptr = untouched VD). The cursor walks
-  // the pieces as Step's t increases — pure per-stream state, so batch
-  // (stream-major) and streaming (step-major) order both see the same value.
+  // the pieces as Step's t increases.
   const scenario::CompiledVdCurve* scenario_curve_ = nullptr;
   size_t scenario_cursor_ = 0;
 
@@ -92,25 +89,21 @@ class VdTrafficStream {
   double cap_iops_ = 0.0;
 };
 
-// The streams of one VM's active VDs, in VD order.
-struct VmStreamSet {
-  std::vector<std::unique_ptr<VdTrafficStream>> streams;
-};
-
-// Builds the traffic streams of one VM, consuming the VM-level randomness
-// (active flags, volumes, VD Dirichlet split) exactly as the batch generator
-// does. qp_series / offered_vd / delivered_vd / vd_truth must be pre-sized to
-// the fleet; only this VM's slots are written. Each stream's segment entries
-// are appended to *segment_entries. `scenario` may be nullptr (no scenario);
-// when set, each stream picks up its VD's compiled multiplier curve.
-VmStreamSet BuildVmStreams(const Fleet& fleet, const WorkloadConfig& config, const Vm& vm,
-                           const RateProcessGenerator& temporal,
-                           const LatencyModel& latency_model, const Rng& root,
-                           std::vector<RwSeries>* qp_series, std::vector<RwSeries>* offered_vd,
-                           std::vector<RwSeries>* delivered_vd,
-                           std::vector<VdGroundTruth>* vd_truth,
-                           std::vector<SegmentEntry>* segment_entries,
-                           const scenario::ScenarioModel* scenario);
+// Appends the traffic streams of one VM's active VDs, in VD order, to
+// *streams, consuming the VM-level randomness (active flags, volumes, VD
+// Dirichlet split). qp_series / offered_vd / delivered_vd / vd_truth must be
+// pre-sized to the fleet; only this VM's slots are written. Each stream's
+// segment entries are appended to *segment_entries. `scenario` may be nullptr
+// (no scenario); when set, each stream picks up its VD's compiled multiplier
+// curve.
+void BuildVmStreams(const Fleet& fleet, const WorkloadConfig& config, const Vm& vm,
+                    const RateProcessGenerator& temporal, const LatencyModel& latency_model,
+                    const Rng& root, std::vector<RwSeries>* qp_series,
+                    std::vector<RwSeries>* offered_vd, std::vector<RwSeries>* delivered_vd,
+                    std::vector<VdGroundTruth>* vd_truth,
+                    std::vector<SegmentEntry>* segment_entries,
+                    const scenario::ScenarioModel* scenario,
+                    std::vector<std::unique_ptr<VdTrafficStream>>* streams);
 
 }  // namespace ebs
 

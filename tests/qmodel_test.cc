@@ -9,7 +9,9 @@
 // crash-heavy fault schedule, and the default (additive) mode is untouched.
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "src/core/simulation.h"
 #include "src/core/sink_drive.h"
 #include "src/core/streaming.h"
+#include "src/core/validate.h"
 #include "src/fault/schedule.h"
 #include "src/qmodel/latency_hist.h"
 #include "src/qmodel/queue_model.h"
@@ -116,6 +119,19 @@ TEST(LatencyHistTest, NegativeSamplesClampToZero) {
   EXPECT_EQ(hist.count(), 1u);
   EXPECT_EQ(hist.max_us(), 0.0);
   EXPECT_EQ(hist.Percentile(0.99), 0.0);
+}
+
+TEST(LatencyHistTest, NonFiniteAndHugeSamplesNeverReachTheCast) {
+  // A double at or past 2^64 has no uint64_t value (the UBSan stage runs this).
+  LatencyHist hist;
+  hist.Record(std::numeric_limits<double>::infinity());
+  hist.Record(1e30);
+  hist.Record(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(hist.count(), 3u);
+  EXPECT_EQ(hist.buckets().back(), 2u);
+  EXPECT_EQ(hist.buckets().front(), 1u);
+  EXPECT_THROW(hist.Record(std::nan("")), std::invalid_argument);
+  EXPECT_EQ(hist.count(), 3u);
 }
 
 // --- QueueSimulator mechanics -------------------------------------------------
@@ -410,6 +426,66 @@ TEST(QueueModelDeterminismTest, DefaultModeCarriesNoQueueResult) {
   StreamingSimulation stream(config, {.worker_threads = 2});
   stream.Run();
   EXPECT_EQ(stream.queue_result(), nullptr);
+}
+
+// --- Config validation -------------------------------------------------------
+
+TEST(QueueModelConfigTest, NonFiniteAndOutOfRangeFieldsAreRejectedEverywhere) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Field {
+    const char* name;
+    double* (*member)(QueueModelConfig*);
+    double out_of_range;
+  };
+  const Field fields[] = {
+      {"wt.bytes_per_sec", [](QueueModelConfig* c) { return &c->wt.bytes_per_sec; }, -1.0},
+      {"wt.per_io_us", [](QueueModelConfig* c) { return &c->wt.per_io_us; }, -4.0},
+      {"wt.queue_capacity_us", [](QueueModelConfig* c) { return &c->wt.queue_capacity_us; },
+       -1.0},
+      {"bs.bytes_per_sec", [](QueueModelConfig* c) { return &c->bs.bytes_per_sec; }, -1e9},
+      {"bs.per_io_us", [](QueueModelConfig* c) { return &c->bs.per_io_us; }, -5.0},
+      {"bs.queue_capacity_us", [](QueueModelConfig* c) { return &c->bs.queue_capacity_us; },
+       -50.0},
+      {"load_scale", [](QueueModelConfig* c) { return &c->load_scale; }, 0.0},
+      {"overflow_penalty_us", [](QueueModelConfig* c) { return &c->overflow_penalty_us; },
+       -1e9},
+      {"flash_read_us", [](QueueModelConfig* c) { return &c->flash_read_us; }, -18.0},
+      {"slo.read_us", [](QueueModelConfig* c) { return &c->slo.read_us; }, -1.0},
+      {"slo.write_us", [](QueueModelConfig* c) { return &c->slo.write_us; }, -1.0},
+  };
+  SimulationConfig base = DcPreset(1);
+  base.fleet.user_count = 8;
+  base.workload.window_steps = 30;
+  base.queueing.enabled = true;
+  ASSERT_EQ(ValidateSimulationConfig(base), "");
+  const Fleet fleet = BuildFleet(base.fleet);
+  const TraceDataset no_traces;
+  for (const Field& field : fields) {
+    for (const double value : {kNan, kInf, -kInf, field.out_of_range}) {
+      SCOPED_TRACE(std::string(field.name) + " = " + std::to_string(value));
+      SimulationConfig config = base;
+      *field.member(&config.queueing) = value;
+      EXPECT_NE(qmodel::ValidateQueueModelConfig(config.queueing), "");
+      EXPECT_NE(ValidateSimulationConfig(config), "");
+      EXPECT_THROW(EbsSimulation{config}, std::invalid_argument);
+      EXPECT_THROW(StreamingSimulation{config}, std::invalid_argument);
+      EXPECT_THROW(qmodel::RunOverTraces(fleet, config.queueing, no_traces, 30.0),
+                   std::invalid_argument);
+      // Queueing off: the sub-config is not used, so it is not checked.
+      config.queueing.enabled = false;
+      EXPECT_EQ(ValidateSimulationConfig(config), "");
+    }
+  }
+  // Zero is a valid service rate (it disables the transfer cost), capacity
+  // (unbounded queue), penalty, flash time and SLO.
+  SimulationConfig zeros = base;
+  zeros.queueing.wt = {.bytes_per_sec = 0.0, .per_io_us = 0.0, .queue_capacity_us = 0.0};
+  zeros.queueing.bs = zeros.queueing.wt;
+  zeros.queueing.overflow_penalty_us = 0.0;
+  zeros.queueing.flash_read_us = 0.0;
+  zeros.queueing.slo = {.read_us = 0.0, .write_us = 0.0};
+  EXPECT_EQ(ValidateSimulationConfig(zeros), "");
 }
 
 // --- Latency products at fleet scale ------------------------------------------

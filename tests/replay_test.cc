@@ -1,9 +1,10 @@
 // Replay engine determinism and online-sink equivalence tests.
 //
 // The load-bearing invariants: (1) the streaming engine's datasets are
-// bit-identical to the batch WorkloadGenerator's for the same config, for any
-// worker-thread count; (2) the online mitigation sinks reproduce their batch
-// counterparts exactly.
+// bit-identical to the batch facade's for the same config, for any
+// worker-thread count, block boundary and abort step (the generator goldens
+// in workload_test.cc pin the output itself); (2) the online mitigation sinks
+// reproduce their batch counterparts exactly.
 
 #include <atomic>
 #include <thread>
@@ -15,6 +16,8 @@
 #include "src/cache/online_hotspot.h"
 #include "src/core/simulation.h"
 #include "src/core/streaming.h"
+#include "src/fault/driver.h"
+#include "src/fault/schedule.h"
 #include "src/hypervisor/online_balance.h"
 #include "src/hypervisor/wt_balance.h"
 #include "src/replay/bounded_queue.h"
@@ -350,6 +353,130 @@ TEST(SimulationTest, RollupCachesAreThreadSafe) {
   StreamingSimulation stream(config, {.worker_threads = 2});
   stream.Run();
   HammerRollupAccessors(stream);
+}
+
+// --- Block stepping: partial blocks and mid-block aborts ---------------------
+
+// Keeps every merged event and every step boundary the engine delivers.
+class StreamProbe : public ReplaySink {
+ public:
+  void OnEvent(const ReplayEvent& event) override { events.push_back(event); }
+  void OnStepComplete(const ReplayStepView& view) override { steps.push_back(view.step); }
+
+  std::vector<ReplayEvent> events;
+  std::vector<size_t> steps;
+};
+
+// Every field of an event except the diagnostic shard index, which depends on
+// the worker count.
+auto EventFields(const ReplayEvent& event) {
+  return std::make_tuple(RecordFields(event.record), event.step, event.sequence);
+}
+
+void ExpectSameEvents(const std::vector<ReplayEvent>& a, const std::vector<ReplayEvent>& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(EventFields(a[i]), EventFields(b[i])) << what << ", event " << i;
+  }
+}
+
+SimulationConfig BlockTestConfig(size_t window_steps) {
+  SimulationConfig config = DcPreset(1);
+  config.fleet.user_count = 16;
+  config.workload.window_steps = window_steps;
+  return config;
+}
+
+// Windows that are not a whole number of blocks: the last block is partial,
+// and every step still reaches the sinks once, in order, with the same events
+// at every worker count and queue bound.
+TEST(ReplayBlockTest, PartialLastBlockDeliversEveryStep) {
+  for (const size_t window : {70u, 601u}) {
+    const SimulationConfig config = BlockTestConfig(window);
+    const Fleet fleet = BuildFleet(config.fleet);
+    std::vector<size_t> all_steps(window);
+    for (size_t t = 0; t < window; ++t) {
+      all_steps[t] = t;
+    }
+    std::vector<ReplayEvent> reference;
+    for (const size_t workers : {1u, 2u, 4u}) {
+      for (const size_t capacity : {2u, 3u}) {
+        const std::string what = std::to_string(window) + " steps, " +
+                                 std::to_string(workers) + " workers, capacity " +
+                                 std::to_string(capacity);
+        ReplayEngine engine(fleet, config.workload,
+                            {.worker_threads = workers, .queue_capacity = capacity});
+        StreamProbe probe;
+        engine.AddSink(&probe);
+        engine.Run();
+        EXPECT_EQ(probe.steps, all_steps) << what;
+        ASSERT_FALSE(probe.events.empty()) << what;
+        EXPECT_EQ(probe.events.back().step, window - 1) << what;
+        for (const ReplayEvent& event : probe.events) {
+          ASSERT_EQ(event.step, static_cast<size_t>(event.record.timestamp)) << what;
+        }
+        if (reference.empty()) {
+          reference = probe.events;
+        } else {
+          ExpectSameEvents(probe.events, reference, what);
+        }
+      }
+    }
+  }
+}
+
+// An unrecoverable fault at a step inside a block: the sinks see every step
+// before it, with exactly the events of the same run without the fatal
+// event, and the run then throws. A later abort step puts several full
+// blocks through the bounded queues first, so the shards block on a full
+// queue before they abort.
+TEST(ReplayBlockTest, AbortInsideABlockDeliversEveryEarlierStep) {
+  SimulationConfig config = BlockTestConfig(601);
+  const Fleet fleet = BuildFleet(config.fleet);
+  config.workload.faults = CrashHeavySchedule(fleet, config.workload.window_steps, 5);
+
+  ReplayEngine healthy_engine(fleet, config.workload, {.worker_threads = 2});
+  StreamProbe healthy;
+  healthy_engine.AddSink(&healthy);
+  healthy_engine.Run();
+
+  for (const size_t abort_step : {35u, 330u}) {
+    SimulationConfig fatal_config = config;
+    FaultEvent fatal;
+    fatal.type = FaultType::kUnrecoverable;
+    fatal.start_step = abort_step;
+    fatal.end_step = abort_step;
+    fatal_config.workload.faults.events.push_back(fatal);
+
+    std::vector<ReplayEvent> before_abort;
+    for (const ReplayEvent& event : healthy.events) {
+      if (event.step < abort_step) {
+        before_abort.push_back(event);
+      }
+    }
+    for (const size_t workers : {1u, 2u, 4u}) {
+      for (const size_t capacity : {2u, 3u}) {
+        const std::string what = "abort at " + std::to_string(abort_step) + ", " +
+                                 std::to_string(workers) + " workers, capacity " +
+                                 std::to_string(capacity);
+        ReplayEngine engine(fleet, fatal_config.workload,
+                            {.worker_threads = workers, .queue_capacity = capacity});
+        StreamProbe probe;
+        engine.AddSink(&probe);
+        try {
+          engine.Run();
+          ADD_FAILURE() << what << ": the run did not abort";
+        } catch (const UnrecoverableFaultError& error) {
+          EXPECT_EQ(error.step(), abort_step) << what;
+        }
+        ASSERT_FALSE(probe.steps.empty()) << what;
+        EXPECT_EQ(probe.steps.back(), abort_step - 1) << what;
+        EXPECT_EQ(probe.steps.size(), abort_step) << what;
+        ExpectSameEvents(probe.events, before_abort, what);
+      }
+    }
+  }
 }
 
 }  // namespace

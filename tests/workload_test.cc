@@ -5,7 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "src/core/simulation.h"
+#include "src/core/streaming.h"
+#include "src/fault/schedule.h"
+#include "src/scenario/model.h"
+#include "src/scenario/parser.h"
 #include "src/topology/fleet.h"
 #include "src/util/rng.h"
 #include "src/trace/aggregate.h"
@@ -13,6 +19,7 @@
 #include "src/workload/generator.h"
 #include "src/workload/spatial.h"
 #include "src/workload/temporal.h"
+#include "tests/test_helpers.h"
 
 namespace ebs {
 namespace {
@@ -360,6 +367,109 @@ TEST_F(GeneratorFixture, DisablingThrottleKeepsOfferedLoad) {
   const WorkloadResult result = WorkloadGenerator(*fleet_, unthrottled).Generate();
   EXPECT_GE(result.TotalDeliveredBytes(OpType::kWrite),
             result_->TotalDeliveredBytes(OpType::kWrite));
+}
+
+// --- Generator goldens ---------------------------------------------------------
+
+// FNV-1a over everything a generated run produces: every trace record field by
+// field at exact bits, in dataset order; the per-QP and the per-VD offered series;
+// the storage domain's source series and entry table; the per-VD ground truth;
+// and the fault tallies. Equal fingerprints mean bit-identical results.
+uint64_t WorkloadFingerprint(const WorkloadResult& result) {
+  uint64_t h = kFnvOffsetBasis;
+  const auto mix = [&h](const auto& value) { FnvMix(&h, &value, sizeof(value)); };
+  const auto mix_series = [&](const std::vector<RwSeries>& all) {
+    mix(all.size());
+    for (const RwSeries& series : all) {
+      for (const TimeSeries* channel :
+           {&series.read_bytes, &series.write_bytes, &series.read_ops, &series.write_ops}) {
+        mix(channel->size());
+        FnvMix(&h, channel->values().data(), channel->size() * sizeof(double));
+      }
+    }
+  };
+  mix(result.traces.records.size());
+  for (const TraceRecord& r : result.traces.records) {
+    mix(r.timestamp);
+    mix(r.op);
+    mix(r.size_bytes);
+    mix(r.offset);
+    for (const uint32_t id : {r.user.value(), r.vm.value(), r.vd.value(), r.qp.value(),
+                              r.wt.value(), r.cn.value(), r.segment.value(), r.bs.value(),
+                              r.sn.value()}) {
+      mix(id);
+    }
+    mix(r.latency.component_us);
+    mix(r.fault_retries);
+    mix(r.fault_timed_out);
+    mix(r.fault_failed_over);
+  }
+  mix_series(result.metrics.qp_series);
+  mix_series(result.offered_vd);
+  mix_series(result.metrics.segment_series.sources());
+  mix(result.metrics.segment_series.entries().size());
+  for (const SegmentEntry& entry : result.metrics.segment_series.entries()) {
+    mix(entry.id);
+    mix(entry.source);
+    mix(entry.read_weight);
+    mix(entry.write_weight);
+  }
+  for (const VdGroundTruth& truth : result.vd_truth) {
+    mix(truth.read_active);
+    mix(truth.write_active);
+    mix(truth.mean_read_bps);
+    mix(truth.mean_write_bps);
+    mix(truth.hot_offset);
+    mix(truth.hot_bytes);
+    mix(truth.hot_prob_read);
+    mix(truth.hot_prob_write);
+  }
+  const FaultStats& f = result.faults;
+  for (const uint64_t count : {f.issued, f.completed, f.timed_out, f.retries, f.failovers,
+                               f.slowed, f.hiccuped, f.degraded_steps}) {
+    mix(count);
+  }
+  return h;
+}
+
+// `config`'s run must reproduce `golden` from the batch facade and from the
+// streaming facade at 1, 2 and 4 workers. The goldens were recorded from the
+// serial stream-major generator that preceded block stepping.
+void ExpectWorkloadGolden(const SimulationConfig& config, uint64_t golden) {
+  const EbsSimulation batch(config);
+  const uint64_t batch_print = WorkloadFingerprint(batch.workload());
+  EXPECT_EQ(batch_print, golden) << "batch" << std::hex << " actual=0x" << batch_print;
+  for (const size_t workers : {1u, 2u, 4u}) {
+    StreamingSimulation stream(config, {.worker_threads = workers});
+    stream.Run();
+    const uint64_t print = WorkloadFingerprint(stream.workload());
+    EXPECT_EQ(print, golden) << workers << " workers" << std::hex << " actual=0x" << print;
+  }
+}
+
+TEST(GeneratorGoldenTest, DcPresetHealthy) {
+  ExpectWorkloadGolden(DcPreset(1), 0x7ed39ee564ff0379ULL);
+}
+
+TEST(GeneratorGoldenTest, CrashHeavyBattery) {
+  // The control suite's crash-heavy battery (tests/control_test.cc).
+  SimulationConfig config = DcPreset(1);
+  config.fleet.user_count = 24;
+  config.workload.window_steps = 60;
+  config.workload.faults =
+      CrashHeavySchedule(BuildFleet(config.fleet), config.workload.window_steps, 7);
+  ExpectWorkloadGolden(config, 0x8fdbfd7dbfa4b3a4ULL);
+}
+
+TEST(GeneratorGoldenTest, CommittedScenario) {
+  // The scenario suite's fleet and window (tests/scenario_test.cc).
+  SimulationConfig config = DcPreset(1);
+  config.fleet.user_count = 48;
+  config.workload.window_steps = 240;
+  config.workload.scenario = scenario::LoadScenarioFile(
+      std::string(EBS_TEST_DATA_DIR) + "/scenarios/flash_crowd.scn",
+      scenario::LimitsForFleet(BuildFleet(config.fleet), config.workload.window_steps));
+  ExpectWorkloadGolden(config, 0x934e3feb977a6a50ULL);
 }
 
 }  // namespace

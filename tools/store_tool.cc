@@ -147,8 +147,7 @@ int ToCsv(const std::string& path, const std::string& csv_path) {
 
 int Replay(const std::string& path, const ToolOptions& options) {
   const ebs::SimulationConfig config = MakeConfig(options);
-  ebs::StreamingSimulation sim(path, config,
-                               {.worker_threads = options.threads, .queue_capacity = 8});
+  ebs::StreamingSimulation sim(path, config, {.worker_threads = options.threads});
   sim.Run();
   std::cout << "replayed " << sim.stats().events << " events from " << path << "\n"
             << "fingerprint: 0x" << std::hex << ebs::AggregateFingerprint(sim.traces())
