@@ -9,18 +9,9 @@
 //                   aggregation, was the sweep's wall, and the parallel
 //                   output is worker-count invariant, which is what lets the
 //                   largest tier grow while the sweep stays CI-sized.
-//                   Times the production dense path (vector-indexed
-//                   qp series + SegmentSeriesMap slots + RwMatrix rollups)
-//                   against an in-bench reference that re-creates the old
-//                   hash-map-of-struct layout (unordered_map<uint32_t,
-//                   RwSeries> probed per record), and — the headline — the
-//                   per-record metric-resolution hot path: four replay-shard
-//                   threads resolving this tier's per-QP counters through
-//                   the striped-table MetricRegistry vs the pre-refactor
-//                   layout (one global mutex over a std::map<std::string>,
-//                   an O(log n) string tree-walk under full serialization).
-//                   wall_metrics_speedup at the largest tier must clear 2x;
-//                   in practice the striped table lands well above it.
+//                   Times the dense path (vector-indexed qp series +
+//                   SegmentSeriesMap slots + RwMatrix rollups) and records
+//                   its per-record memory, which must stay flat across tiers.
 //
 //   workers_<n>     the same medium-tier config through StreamingSimulation
 //                   at 1/2/4 worker threads. The VD/BS rollup fingerprints
@@ -36,24 +27,17 @@
 //
 // Usage: bench_scale [output.json]   (default BENCH_SCALE.json)
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/simulation.h"
 #include "src/core/streaming.h"
-#include "src/obs/metrics.h"
 #include "src/replay/parallel_generate.h"
 #include "src/obs/report.h"
-#include "src/util/thread_annotations.h"
 #include "src/trace/aggregate.h"
 #include "src/trace/records.h"
 #include "src/trace/rollup_dense.h"
@@ -75,20 +59,13 @@ struct ScaleRow {
   uint64_t qps = 0;
   uint64_t vds = 0;
   uint64_t active_segments = 0;
-  uint64_t metric_ops = 0;
   double total_gib = 0.0;
   double agg_bytes_per_record = 0.0;
   // Wall-clock (informational) fields.
   double wall_generate_s = 0.0;
   double wall_dense_agg_s = 0.0;
-  double wall_map_agg_s = 0.0;
-  double wall_agg_speedup = 0.0;
   double wall_dense_records_per_sec = 0.0;
   double wall_rollup_s = 0.0;
-  double wall_metrics_legacy_s = 0.0;
-  double wall_metrics_striped_s = 0.0;
-  double wall_metrics_speedup = 0.0;
-  double wall_metrics_records_per_sec = 0.0;
   uint64_t fingerprint = 0;
 };
 
@@ -111,111 +88,7 @@ uint64_t FingerprintSeries(uint64_t h, const std::vector<ebs::RwSeries>& rollup)
   return h;
 }
 
-// The pre-SoA layout of the aggregation hot path: one hash probe per record
-// per domain, each hit landing in a struct of four separately allocated step
-// arrays. Kept here (not in src/) purely as the bench's reference point.
-ebs::MetricDataset MapReferenceAggregate(const ebs::Fleet& fleet, const ebs::TraceDataset& traces,
-                                         double step_seconds, size_t window_steps) {
-  std::unordered_map<uint32_t, ebs::RwSeries> qp_map;
-  std::unordered_map<uint32_t, ebs::RwSeries> seg_map;
-  const double scale = 1.0 / traces.sampling_rate;
-  for (const ebs::TraceRecord& r : traces.records) {
-    size_t step = static_cast<size_t>(r.timestamp / step_seconds);
-    step = std::min(step, window_steps - 1);
-    const double bytes = static_cast<double>(r.size_bytes) * scale;
-
-    ebs::RwSeries& qp =
-        qp_map.try_emplace(r.qp.value(), window_steps, step_seconds).first->second;
-    qp.MutableBytes(r.op)[step] += bytes;
-    qp.MutableOps(r.op)[step] += scale;
-
-    ebs::RwSeries& seg =
-        seg_map.try_emplace(r.segment.value(), window_steps, step_seconds).first->second;
-    seg.MutableBytes(r.op)[step] += bytes;
-    seg.MutableOps(r.op)[step] += scale;
-  }
-  // Flatten into a MetricDataset so totals can be cross-checked against the
-  // dense path.
-  ebs::MetricDataset metrics;
-  metrics.step_seconds = step_seconds;
-  metrics.window_steps = window_steps;
-  metrics.qp_series.assign(fleet.qps.size(), ebs::RwSeries(window_steps, step_seconds));
-  for (size_t q = 0; q < fleet.qps.size(); ++q) {
-    if (auto it = qp_map.find(static_cast<uint32_t>(q)); it != qp_map.end()) {
-      metrics.qp_series[q] = std::move(it->second);
-    }
-  }
-  std::vector<uint32_t> seg_ids;
-  seg_ids.reserve(seg_map.size());
-  for (const auto& [id, series] : seg_map) {  // ebs-lint: allow(unordered-iter) key collection, sorted below
-    seg_ids.push_back(id);
-  }
-  std::sort(seg_ids.begin(), seg_ids.end());
-  for (const uint32_t id : seg_ids) {
-    metrics.segment_series.Insert(id, std::move(seg_map.at(id)));
-  }
-  return metrics;
-}
-
-// The pre-refactor MetricRegistry layout: every GetCounter takes one global
-// mutex and walks an ordered std::map<std::string> (an O(log n) chain of
-// string compares, fully serialized across threads). Kept here (not in src/)
-// purely as the bench's reference point; the production registry now resolves
-// through a striped open-addressing table (src/util/striped_table.h).
-class LegacyMetricRegistry {
- public:
-  ebs::obs::Counter* GetCounter(std::string_view name) {
-    ebs::util::MutexLock lock(&mu_);
-    auto it = counters_.find(name);
-    if (it == counters_.end()) {
-      it = counters_.emplace(std::string(name), std::make_unique<ebs::obs::Counter>(&enabled_))
-               .first;
-    }
-    return it->second.get();
-  }
-
-  uint64_t TotalCount() {
-    ebs::util::MutexLock lock(&mu_);
-    uint64_t total = 0;
-    for (const auto& [name, counter] : counters_) {
-      total += counter->Value();
-    }
-    return total;
-  }
-
- private:
-  ebs::util::Mutex mu_;
-  std::map<std::string, std::unique_ptr<ebs::obs::Counter>, std::less<>> counters_
-      EBS_GUARDED_BY(mu_);
-  std::atomic<bool> enabled_{true};
-};
-
-constexpr size_t kMetricThreads = 4;  // replay-shard count the engine defaults to
 constexpr size_t kGenerateThreads = 4;  // tier-sweep generation workers
-
-// Per-record metric emission at fleet scale: kMetricThreads shards each walk
-// the tier's full trace, resolving the record's per-QP counter by name and
-// incrementing it — the access pattern replay sinks and the streaming engine
-// put on the registry, skew included. Runs the workload against `resolve`
-// and returns wall seconds; the caller cross-checks the summed counts.
-template <typename Registry>
-double TimeMetricEmission(Registry& registry, const ebs::TraceDataset& traces,
-                          const std::vector<std::string>& qp_names) {
-  const auto begin = Clock::now();
-  std::vector<std::thread> shards;
-  shards.reserve(kMetricThreads);
-  for (size_t shard = 0; shard < kMetricThreads; ++shard) {
-    shards.emplace_back([&registry, &traces, &qp_names] {
-      for (const ebs::TraceRecord& r : traces.records) {
-        registry.GetCounter(qp_names[r.qp.value()])->Increment();
-      }
-    });
-  }
-  for (std::thread& shard : shards) {
-    shard.join();
-  }
-  return Seconds(begin, Clock::now());
-}
 
 double TotalGib(const ebs::MetricDataset& metrics) {
   double total = 0.0;
@@ -261,63 +134,17 @@ ScaleRow RunTier(const std::string& name, int user_count, size_t window_steps) {
   const ebs::RwMatrix sn = ebs::RollupMatrixToStorageNode(fleet, dense);
   row.wall_rollup_s = Seconds(rollup_begin, Clock::now());
 
-  // Reference hash-map path over the same records.
-  const auto map_begin = Clock::now();
-  const ebs::MetricDataset mapped =
-      MapReferenceAggregate(fleet, result.traces, step_seconds, window_steps);
-  row.wall_map_agg_s = Seconds(map_begin, Clock::now());
-
-  // Same records, same per-accumulator addition order: the two paths must
-  // agree exactly, or the speedup is measuring the wrong computation.
-  const double dense_gib = TotalGib(dense);
-  const double mapped_gib = TotalGib(mapped);
-  if (dense_gib != mapped_gib) {
-    std::cerr << "bench_scale: dense/map aggregation mismatch at " << name << ": " << dense_gib
-              << " vs " << mapped_gib << " GiB\n";
-    std::exit(1);
-  }
-
-  // Per-record metric resolution: legacy global-mutex map vs striped table.
-  std::vector<std::string> qp_names;
-  qp_names.reserve(fleet.qps.size());
-  for (size_t q = 0; q < fleet.qps.size(); ++q) {
-    qp_names.push_back("qp." + std::to_string(q) + ".records");
-  }
-  LegacyMetricRegistry legacy_registry;
-  row.wall_metrics_legacy_s = TimeMetricEmission(legacy_registry, result.traces, qp_names);
-  ebs::obs::MetricRegistry striped_registry;
-  striped_registry.set_enabled(true);
-  row.wall_metrics_striped_s = TimeMetricEmission(striped_registry, result.traces, qp_names);
-
-  // Both registries must have counted every record on every shard, exactly.
-  const uint64_t expected_ops = kMetricThreads * result.traces.records.size();
-  uint64_t striped_total = 0;
-  for (const ebs::obs::MetricSnapshot& metric : striped_registry.Snapshot().metrics) {
-    striped_total += static_cast<uint64_t>(metric.value);
-  }
-  if (legacy_registry.TotalCount() != expected_ops || striped_total != expected_ops) {
-    std::cerr << "bench_scale: metric emission mismatch at " << name << ": legacy "
-              << legacy_registry.TotalCount() << ", striped " << striped_total << ", expected "
-              << expected_ops << "\n";
-    std::exit(1);
-  }
-  row.metric_ops = expected_ops;
-  row.wall_metrics_speedup = row.wall_metrics_legacy_s / row.wall_metrics_striped_s;
-  row.wall_metrics_records_per_sec =
-      static_cast<double>(expected_ops) / row.wall_metrics_striped_s;
-
   row.records = result.traces.records.size();
   row.qps = fleet.qps.size();
   row.vds = fleet.vds.size();
   row.active_segments = dense.segment_series.size();
-  row.total_gib = dense_gib;
+  row.total_gib = TotalGib(dense);
   // Metric-dataset footprint per trace record (four 8-byte channels per step
   // for every QP and active segment). Deterministic; staying flat across
   // tiers is the "memory scales with entities, not records" invariant.
   row.agg_bytes_per_record =
       static_cast<double>((row.qps + row.active_segments) * window_steps * 4 * 8) /
       static_cast<double>(row.records);
-  row.wall_agg_speedup = row.wall_map_agg_s / row.wall_dense_agg_s;
   row.wall_dense_records_per_sec =
       static_cast<double>(row.records) / row.wall_dense_agg_s;
 
@@ -385,19 +212,12 @@ void AppendScaleJson(std::string* out, const ScaleRow& row) {
   *out += ",\"qps\":" + std::to_string(row.qps);
   *out += ",\"vds\":" + std::to_string(row.vds);
   *out += ",\"active_segments\":" + std::to_string(row.active_segments);
-  *out += ",\"metric_ops\":" + std::to_string(row.metric_ops);
   *out += ",\"total_gib\":" + Num(row.total_gib);
   *out += ",\"agg_bytes_per_record\":" + Num(row.agg_bytes_per_record);
   *out += ",\"wall_generate_s\":" + Num(row.wall_generate_s);
   *out += ",\"wall_dense_agg_s\":" + Num(row.wall_dense_agg_s);
-  *out += ",\"wall_map_agg_s\":" + Num(row.wall_map_agg_s);
-  *out += ",\"wall_agg_speedup\":" + Num(row.wall_agg_speedup);
   *out += ",\"wall_dense_records_per_sec\":" + Num(row.wall_dense_records_per_sec);
   *out += ",\"wall_rollup_s\":" + Num(row.wall_rollup_s);
-  *out += ",\"wall_metrics_legacy_s\":" + Num(row.wall_metrics_legacy_s);
-  *out += ",\"wall_metrics_striped_s\":" + Num(row.wall_metrics_striped_s);
-  *out += ",\"wall_metrics_speedup\":" + Num(row.wall_metrics_speedup);
-  *out += ",\"wall_metrics_records_per_sec\":" + Num(row.wall_metrics_records_per_sec);
   *out += ",\"fingerprint\":\"" + Hex(row.fingerprint) + "\"}";
 }
 
@@ -440,46 +260,6 @@ int Run(const std::string& out_path) {
   tiers.push_back(RunTier("agg_small", 60, 180));
   tiers.push_back(RunTier("agg_medium", 160, 180));
   tiers.push_back(RunTier("agg_large", 640, 180));
-
-  ebs::PrintBanner(std::cout, "Aggregation hot path: dense SoA vs hash-map reference");
-  ebs::TablePrinter table({"tier", "records", "QPs", "segments", "dense s", "map s", "speedup",
-                           "Mrec/s", "B/record"});
-  for (const ScaleRow& row : tiers) {
-    table.AddRow({row.name, std::to_string(row.records), std::to_string(row.qps),
-                  std::to_string(row.active_segments), ebs::TablePrinter::Fmt(row.wall_dense_agg_s, 3),
-                  ebs::TablePrinter::Fmt(row.wall_map_agg_s, 3),
-                  ebs::TablePrinter::Fmt(row.wall_agg_speedup, 2),
-                  ebs::TablePrinter::Fmt(row.wall_dense_records_per_sec / 1e6, 2),
-                  ebs::TablePrinter::Fmt(row.agg_bytes_per_record, 1)});
-  }
-  table.Print(std::cout);
-  const ScaleRow& largest = tiers.back();
-  std::cout << "Largest tier: dense path is " << ebs::TablePrinter::Fmt(largest.wall_agg_speedup, 2)
-            << "x the hash-map reference ("
-            << ebs::TablePrinter::Fmt(largest.wall_dense_records_per_sec / 1e6, 2)
-            << "M records/s); agg_bytes_per_record stays flat across tiers (entity-bound, "
-               "not record-bound).\n";
-
-  ebs::PrintBanner(std::cout,
-                   "Per-record metric resolution: striped table vs global-mutex map (4 shards)");
-  ebs::TablePrinter metrics_table(
-      {"tier", "ops", "counters", "legacy s", "striped s", "speedup", "Mrec/s"});
-  for (const ScaleRow& row : tiers) {
-    metrics_table.AddRow(
-        {row.name, std::to_string(row.metric_ops), std::to_string(row.qps),
-         ebs::TablePrinter::Fmt(row.wall_metrics_legacy_s, 3),
-         ebs::TablePrinter::Fmt(row.wall_metrics_striped_s, 3),
-         ebs::TablePrinter::Fmt(row.wall_metrics_speedup, 2),
-         ebs::TablePrinter::Fmt(row.wall_metrics_records_per_sec / 1e6, 2)});
-  }
-  metrics_table.Print(std::cout);
-  std::cout << "Largest tier: striped-table registry resolves per-record counters at "
-            << ebs::TablePrinter::Fmt(largest.wall_metrics_records_per_sec / 1e6, 2)
-            << "M records/s, " << ebs::TablePrinter::Fmt(largest.wall_metrics_speedup, 2)
-            << "x the pre-refactor global-mutex std::map layout (target: >= 2x).\n";
-  if (largest.wall_metrics_speedup < 2.0) {
-    std::cout << "WARNING: metric-resolution speedup below the 2x target on this machine.\n";
-  }
 
   std::vector<WorkerRow> workers;
   for (const size_t n : {1u, 2u, 4u}) {

@@ -11,9 +11,11 @@
 # race would hide. The TSan stage also runs the control-plane battery
 # (tests/control_test.cc): control-enabled streaming replay at 1/2/4 workers,
 # healthy and crash-heavy, with the decision-log bit-identity contracts
-# checked under the race detector — and the scenario battery
+# checked under the race detector — the scenario battery
 # (tests/scenario_test.cc), whose batch-vs-streaming worker sweeps run every
-# committed time-varying scenario through the same multi-worker merge.
+# committed time-varying scenario through the same multi-worker merge, and
+# the queueing battery (tests/qmodel_test.cc), whose queue-model sink runs on
+# the merge thread while the shards generate.
 #
 # The ASan and UBSan stages also run the trace-store corruption battery
 # (tests/trace_store_test.cc): its truncation and byte-flip sweeps mutate
@@ -143,9 +145,10 @@ echo "== [9/13] Configure + build: ThreadSanitizer =="
 cmake -S "${repo_root}" -B "${build_root}/tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=thread >/dev/null
 cmake --build "${build_root}/tsan" -j "${jobs}" \
-  --target replay_test fault_test striped_table_test control_test scenario_test workload_test
+  --target replay_test fault_test striped_table_test control_test scenario_test workload_test \
+  qmodel_test
 
-echo "== [10/13] Replay + fault chaos + striped-table + control + scenario + generator tests (TSan) =="
+echo "== [10/13] Replay + fault chaos + striped-table + control + scenario + generator + qmodel tests (TSan) =="
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/replay_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/fault_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/striped_table_test"
@@ -158,6 +161,9 @@ TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/scenario_test"
 # Generate() is the replay engine, so the generator suite starts shard
 # threads too: its goldens run at 1/2/4 workers under the race detector.
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/workload_test"
+# Every queueing EbsSimulation runs the QueueModelSink on the merge thread
+# while the shards generate: the qmodel suite's facades run under it too.
+TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/qmodel_test"
 
 echo "== [11/13] Latency bench vs committed baseline =="
 "${build_root}/release/bench/bench_latency" "${build_root}/BENCH_LATENCY.fresh.json" \

@@ -33,8 +33,8 @@ class ControlPlane {
   ControlPlane(const Fleet& fleet, const ControlConfig& config,
                qmodel::QueueModelSink* qmodel);
 
-  // The plane's sinks in registration order; append to the engine's chain (or
-  // the batch driver's list) after the qmodel sink.
+  // The plane's sinks in registration order; append to the engine's chain
+  // after the qmodel sink.
   std::vector<ReplaySink*> Sinks();
 
   // Down-BS signal source for the fault-response policy; nullptr on healthy

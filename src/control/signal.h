@@ -28,7 +28,7 @@ struct QmodelSignal {
 };
 
 // One control period's observations. The vectors are owned by the producer
-// (ControlSink or the batch driver) and valid only during the OnPeriod call.
+// (ControlSink) and valid only during the OnPeriod call.
 struct ControlSignal {
   uint32_t period = 0;       // 0-based control period index
   uint32_t step_begin = 0;   // first step of the period

@@ -1,12 +1,13 @@
-// Streaming counterpart of EbsSimulation.
+// The simulation pipeline: build a fleet, generate its datasets through the
+// sharded replay engine, and drive the registered sinks online.
 //
-// StreamingSimulation builds the same fleet and datasets, but through the
-// sharded replay engine: generation runs on worker threads and the merged IO
-// stream drives any registered sinks online. The entity-level rollups are
-// folded after the run, each level on first access, by the same RollupCache
-// the batch facade uses. For a fixed config the resulting metrics, traces,
-// and rollups are bit-identical to the batch EbsSimulation, independent of
-// the worker-thread count.
+// StreamingSimulation runs generation on worker threads; the merged IO stream
+// feeds the built-in trace collector, the overlay sinks (qmodel, control) and
+// any sinks the caller registers. The entity-level rollups are folded after
+// the run, each level on first access. For a fixed config every dataset,
+// rollup, qmodel result and decision log is bit-identical at any worker-thread
+// count. EbsSimulation (simulation.h) is this pipeline run in its constructor
+// on DefaultGenerateWorkers() threads.
 //
 //   ebs::StreamingSimulation sim(ebs::DcPreset(1), {.worker_threads = 8});
 //   ebs::OnlineLendingSink lending(sim.fleet(), groups, throttle_config);
@@ -21,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/simulation.h"
+#include "src/core/config.h"
 #include "src/replay/engine.h"
 #include "src/replay/sinks.h"
 #include "src/trace/rollup_dense.h"
@@ -65,30 +66,30 @@ class StreamingSimulation {
   const WorkloadResult& workload() const;
   const MetricDataset& metrics() const { return workload().metrics; }
   const TraceDataset& traces() const { return workload().traces; }
-  // Fault accounting; valid after Run(). Matches the batch facade's
-  // fault_stats() field for field under any worker count.
+  // Fault accounting; valid after Run(). All-zero when config.workload.faults
+  // is empty; field for field the same under any worker count.
   const FaultStats& fault_stats() const { return workload().faults; }
   // nullptr on a healthy run; sinks that degrade under faults take this.
   const FaultDriver* fault_driver() const { return engine_.fault_driver(); }
   // Queueing-mode latency product; nullptr unless config.queueing.enabled.
-  // Valid after Run(); bit-identical to the batch facade's queue_result() at
-  // any worker count (the sink consumes the merged stream's canonical order).
+  // Valid after Run(); bit-identical at any worker count (the sink consumes
+  // the merged stream's canonical order).
   const qmodel::QueueModelResult* queue_result() const {
     return overlays_.qmodel() != nullptr ? &overlays_.qmodel()->result() : nullptr;
   }
   // Closed-loop control plane; nullptr unless config.control.enabled. The
-  // decision log is final after Run() and bit-identical to the batch facade's
-  // for the same config, at any worker count. The loop's fault signal comes
-  // from config.workload's schedule on live and store replay alike, keeping
-  // crash-heavy store replay log-identical to the recorded run.
+  // decision log is final after Run() and bit-identical at any worker count.
+  // The loop's fault signal comes from config.workload's schedule on live and
+  // store replay alike, keeping crash-heavy store replay log-identical to the
+  // recorded run.
   const control::ControlPlane* control_plane() const { return overlays_.plane(); }
   control::ControlPlane* control_plane() { return overlays_.plane(); }
   const control::DecisionLog* control_log() const {
     return overlays_.plane() != nullptr ? &overlays_.plane()->log() : nullptr;
   }
 
-  // Rollups, each level folded once on first access after Run() (the same
-  // RollupCache as EbsSimulation's). Safe to call from multiple threads.
+  // Rollups, each level folded once on first access after Run()
+  // (RollupCache). Safe to call from multiple threads.
   const std::vector<RwSeries>& VdSeries() const { return rollups().vd(); }
   const std::vector<RwSeries>& VmSeries() const { return rollups().vm(); }
   const std::vector<RwSeries>& UserSeries() const { return rollups().user(); }
@@ -96,8 +97,8 @@ class StreamingSimulation {
   const std::vector<RwSeries>& CnSeries() const { return rollups().cn(); }
   const std::vector<RwSeries>& BsSeries() const { return rollups().bs(); }
   const std::vector<RwSeries>& SnSeries() const { return rollups().sn(); }
-  // Active-segment series, ascending segment id (same order as
-  // EbsSimulation::SegSeries).
+  // Active-segment series as a flat vector in ascending segment-id order
+  // (each materialized from its source series once, on first access).
   const std::vector<RwSeries>& SegSeries() const { return rollups().seg(); }
 
  private:

@@ -75,6 +75,23 @@ std::string ValidateWorkloadConfig(const WorkloadConfig& config) {
   if (!(config.hot_prob_scale >= 0.0 && config.hot_prob_scale <= 2.0)) {
     return "workload: hot_prob_scale must be in [0, 2]";
   }
+  const LatencyModelConfig& latency = config.latency;
+  for (const auto* base_us : {&latency.read_base_us, &latency.write_base_us}) {
+    for (const double us : *base_us) {
+      if (!IsNonNegative(us)) {
+        return "workload: latency read_base_us and write_base_us must be finite and "
+               "non-negative";
+      }
+    }
+  }
+  if (!IsNonNegative(latency.jitter_sigma) || !IsNonNegative(latency.straggler_multiplier) ||
+      !IsNonNegative(latency.flash_read_us)) {
+    return "workload: latency jitter_sigma, straggler_multiplier and flash_read_us must be "
+           "finite and non-negative";
+  }
+  if (!IsFraction(latency.straggler_probability)) {
+    return "workload: latency straggler_probability must be in [0, 1]";
+  }
   return {};
 }
 

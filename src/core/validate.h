@@ -6,13 +6,16 @@
 
 #include <string>
 
-#include "src/core/simulation.h"
+#include "src/core/config.h"
 
 namespace ebs {
 
 // Each returns an empty string when the config is usable, otherwise a
 // human-readable description of the first problem found.
 std::string ValidateFleetConfig(const FleetConfig& config);
+// Includes config.latency: every component base time, jitter_sigma,
+// straggler_multiplier and flash_read_us finite and non-negative, and
+// straggler_probability in [0, 1].
 std::string ValidateWorkloadConfig(const WorkloadConfig& config);
 // Checked only when control is enabled: a positive period; ewma_alpha and
 // both lending rates in [0, 1]; exporter_threshold, hot_vd_factor and

@@ -49,8 +49,8 @@ inline bool ReplayEventBefore(const ReplayEvent& a, const ReplayEvent& b) {
 // their period at its last step. The vectors the view refers to stay alive,
 // with their final columns unchanged, until OnFinish returns, so a sink may
 // keep a pointer to them for work it defers to a later step or to OnFinish.
-// Every driver guarantees this: the replay engine, DriveSinksOverResult,
-// SimulateLending and WtCovSamples.
+// Every driver guarantees this: the replay engine, SimulateLending and
+// WtCovSamples.
 struct ReplayStepView {
   size_t step = 0;
   double step_seconds = 1.0;

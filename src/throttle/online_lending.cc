@@ -7,12 +7,6 @@
 
 namespace ebs {
 
-namespace {
-
-constexpr double kBytesPerMB = 1e6;
-
-}  // namespace
-
 OnlineLendingSink::OnlineLendingSink(std::vector<SharingGroup> groups, ThrottleConfig config)
     : groups_(std::move(groups)), config_(config) {
   if (config_.period_steps == 0) {
@@ -21,9 +15,7 @@ OnlineLendingSink::OnlineLendingSink(std::vector<SharingGroup> groups, ThrottleC
   if (!(config_.lending_rate >= 0.0 && config_.lending_rate <= 1.0)) {
     throw std::invalid_argument("lending: lending_rate must be in [0, 1]");
   }
-  if (!(std::isfinite(config_.cap_scale) && config_.cap_scale > 0.0)) {
-    throw std::invalid_argument("lending: cap_scale must be finite and positive");
-  }
+  CheckCapScale(config_.cap_scale);
 }
 
 void OnlineLendingSink::OnStart(const Fleet& fleet, size_t /*window_steps*/,
@@ -40,11 +32,8 @@ void OnlineLendingSink::OnStart(const Fleet& fleet, size_t /*window_steps*/,
     const size_t n = groups_[g].vds.size();
     state.base_caps.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      // Per-step caps: the spec caps scaled by cap_scale and the step length.
-      const Vd& disk = fleet.vds[groups_[g].vds[i].value()];
-      state.base_caps[i] = {
-          disk.throughput_cap_mbps * kBytesPerMB * config_.cap_scale * step_seconds,
-          disk.iops_cap * config_.cap_scale * step_seconds};
+      state.base_caps[i] =
+          StepCapsOf(fleet.vds[groups_[g].vds[i].value()], config_.cap_scale, step_seconds);
     }
     state.caps = state.base_caps;
     largest = std::max(largest, n);
@@ -81,7 +70,7 @@ void OnlineLendingSink::Flush() {
 }
 
 void OnlineLendingSink::StepGroup(size_t g, size_t t) {
-  const auto throttled = [](const Usage& usage, const Caps& caps) {
+  const auto throttled = [](const Usage& usage, const StepCaps& caps) {
     return (caps.bytes > 0.0 && usage.Bytes() > caps.bytes) ||
            (caps.ops > 0.0 && usage.Ops() > caps.ops);
   };

@@ -64,10 +64,6 @@ class OnlineLendingSink : public ReplaySink {
   double lending_rate() const { return config_.lending_rate; }
 
  private:
-  struct Caps {
-    double bytes = 0.0;
-    double ops = 0.0;
-  };
   struct Usage {
     double read_bytes = 0.0;
     double write_bytes = 0.0;
@@ -77,8 +73,8 @@ class OnlineLendingSink : public ReplaySink {
     double Ops() const { return read_ops + write_ops; }
   };
   struct GroupState {
-    std::vector<Caps> base_caps;
-    std::vector<Caps> caps;       // current (possibly lent) caps
+    std::vector<StepCaps> base_caps;
+    std::vector<StepCaps> caps;  // current (possibly lent) caps
     bool lent_this_period = false;
     uint64_t baseline_throttled = 0;
     uint64_t lending_throttled = 0;

@@ -1,7 +1,9 @@
 #include "src/throttle/throttle.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "src/analysis/skewness.h"
@@ -13,15 +15,11 @@ namespace {
 
 constexpr double kBytesPerMB = 1e6;
 
-struct VdCaps {
-  double bytes = 0.0;  // per-step byte cap
-  double ops = 0.0;    // per-step IO cap
-};
-
-VdCaps CapsFor(const Fleet& fleet, VdId vd, double cap_scale, double step_seconds) {
-  const Vd& disk = fleet.vds[vd.value()];
-  return {disk.throughput_cap_mbps * kBytesPerMB * cap_scale * step_seconds,
-          disk.iops_cap * cap_scale * step_seconds};
+// Throws for NaN too: it fails every ordered comparison.
+void CheckFraction(double value, const char* message) {
+  if (!(value >= 0.0 && value <= 1.0)) {
+    throw std::invalid_argument(message);
+  }
 }
 
 struct StepUsage {
@@ -39,6 +37,17 @@ StepUsage UsageAt(const RwSeries& series, size_t t) {
 }
 
 }  // namespace
+
+StepCaps StepCapsOf(const Vd& vd, double cap_scale, double step_seconds) {
+  return {vd.throughput_cap_mbps * kBytesPerMB * cap_scale * step_seconds,
+          vd.iops_cap * cap_scale * step_seconds};
+}
+
+void CheckCapScale(double cap_scale) {
+  if (!(std::isfinite(cap_scale) && cap_scale > 0.0)) {
+    throw std::invalid_argument("throttle: cap_scale must be finite and positive");
+  }
+}
 
 const char* ResourceKindName(ResourceKind kind) {
   return kind == ResourceKind::kThroughput ? "throughput" : "IOPS";
@@ -76,6 +85,7 @@ std::vector<SharingGroup> MultiVmNodeGroups(const Fleet& fleet) {
 ThrottleAnalysis AnalyzeThrottle(const Fleet& fleet, const std::vector<RwSeries>& offered_vd,
                                  const std::vector<SharingGroup>& groups,
                                  const ThrottleConfig& config) {
+  CheckCapScale(config.cap_scale);
   ThrottleAnalysis analysis;
   if (offered_vd.empty()) {
     return analysis;
@@ -84,12 +94,12 @@ ThrottleAnalysis AnalyzeThrottle(const Fleet& fleet, const std::vector<RwSeries>
   const double dt = offered_vd.front().read_bytes.step_seconds();
 
   for (const SharingGroup& group : groups) {
-    std::vector<VdCaps> caps;
+    std::vector<StepCaps> caps;
     caps.reserve(group.vds.size());
     double group_cap_bytes = 0.0;
     double group_cap_ops = 0.0;
     for (const VdId vd : group.vds) {
-      caps.push_back(CapsFor(fleet, vd, config.cap_scale, dt));
+      caps.push_back(StepCapsOf(fleet.vds[vd.value()], config.cap_scale, dt));
       group_cap_bytes += caps.back().bytes;
       group_cap_ops += caps.back().ops;
     }
@@ -144,6 +154,7 @@ ReductionRates ComputeReductionRates(const Fleet& fleet,
                                      const std::vector<RwSeries>& offered_vd,
                                      const std::vector<SharingGroup>& groups,
                                      const ThrottleConfig& config, double lending_rate) {
+  CheckFraction(lending_rate, "throttle: lending_rate must be in [0, 1]");
   ReductionRates rates;
   const ThrottleAnalysis analysis = AnalyzeThrottle(fleet, offered_vd, groups, config);
   if (offered_vd.empty()) {
@@ -153,11 +164,11 @@ ReductionRates ComputeReductionRates(const Fleet& fleet,
 
   // Group caps per member VD, so AR can be recovered in absolute units from
   // the stored RAR (rar = AR / group_cap).
-  std::unordered_map<uint32_t, VdCaps> group_caps;
+  std::unordered_map<uint32_t, StepCaps> group_caps;
   for (const SharingGroup& group : groups) {
-    VdCaps total;
+    StepCaps total;
     for (const VdId vd : group.vds) {
-      const VdCaps caps = CapsFor(fleet, vd, config.cap_scale, dt);
+      const StepCaps caps = StepCapsOf(fleet.vds[vd.value()], config.cap_scale, dt);
       total.bytes += caps.bytes;
       total.ops += caps.ops;
     }
@@ -169,8 +180,8 @@ ReductionRates ComputeReductionRates(const Fleet& fleet,
   // Per-event: the throttled VD delivers exactly its cap; lending p*AR extra
   // would shorten the backlog drain by VD(t) / (VD(t) + p*AR_absolute).
   for (const ThrottleEvent& event : analysis.events) {
-    const VdCaps caps = CapsFor(fleet, event.vd, config.cap_scale, dt);
-    const VdCaps& group_cap = group_caps[event.vd.value()];
+    const StepCaps caps = StepCapsOf(fleet.vds[event.vd.value()], config.cap_scale, dt);
+    const StepCaps& group_cap = group_caps[event.vd.value()];
     if (event.trigger == ThrottleTrigger::kThroughput) {
       const double ar_abs = event.rar * group_cap.bytes;
       rates.throughput.push_back(caps.bytes / (caps.bytes + lending_rate * ar_abs));
@@ -224,6 +235,8 @@ const char* CapSplitModeName(CapSplitMode mode) {
 CapSplitResult EvaluateCapSplit(const Fleet& fleet, const std::vector<RwSeries>& offered_vd,
                                 CapSplitMode mode, double static_read_fraction,
                                 double cap_scale) {
+  CheckFraction(static_read_fraction, "throttle: static_read_fraction must be in [0, 1]");
+  CheckCapScale(cap_scale);
   CapSplitResult result;
   result.mode = mode;
   if (offered_vd.empty()) {
@@ -234,7 +247,7 @@ CapSplitResult EvaluateCapSplit(const Fleet& fleet, const std::vector<RwSeries>&
 
   for (const Vd& vd : fleet.vds) {
     const RwSeries& offered = offered_vd[vd.id.value()];
-    const VdCaps caps = CapsFor(fleet, vd.id, cap_scale, dt);
+    const StepCaps caps = StepCapsOf(vd, cap_scale, dt);
 
     // Per-VD read fraction for the profiled mode (oracle: the realized mix).
     double read_fraction = static_read_fraction;
@@ -277,6 +290,10 @@ std::vector<BacklogResult> ComputeThrottleBacklog(const Fleet& fleet,
                                                   const std::vector<RwSeries>& offered_vd,
                                                   double cap_scale,
                                                   double lending_headroom_mbps) {
+  CheckCapScale(cap_scale);
+  if (!(std::isfinite(lending_headroom_mbps) && lending_headroom_mbps >= 0.0)) {
+    throw std::invalid_argument("throttle: lending_headroom_mbps must be finite and non-negative");
+  }
   std::vector<BacklogResult> results;
   if (offered_vd.empty()) {
     return results;

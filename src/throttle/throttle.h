@@ -47,6 +47,20 @@ struct ThrottleConfig {
   size_t period_steps = 60;   // lending operates periodically (Appendix B)
 };
 
+// A VD's caps for one step: its spec throughput and IOPS caps scaled by
+// cap_scale and the step length. Every throttle model and the lending sink
+// read their caps here.
+struct StepCaps {
+  double bytes = 0.0;
+  double ops = 0.0;
+};
+StepCaps StepCapsOf(const Vd& vd, double cap_scale, double step_seconds);
+
+// Throws std::invalid_argument unless cap_scale is finite and positive: a NaN
+// or zero scale would silently turn throttling off. Every function below that
+// takes a cap_scale, and the lending sink's constructor, checks it first.
+void CheckCapScale(double cap_scale);
+
 struct ThrottleEvent {
   VdId vd;
   size_t step = 0;
@@ -74,7 +88,8 @@ ThrottleAnalysis AnalyzeThrottle(const Fleet& fleet, const std::vector<RwSeries>
                                  const ThrottleConfig& config);
 
 // Theoretical reduction rate (Eq. 3) samples for a lending rate p, one sample
-// per throttle event, split by resource kind.
+// per throttle event, split by resource kind. Throws std::invalid_argument for
+// a lending_rate outside [0, 1].
 struct ReductionRates {
   std::vector<double> throughput;
   std::vector<double> iops;
@@ -114,6 +129,7 @@ struct CapSplitResult {
   uint64_t split_induced_seconds = 0;
 };
 
+// Throws std::invalid_argument for a static_read_fraction outside [0, 1].
 CapSplitResult EvaluateCapSplit(const Fleet& fleet, const std::vector<RwSeries>& offered_vd,
                                 CapSplitMode mode, double static_read_fraction = 0.3,
                                 double cap_scale = 1.0);
@@ -122,7 +138,8 @@ CapSplitResult EvaluateCapSplit(const Fleet& fleet, const std::vector<RwSeries>&
 // the backlog drains at the cap rate, so a burst of B extra bytes adds B/cap
 // seconds of queueing delay to every IO behind it — the latency-spike effect
 // Calcspar reports on AWS EBS. Returns, per VD with any backlog, the maximum
-// queueing delay over the window (seconds).
+// queueing delay over the window (seconds). Throws std::invalid_argument for
+// a lending_headroom_mbps that is not finite and non-negative.
 struct BacklogResult {
   VdId vd;
   double max_delay_seconds = 0.0;

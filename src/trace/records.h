@@ -54,8 +54,8 @@ struct TraceRecord {
 
 // The canonical trace order: timestamp, then VD, a VD's records with equal
 // timestamps in emission order. Every producer emits it (the replay engine's
-// merged stream, store replay) and every batch consumer that needs the stream
-// order (RunOverTraces, DriveSinksOverResult) requires it.
+// merged stream, store replay) and the batch consumer that needs the stream
+// order (RunOverTraces) requires it.
 inline bool TraceRecordBefore(const TraceRecord& a, const TraceRecord& b) {
   if (a.timestamp != b.timestamp) {
     return a.timestamp < b.timestamp;

@@ -36,7 +36,6 @@
 #include "src/control/policy.h"
 #include "src/control/signal.h"
 #include "src/core/simulation.h"
-#include "src/core/sink_drive.h"
 #include "src/core/streaming.h"
 #include "src/core/validate.h"
 #include "src/fault/schedule.h"
@@ -430,6 +429,41 @@ void FillNan(std::vector<RwSeries>* series) {
   }
 }
 
+// Drives `sinks` over `result` as the replay engine's merge loop does: each
+// step's events in canonical order, every VD's sequence counting up, then
+// OnStepComplete. Here the view hands out `result`'s own series, which the
+// test fills with NaN and reveals column by column.
+void DriveSteps(const Fleet& fleet, const WorkloadResult& result, size_t steps, double dt,
+                const std::vector<ReplaySink*>& sinks) {
+  for (ReplaySink* sink : sinks) {
+    sink->OnStart(fleet, steps, dt);
+  }
+  const std::vector<TraceRecord>& records = result.traces.records;
+  std::vector<uint64_t> vd_sequence(fleet.vds.size(), 0);
+  size_t cursor = 0;
+  for (size_t t = 0; t < steps; ++t) {
+    const double step_end = static_cast<double>(t + 1) * dt;
+    // The last step also takes a boundary-exact tail.
+    for (; cursor < records.size() && (records[cursor].timestamp < step_end || t + 1 == steps);
+         ++cursor) {
+      const TraceRecord& record = records[cursor];
+      const ReplayEvent event{record, static_cast<uint32_t>(t), 0,
+                              vd_sequence[record.vd.value()]++};
+      for (ReplaySink* sink : sinks) {
+        sink->OnEvent(event);
+      }
+    }
+    const ReplayStepView view{t, dt, result.metrics.qp_series, result.offered_vd,
+                              result.metrics.segment_series};
+    for (ReplaySink* sink : sinks) {
+      sink->OnStepComplete(view);
+    }
+  }
+  for (ReplaySink* sink : sinks) {
+    sink->OnFinish();
+  }
+}
+
 TEST(SinkContractTest, OverlaySinksReadNoColumnAheadOfTheStep) {
   // Crash-heavy with a trailing partial period: every policy and every
   // flush path runs.
@@ -455,7 +489,7 @@ TEST(SinkContractTest, OverlaySinksReadNoColumnAheadOfTheStep) {
   for (ReplaySink* sink : overlays.Sinks()) {
     sinks.push_back(sink);
   }
-  DriveSinksOverResult(batch.fleet(), copy, steps, dt, sinks);
+  DriveSteps(batch.fleet(), copy, steps, dt, sinks);
 
   ASSERT_NE(overlays.qmodel(), nullptr);
   ASSERT_NE(overlays.plane(), nullptr);

@@ -18,13 +18,11 @@
 #include <gtest/gtest.h>
 
 #include "src/core/simulation.h"
-#include "src/core/sink_drive.h"
 #include "src/core/streaming.h"
 #include "src/core/validate.h"
 #include "src/fault/schedule.h"
 #include "src/qmodel/latency_hist.h"
 #include "src/qmodel/queue_model.h"
-#include "src/qmodel/sink.h"
 #include "tests/test_helpers.h"
 
 namespace ebs {
@@ -384,8 +382,9 @@ TEST(QueueModelDeterminismTest, BatchMatchesStreamingUnderCrashHeavyFaults) {
   ExpectBatchMatchesStreaming(QueueingConfig(/*crash_heavy=*/true));
 }
 
-// No facade calls RunOverTraces any more (both drive the QueueModelSink), but
-// the benches and the perf ledger's traced run do: hold it to the facade.
+// No facade calls RunOverTraces any more (the pipeline drives the
+// QueueModelSink), but the benches and the perf ledger's traced run do: hold
+// it to the facade.
 TEST(QueueModelDeterminismTest, RunOverTracesMatchesTheBatchFacade) {
   const SimulationConfig config = QueueingConfig(/*crash_heavy=*/true);
   const EbsSimulation batch(config);
@@ -402,18 +401,12 @@ TEST(QueueModelDeterminismTest, OutOfOrderRecordsAreRejected) {
   const EbsSimulation batch(config);
   const double window_seconds =
       static_cast<double>(config.workload.window_steps) * config.workload.step_seconds;
-  WorkloadResult swapped = batch.workload();
-  std::vector<TraceRecord>& records = swapped.traces.records;
+  TraceDataset swapped = batch.traces();
+  std::vector<TraceRecord>& records = swapped.records;
   ASSERT_GT(records.size(), 2u);
   ASSERT_LT(records.front().timestamp, records.back().timestamp);
   std::swap(records.front(), records.back());
-  EXPECT_THROW(qmodel::RunOverTraces(batch.fleet(), config.queueing, swapped.traces,
-                                     window_seconds),
-               std::invalid_argument);
-  // The facade's batch driver makes the same O(n) check before any sink runs.
-  qmodel::QueueModelSink sink(config.queueing, config.workload.sampling_rate);
-  EXPECT_THROW(DriveSinksOverResult(batch.fleet(), swapped, config.workload.window_steps,
-                                    config.workload.step_seconds, {&sink}),
+  EXPECT_THROW(qmodel::RunOverTraces(batch.fleet(), config.queueing, swapped, window_seconds),
                std::invalid_argument);
 }
 

@@ -325,6 +325,28 @@ TEST(StreamingSimulationTest, GuardsAgainstMisuse) {
   EXPECT_EQ(sim.VdSeries().size(), sim.fleet().vds.size());
 }
 
+// The batch facade is the streaming one, run in its constructor: the run has
+// happened, so nothing can join it, and the engine's stats and fault driver
+// are the facade's.
+TEST(SimulationTest, BatchFacadeHasRunWhenConstructed) {
+  SimulationConfig config = SmallConfig();
+  config.fleet.user_count = 4;
+  config.workload.window_steps = 30;
+  EbsSimulation healthy(config);
+  ThroughputProbeSink sink;
+  EXPECT_THROW(healthy.AddSink(&sink), std::logic_error);
+  EXPECT_THROW(healthy.Run(), std::logic_error);
+  EXPECT_GT(healthy.traces().records.size(), 0u);
+  EXPECT_EQ(healthy.stats().events, healthy.traces().records.size());
+  EXPECT_EQ(healthy.fault_driver(), nullptr);
+
+  config.workload.faults =
+      CrashHeavySchedule(BuildFleet(config.fleet), config.workload.window_steps, /*seed=*/7);
+  const EbsSimulation faulty(config);
+  EXPECT_NE(faulty.fault_driver(), nullptr);
+  EXPECT_EQ(faulty.stats().events, faulty.traces().records.size());
+}
+
 // Hammers every lazy rollup accessor of `sim` from many threads; under
 // EBS_SANITIZE=thread this is the regression test for the shared RollupCache.
 template <typename Sim>

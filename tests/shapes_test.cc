@@ -242,6 +242,20 @@ TEST(ValidationTest, RejectsBrokenConfigs) {
       {"vms_per_user_sigma",
        [](SimulationConfig& c) -> double& { return c.fleet.vms_per_user_sigma; }},
       {"vds_per_vm_sigma", [](SimulationConfig& c) -> double& { return c.fleet.vds_per_vm_sigma; }},
+      // A NaN latency base time left the queue model at 36 of a run's 222
+      // events (8 users, 30 steps, queueing on).
+      {"latency.read_base_us[0]",
+       [](SimulationConfig& c) -> double& { return c.workload.latency.read_base_us[0]; }},
+      {"latency.write_base_us[4]",
+       [](SimulationConfig& c) -> double& { return c.workload.latency.write_base_us[4]; }},
+      {"latency.jitter_sigma",
+       [](SimulationConfig& c) -> double& { return c.workload.latency.jitter_sigma; }},
+      {"latency.straggler_probability",
+       [](SimulationConfig& c) -> double& { return c.workload.latency.straggler_probability; }},
+      {"latency.straggler_multiplier",
+       [](SimulationConfig& c) -> double& { return c.workload.latency.straggler_multiplier; }},
+      {"latency.flash_read_us",
+       [](SimulationConfig& c) -> double& { return c.workload.latency.flash_read_us; }},
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const auto& [name, field] : fields) {
@@ -251,6 +265,19 @@ TEST(ValidationTest, RejectsBrokenConfigs) {
       field(config) = value;
       expect_rejected(config);
     }
+  }
+
+  // Finite but out of range.
+  config = DcPreset(1);
+  config.workload.latency.read_base_us[0] = -1.0;
+  expect_rejected(config);
+  config = DcPreset(1);
+  config.workload.latency.flash_read_us = -1.0;
+  expect_rejected(config);
+  for (const double probability : {-0.1, 1.5}) {
+    config = DcPreset(1);
+    config.workload.latency.straggler_probability = probability;
+    expect_rejected(config);
   }
 }
 

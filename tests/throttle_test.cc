@@ -253,13 +253,30 @@ TEST_F(ThrottleFixture, NonFiniteOrOutOfRangeLendingParametersAreRejected) {
     config.lending_rate = rate;
     EXPECT_THROW(OnlineLendingSink(groups_, config), std::invalid_argument);
     EXPECT_THROW(SimulateLending(fleet_, offered_, groups_, config), std::invalid_argument);
+    EXPECT_THROW(ComputeReductionRates(fleet_, offered_, groups_, {}, rate),
+                 std::invalid_argument);
+    // The static split's read fraction is a fraction too.
+    EXPECT_THROW(EvaluateCapSplit(fleet_, offered_, CapSplitMode::kStaticSplit, rate),
+                 std::invalid_argument);
   }
+  // A NaN or zero cap scale used to turn throttling off in the batch models
+  // (DcPreset(1), 40 users, 120 steps: 0 events where 1.0 finds 93).
   for (const double scale : {kNan, kInf, -kInf, 0.0, -1.0}) {
     SCOPED_TRACE(scale);
     ThrottleConfig config;
     config.cap_scale = scale;
     EXPECT_THROW(OnlineLendingSink(groups_, config), std::invalid_argument);
     EXPECT_THROW(SimulateLending(fleet_, offered_, groups_, config), std::invalid_argument);
+    EXPECT_THROW(AnalyzeThrottle(fleet_, offered_, groups_, config), std::invalid_argument);
+    EXPECT_THROW(ComputeReductionRates(fleet_, offered_, groups_, config, 0.5),
+                 std::invalid_argument);
+    EXPECT_THROW(EvaluateCapSplit(fleet_, offered_, CapSplitMode::kJoint, 0.3, scale),
+                 std::invalid_argument);
+    EXPECT_THROW(ComputeThrottleBacklog(fleet_, offered_, scale), std::invalid_argument);
+  }
+  for (const double headroom : {kNan, kInf, -kInf, -1.0}) {
+    SCOPED_TRACE(headroom);
+    EXPECT_THROW(ComputeThrottleBacklog(fleet_, offered_, 1.0, headroom), std::invalid_argument);
   }
   // The closed loop's hook clamps a rate outside [0, 1] and rejects NaN.
   OnlineLendingSink lending(groups_, {});
