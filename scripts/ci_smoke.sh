@@ -15,7 +15,10 @@
 # (tests/scenario_test.cc), whose batch-vs-streaming worker sweeps run every
 # committed time-varying scenario through the same multi-worker merge, and
 # the queueing battery (tests/qmodel_test.cc), whose queue-model sink runs on
-# the merge thread while the shards generate.
+# the merge thread while the shards generate, and the EBST codec: the store
+# battery (tests/trace_store_test.cc), store replay
+# (tests/store_replay_test.cc), whose metrics load is the parallel decode,
+# and the ordered ParallelFor underneath (tests/util_parallel_test.cc).
 #
 # The ASan and UBSan stages also run the trace-store corruption battery
 # (tests/trace_store_test.cc): its truncation and byte-flip sweeps mutate
@@ -146,9 +149,9 @@ cmake -S "${repo_root}" -B "${build_root}/tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=thread >/dev/null
 cmake --build "${build_root}/tsan" -j "${jobs}" \
   --target replay_test fault_test striped_table_test control_test scenario_test workload_test \
-  qmodel_test
+  qmodel_test trace_store_test store_replay_test util_parallel_test
 
-echo "== [10/13] Replay + fault chaos + striped-table + control + scenario + generator + qmodel tests (TSan) =="
+echo "== [10/13] Replay + fault chaos + striped-table + control + scenario + generator + qmodel + store codec tests (TSan) =="
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/replay_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/fault_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/striped_table_test"
@@ -164,6 +167,12 @@ TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/workload_test"
 # Every queueing EbsSimulation runs the QueueModelSink on the merge thread
 # while the shards generate: the qmodel suite's facades run under it too.
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/qmodel_test"
+# The EBST codec encodes and decodes its chunks and metric series on worker
+# threads (ParallelFor); StoreReplaySource::PrepareResult runs the parallel
+# metrics decode.
+TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/util_parallel_test"
+TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/trace_store_test"
+TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/store_replay_test"
 
 echo "== [11/13] Latency bench vs committed baseline =="
 "${build_root}/release/bench/bench_latency" "${build_root}/BENCH_LATENCY.fresh.json" \

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "src/replay/parallel_generate.h"
+#include "src/util/parallel.h"
 
 namespace ebs {
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "src/util/stats.h"
@@ -26,6 +28,30 @@ std::vector<std::vector<NodeIo>> BucketByNode(const Fleet& fleet, const TraceDat
   return per_node;
 }
 
+// ceil(window_seconds / seconds): the periods of `seconds` in the window,
+// at least one, so every record has a period to land in. Throws
+// std::invalid_argument unless `seconds` is finite and positive and the count
+// is one a double holds exactly (at most 2^53), so the cast to size_t is
+// defined and every period index below it is exact.
+size_t PeriodCount(double window_seconds, double seconds, const char* name) {
+  if (!std::isfinite(seconds) || seconds <= 0.0) {
+    throw std::invalid_argument(std::string("rebinding: ") + name +
+                                " must be finite and positive");
+  }
+  const double count = std::ceil(window_seconds / seconds);
+  if (!(count >= 0.0 && count <= 9007199254740992.0)) {
+    throw std::invalid_argument(std::string("rebinding: ") + name +
+                                " gives a period count a double cannot hold exactly");
+  }
+  return std::max<size_t>(1, static_cast<size_t>(count));
+}
+
+void CheckTriggerRatio(double trigger_ratio) {
+  if (!std::isfinite(trigger_ratio) || trigger_ratio < 0.0) {
+    throw std::invalid_argument("rebinding: trigger_ratio must be finite and non-negative");
+  }
+}
+
 // Local index of each WT within its node.
 size_t LocalWt(const ComputeNode& node, WorkerThreadId wt) {
   for (size_t i = 0; i < node.wts.size(); ++i) {
@@ -41,10 +67,13 @@ size_t LocalWt(const ComputeNode& node, WorkerThreadId wt) {
 std::vector<NodeRebindingResult> SimulateRebinding(const Fleet& fleet,
                                                    const TraceDataset& traces,
                                                    const RebindingConfig& config) {
+  const size_t total_periods =
+      PeriodCount(traces.window_seconds, config.period_seconds, "period_seconds");
+  const size_t gain_windows =
+      PeriodCount(traces.window_seconds, config.gain_window_seconds, "gain_window_seconds");
+  CheckTriggerRatio(config.trigger_ratio);
   std::vector<NodeRebindingResult> results;
   const auto per_node = BucketByNode(fleet, traces);
-  const size_t total_periods = static_cast<size_t>(
-      std::ceil(traces.window_seconds / config.period_seconds));
 
   for (const ComputeNode& node : fleet.nodes) {
     const auto& ios = per_node[node.id.value()];
@@ -73,8 +102,6 @@ std::vector<NodeRebindingResult> SimulateRebinding(const Fleet& fleet,
     std::vector<double> static_period_series(total_periods, 0.0);
 
     // Sub-window accumulators for the gain measure.
-    const size_t gain_windows = static_cast<size_t>(
-        std::ceil(traces.window_seconds / config.gain_window_seconds));
     std::vector<std::vector<double>> static_window(gain_windows,
                                                    std::vector<double>(wt_count, 0.0));
     std::vector<std::vector<double>> dynamic_window(gain_windows,
@@ -165,9 +192,9 @@ std::vector<NodeRebindingResult> SimulateRebinding(const Fleet& fleet,
 
 std::vector<double> HottestWtPeriodSeries(const Fleet& fleet, const TraceDataset& traces,
                                           ComputeNodeId node_id, double period_seconds) {
-  const ComputeNode& node = fleet.nodes[node_id.value()];
   const size_t total_periods =
-      static_cast<size_t>(std::ceil(traces.window_seconds / period_seconds));
+      PeriodCount(traces.window_seconds, period_seconds, "period_seconds");
+  const ComputeNode& node = fleet.nodes[node_id.value()];
   std::vector<double> wt_totals(node.wts.size(), 0.0);
   std::vector<std::vector<double>> series(node.wts.size(),
                                           std::vector<double>(total_periods, 0.0));
@@ -201,11 +228,13 @@ const char* HostingModelName(HostingModel model) {
 std::vector<DispatchResult> CompareHostingModels(const Fleet& fleet,
                                                  const TraceDataset& traces,
                                                  const RebindingConfig& config) {
+  // The rebinding model's parameters are checked before any model runs.
+  PeriodCount(traces.window_seconds, config.period_seconds, "period_seconds");
+  CheckTriggerRatio(config.trigger_ratio);
+  const size_t gain_windows =
+      PeriodCount(traces.window_seconds, config.gain_window_seconds, "gain_window_seconds");
   std::vector<DispatchResult> out;
   const auto per_node = BucketByNode(fleet, traces);
-
-  const size_t gain_windows = static_cast<size_t>(
-      std::ceil(traces.window_seconds / config.gain_window_seconds));
   // Mean sub-window WT-CoV for one node under an arbitrary slot assignment.
   auto windowed_cov = [&](const ComputeNode& node, const std::vector<NodeIo>& ios,
                           auto slot_of) {

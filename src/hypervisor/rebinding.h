@@ -26,6 +26,12 @@
 
 namespace ebs {
 
+// SimulateRebinding, CompareHostingModels and HottestWtPeriodSeries (its
+// period_seconds) throw std::invalid_argument for a period_seconds or
+// gain_window_seconds that is not finite and positive, or whose period count
+// ceil(traces.window_seconds / x) a double cannot hold exactly (above 2^53),
+// and for a trigger_ratio that is not finite and non-negative. A window
+// shorter than one period (a zero window_seconds included) is one period.
 struct RebindingConfig {
   double period_seconds = 0.010;
   double trigger_ratio = 1.2;  // hottest > ratio * coldest triggers a swap

@@ -16,6 +16,7 @@ GeneratorShardSource::GeneratorShardSource(const Fleet& fleet, WorkloadConfig co
   }
   const size_t shard_count = std::max<size_t>(
       1, std::min(worker_threads, std::max<size_t>(1, fleet_.vms.size())));
+  stream_count_ = shard_count;
 
   // Round-robin VM assignment: a deterministic partition that spreads the
   // heavy-tailed tenants across shards. Any partition yields the same output.
@@ -143,6 +144,7 @@ void GeneratorShardSource::Finalize(WorkloadResult* result) {
     // summed across shards.
     result->faults.degraded_steps = fault_driver_->DegradedStepCount();
   }
+  shards_.clear();
 }
 
 }  // namespace ebs

@@ -33,7 +33,7 @@ class GeneratorShardSource : public ReplaySource {
   // clamped to [1, VM count].
   GeneratorShardSource(const Fleet& fleet, WorkloadConfig config, size_t worker_threads);
 
-  size_t stream_count() const override { return shards_.size(); }
+  size_t stream_count() const override { return stream_count_; }
   size_t window_steps() const override { return config_.window_steps; }
   double step_seconds() const override { return config_.step_seconds; }
   double sampling_rate() const override { return config_.sampling_rate; }
@@ -50,7 +50,10 @@ class GeneratorShardSource : public ReplaySource {
   const Fleet& fleet_;
   WorkloadConfig config_;
   std::unique_ptr<FaultDriver> fault_driver_;
+  // Released by Finalize once their fault stats are accumulated: a finished
+  // run keeps no per-stream generation state.
   std::vector<std::unique_ptr<ReplayShard>> shards_;
+  size_t stream_count_ = 0;  // shards_.size() at construction
 
   // The result whose shared slots the shards fill; set by PrepareResult.
   WorkloadResult* result_ = nullptr;

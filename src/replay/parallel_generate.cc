@@ -1,10 +1,10 @@
 #include "src/replay/parallel_generate.h"
 
-#include <thread>
 #include <utility>
 
 #include "src/replay/engine.h"
 #include "src/replay/sinks.h"
+#include "src/util/parallel.h"
 
 namespace ebs {
 
@@ -16,11 +16,6 @@ WorkloadResult GenerateWorkloadParallel(const Fleet& fleet, const WorkloadConfig
   WorkloadResult result = engine.Run();
   result.traces = collector.TakeDataset();
   return result;
-}
-
-size_t DefaultGenerateWorkers() {
-  const unsigned cores = std::thread::hardware_concurrency();
-  return cores > 1 ? cores - 1 : 1;
 }
 
 WorkloadResult WorkloadGenerator::Generate() const {

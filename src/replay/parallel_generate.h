@@ -1,7 +1,8 @@
 // Batch generation: the replay engine with a TraceCollectorSink as its only
 // sink, so the trace dataset is the merged (timestamp, vd, sequence) stream.
 // WorkloadGenerator::Generate (src/workload/generator.h) is defined here: it
-// runs GenerateWorkloadParallel on DefaultGenerateWorkers() threads.
+// runs GenerateWorkloadParallel on DefaultGenerateWorkers() threads
+// (src/util/parallel.h).
 
 #ifndef SRC_REPLAY_PARALLEL_GENERATE_H_
 #define SRC_REPLAY_PARALLEL_GENERATE_H_
@@ -18,10 +19,6 @@ namespace ebs {
 // UnrecoverableFaultError at a scheduled abort step.
 WorkloadResult GenerateWorkloadParallel(const Fleet& fleet, const WorkloadConfig& config,
                                         size_t worker_threads);
-
-// Generate()'s worker count: hardware_concurrency() - 1, at least 1, which
-// leaves a core to the merge thread. No setting: the output cannot change.
-size_t DefaultGenerateWorkers();
 
 }  // namespace ebs
 

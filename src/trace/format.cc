@@ -81,6 +81,50 @@ uint32_t Crc32Extend(uint32_t crc, const uint8_t* data, size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+namespace {
+
+// Polynomials over GF(2) modulo the CRC polynomial, held reflected as the
+// CRC holds them: bit 31 is x^0. Returns a * b; `a` must not be zero.
+constexpr uint32_t MultiplyModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31;; m >>= 1) {
+    if ((a & m) != 0) {
+      product ^= b;
+      if ((a & (m - 1)) == 0) {
+        return product;
+      }
+    }
+    b = (b & 1u) != 0 ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+  }
+}
+
+// kXPow2n[k] = x^(2^k) modulo the polynomial; x^(2^32) = x, so 32 entries
+// cover every k.
+constexpr std::array<uint32_t, 32> BuildXPow2n() {
+  std::array<uint32_t, 32> table{};
+  uint32_t p = 1u << 30;  // x^1
+  table[0] = p;
+  for (size_t k = 1; k < table.size(); ++k) {
+    table[k] = p = MultiplyModP(p, p);
+  }
+  return table;
+}
+
+constexpr std::array<uint32_t, 32> kXPow2n = BuildXPow2n();
+
+}  // namespace
+
+uint32_t Crc32Combine(uint32_t crc1, uint32_t crc2, uint64_t len2) {
+  // crc1 shifted over len2 zero bytes is crc1 * x^(8 * len2).
+  uint32_t shift = 1u << 31;  // x^0
+  for (size_t k = 3; len2 != 0; len2 >>= 1, ++k) {
+    if ((len2 & 1u) != 0) {
+      shift = MultiplyModP(kXPow2n[k & 31], shift);
+    }
+  }
+  return MultiplyModP(shift, crc1) ^ crc2;
+}
+
 bool QuantizeScaled(double value, double scale, int64_t* out) {
   const double scaled = value * scale;
   if (!std::isfinite(scaled) || scaled > static_cast<double>(kMaxQuantized) ||

@@ -93,6 +93,12 @@ inline uint32_t Crc32(const std::vector<uint8_t>& data) {
   return Crc32(data.data(), data.size());
 }
 
+// zlib's crc32_combine: the CRC of a followed by b from the CRCs of both and
+// b's length, Crc32Combine(Crc32(a), Crc32(b), |b|) == Crc32(a followed by
+// b), in O(log |b|) steps. Pieces CRC'd apart, on other threads, join this
+// way in file order.
+uint32_t Crc32Combine(uint32_t crc1, uint32_t crc2, uint64_t len2);
+
 // ---------------------------------------------------------------------------
 // Little-endian fixed-width scalars.
 // ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <exception>
+#include <functional>
 #include <limits>
 #include <utility>
+
+#include "src/util/parallel.h"
 
 namespace ebs {
 
@@ -510,11 +514,12 @@ void DecodeIntBlock(ByteReader* reader, size_t n, Predict& predict, uint64_t max
 // Chunk payload encode/decode.
 // ---------------------------------------------------------------------------
 
-std::vector<uint8_t> EncodeChunkPayload(const std::vector<TraceRecord>& records,
-                                        const std::vector<uint32_t>& steps,
-                                        StorePrecision precision) {
+// Encodes one chunk's payload into *out_bytes, which is cleared first.
+void EncodeChunkPayload(std::span<const TraceRecord> records, std::span<const uint32_t> steps,
+                        StorePrecision precision, std::vector<uint8_t>* out_bytes) {
   const size_t n = records.size();
-  std::vector<uint8_t> out;
+  std::vector<uint8_t>& out = *out_bytes;
+  out.clear();
   std::vector<uint64_t> column(n);
   const auto value = [&column](size_t i) { return column[i]; };
 
@@ -579,7 +584,6 @@ std::vector<uint8_t> EncodeChunkPayload(const std::vector<TraceRecord>& records,
   ints([](const TraceRecord& r) { return r.fault_retries; }, by_vd);
   bits([](const TraceRecord& r) { return r.fault_timed_out; });
   bits([](const TraceRecord& r) { return r.fault_failed_over; });
-  return out;
 }
 
 // Decodes a chunk payload into `out` (n records) and, when not null, `steps`.
@@ -655,6 +659,76 @@ void DecodeChunkPayload(ByteReader reader, size_t n, uint32_t window_steps, Trac
   }
 }
 
+// CRC-checks a chunk payload, then decodes its `count` records onto the end
+// of *records (and of *steps, when not null). Neither is sized before the
+// CRC passed, and a chunk that fails to decode leaves both as they were.
+void DecodeChunk(const std::vector<uint8_t>& payload, uint32_t crc, uint32_t count,
+                 uint32_t window_steps, std::vector<TraceRecord>* records,
+                 std::vector<uint32_t>* steps) {
+  if (Crc32(payload) != crc) {
+    throw TraceStoreError(StoreErrorCode::kChunkCorrupt, "chunk CRC mismatch");
+  }
+  const size_t base = records->size();
+  const size_t step_base = steps != nullptr ? steps->size() : 0;
+  records->resize(base + count);
+  if (steps != nullptr) {
+    steps->resize(step_base + count);
+  }
+  try {
+    DecodeChunkPayload(ByteReader(payload.data(), payload.size()), count, window_steps,
+                       records->data() + base,
+                       steps != nullptr ? steps->data() + step_base : nullptr);
+  } catch (...) {
+    records->resize(base);
+    if (steps != nullptr) {
+      steps->resize(step_base);
+    }
+    throw;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parallel pieces.
+// ---------------------------------------------------------------------------
+
+// The codec's pieces (a trace chunk, a run of metric series, a slice of the
+// metrics CRC) encode and decode independently. A PieceLoop runs them on the calling
+// thread plus DefaultGenerateWorkers() helpers, with at most `per_thread`
+// pieces per thread in flight, while the calling thread reads and writes the
+// file in order: ParallelFor's feed and done stages.
+struct PieceLoop {
+  explicit PieceLoop(size_t per_thread)
+      : helpers(DefaultGenerateWorkers()), window(per_thread * (helpers + 1)) {}
+
+  void Run(size_t n, const std::function<void(size_t)>& feed,
+           const std::function<void(size_t)>& work,
+           const std::function<void(size_t)>& done) const {
+    ParallelFor(n, helpers, window, feed, work, done);
+  }
+
+  size_t helpers;
+  size_t window;  // piece i's state lives in slot i % window
+};
+
+// A decoded 4,096-record chunk is ~0.4 MB. Metric series (~20 KB each)
+// travel in groups of kSeriesPerPiece consecutive series, so a piece is
+// worth handing to a thread.
+constexpr size_t kChunksPerThread = 2;
+constexpr size_t kSeriesPerThread = 4;
+constexpr size_t kSeriesPerPiece = 16;
+
+// n items cut into pieces of `per_piece`: how many pieces, and piece i's
+// (first item, item count).
+size_t PieceCount(size_t n, size_t per_piece) { return (n + per_piece - 1) / per_piece; }
+
+std::pair<size_t, size_t> PieceRange(size_t i, size_t per_piece, size_t n) {
+  const size_t first = i * per_piece;
+  return {first, std::min(per_piece, n - first)};
+}
+
+// The metrics CRC is checked in slices of this size, one piece each.
+constexpr size_t kCrcSliceBytes = size_t{1} << 20;
+
 // ---------------------------------------------------------------------------
 // Metrics section encode/decode.
 // ---------------------------------------------------------------------------
@@ -670,7 +744,7 @@ void AppendRwSeries(std::vector<uint8_t>* out, const RwSeries& series) {
   }
 }
 
-// Decodes the four series blocks straight into `series`, zero-filled and
+// Decodes the four series blocks into `series`, already zero-filled and
 // sized to the window.
 void DecodeRwSeries(ByteReader* reader, RwSeries* series) {
   for (TimeSeries* s :
@@ -711,39 +785,44 @@ constexpr size_t kMinRwSeriesBytes = 4 * 2;
 constexpr size_t kMinEntryBytes = 2 * 1 + 2 * 8;
 constexpr size_t kMinTruthBytes = 1 + 4 * 8 + 2 * 1;
 
-// The metrics section leaves in pieces of about this size, so the writer
-// never holds the whole section (37 MB for a full DcPreset(1) run) in
-// memory.
-constexpr size_t kSectionPieceBytes = size_t{1} << 20;
-
-// Encodes the metrics section, handing it to emit(piece) in order, one
-// bounded piece at a time.
+// Encodes the metrics section, handing it to emit(bytes, crc) in file order.
+// Each series is a piece, encoded and CRC'd on a worker; the few small
+// structures between the series lists are encoded on the calling thread.
 template <typename Emit>
 void EncodeMetricsSection(const WorkloadResult& result, Emit emit) {
   std::vector<uint8_t> out;
-  const auto series = [&](const RwSeries& s) {
-    AppendRwSeries(&out, s);
-    if (out.size() >= kSectionPieceBytes) {
-      emit(out);
-      out.clear();
-    }
+  const auto flush = [&] {
+    emit(out, Crc32(out));
+    out.clear();
+  };
+  const PieceLoop loop(kSeriesPerThread);
+  std::vector<std::vector<uint8_t>> pieces(loop.window);
+  std::vector<uint32_t> crcs(loop.window);
+  const auto series_list = [&](const std::vector<RwSeries>& list) {
+    PutVarint(&out, list.size());
+    flush();
+    loop.Run(
+        PieceCount(list.size(), kSeriesPerPiece), nullptr,
+        [&](size_t i) {
+          std::vector<uint8_t>& piece = pieces[i % loop.window];
+          piece.clear();
+          const auto [first, count] = PieceRange(i, kSeriesPerPiece, list.size());
+          for (size_t s = first; s < first + count; ++s) {
+            AppendRwSeries(&piece, list[s]);
+          }
+          crcs[i % loop.window] = Crc32(piece);
+        },
+        [&](size_t i) { emit(pieces[i % loop.window], crcs[i % loop.window]); });
   };
   const MetricDataset& metrics = result.metrics;
   PutVarint(&out, metrics.window_steps);
   PutF64(&out, metrics.step_seconds);
-
-  PutVarint(&out, metrics.qp_series.size());
-  for (const RwSeries& s : metrics.qp_series) {
-    series(s);
-  }
+  series_list(metrics.qp_series);
 
   // The storage domain as SegmentSeriesMap holds it: the source series, then
   // the entries in ascending id order, each id a delta from the previous one.
   const SegmentSeriesMap& segments = metrics.segment_series;
-  PutVarint(&out, segments.sources().size());
-  for (const RwSeries& s : segments.sources()) {
-    series(s);
-  }
+  series_list(segments.sources());
   PutVarint(&out, segments.entries().size());
   uint32_t prev_id = 0;
   for (const SegmentEntry& entry : segments.entries()) {
@@ -754,10 +833,7 @@ void EncodeMetricsSection(const WorkloadResult& result, Emit emit) {
     prev_id = entry.id;
   }
 
-  PutVarint(&out, result.offered_vd.size());
-  for (const RwSeries& s : result.offered_vd) {
-    series(s);
-  }
+  series_list(result.offered_vd);
 
   PutVarint(&out, result.vd_truth.size());
   for (const VdGroundTruth& truth : result.vd_truth) {
@@ -780,51 +856,49 @@ void EncodeMetricsSection(const WorkloadResult& result, Emit emit) {
   PutVarint(&out, result.faults.slowed);
   PutVarint(&out, result.faults.hiccuped);
   PutVarint(&out, result.faults.degraded_steps);
-  emit(out);
+  flush();
 }
 
-void DecodeMetricsSection(ByteReader reader, const TraceStoreMeta& meta,
-                          WorkloadResult* result) {
-  uint64_t window_steps = 0;
-  double step_seconds = 0.0;
-  if (!reader.GetVarint(&window_steps) || !reader.GetF64(&step_seconds)) {
-    DecodeFail("metrics section header overrun");
-  }
-  if (window_steps != meta.window_steps || step_seconds != meta.step_seconds) {
-    DecodeFail("metrics section window disagrees with the file header");
-  }
-  const size_t steps = static_cast<size_t>(window_steps);
-  MetricDataset& metrics = result->metrics;
-  metrics.window_steps = steps;
-  metrics.step_seconds = step_seconds;
+// Where one series starts in the section, and the series it decodes into.
+struct SeriesPiece {
+  RwSeries* series = nullptr;
+  const uint8_t* begin = nullptr;
+};
 
-  // Each list of series is sized only after its count passed GetCount, then
-  // decoded in place.
-  const auto series_list = [&](const char* what, std::vector<RwSeries>* out) {
-    out->assign(static_cast<size_t>(GetCount(&reader, kMinRwSeriesBytes, what)),
-                RwSeries(steps, step_seconds));
-    for (RwSeries& s : *out) {
-      DecodeRwSeries(&reader, &s);
+// The serial part of the metrics decode, in file order: every count, entry,
+// truth record and the fault stats are decoded, and each series is only
+// located (its four [tag][len] blocks are skipped with NextBlock's checks)
+// and left empty in its list, which is sized only after its count passed
+// GetCount.
+void WalkMetricsSection(ByteReader* reader, double step_seconds, WorkloadResult* result,
+                        std::vector<SeriesPiece>* pieces) {
+  const auto series_list = [&](std::vector<RwSeries>& list) {
+    for (RwSeries& series : list) {
+      pieces->push_back({&series, reader->pos});
+      for (int block = 0; block < 4; ++block) {
+        NextBlock(reader, "series");
+      }
     }
   };
-  series_list("qp", &metrics.qp_series);
+  MetricDataset& metrics = result->metrics;
+  metrics.qp_series.assign(static_cast<size_t>(GetCount(reader, kMinRwSeriesBytes, "qp")),
+                           RwSeries());
+  series_list(metrics.qp_series);
 
   // The storage domain, rebuilt as the generator builds it. Every entry is
   // checked here, so AssignEntries never throws: ids strictly ascending,
   // sources in range, weights finite and non-negative.
-  const uint64_t source_count = GetCount(&reader, kMinRwSeriesBytes, "source");
-  for (RwSeries& s : metrics.segment_series.ResetSources(static_cast<size_t>(source_count),
-                                                         steps, step_seconds)) {
-    DecodeRwSeries(&reader, &s);
-  }
+  const uint64_t source_count = GetCount(reader, kMinRwSeriesBytes, "source");
+  series_list(
+      metrics.segment_series.ResetSources(static_cast<size_t>(source_count), 0, step_seconds));
   std::vector<SegmentEntry> entries(
-      static_cast<size_t>(GetCount(&reader, kMinEntryBytes, "entry")));
+      static_cast<size_t>(GetCount(reader, kMinEntryBytes, "entry")));
   for (size_t i = 0; i < entries.size(); ++i) {
     SegmentEntry& entry = entries[i];
     uint64_t id_delta = 0;
     uint64_t source = 0;
-    if (!reader.GetVarint(&id_delta) || !reader.GetVarint(&source) ||
-        !reader.GetF64(&entry.read_weight) || !reader.GetF64(&entry.write_weight)) {
+    if (!reader->GetVarint(&id_delta) || !reader->GetVarint(&source) ||
+        !reader->GetF64(&entry.read_weight) || !reader->GetF64(&entry.write_weight)) {
       DecodeFail("metrics segment entry overrun");
     }
     if (id_delta > std::numeric_limits<uint32_t>::max()) {
@@ -847,9 +921,11 @@ void DecodeMetricsSection(ByteReader reader, const TraceStoreMeta& meta,
   }
   metrics.segment_series.AssignEntries(std::move(entries));
 
-  series_list("offered-vd", &result->offered_vd);
+  result->offered_vd.assign(
+      static_cast<size_t>(GetCount(reader, kMinRwSeriesBytes, "offered-vd")), RwSeries());
+  series_list(result->offered_vd);
 
-  const uint64_t truth_count = GetCount(&reader, kMinTruthBytes, "truth");
+  const uint64_t truth_count = GetCount(reader, kMinTruthBytes, "truth");
   result->vd_truth.clear();
   result->vd_truth.reserve(static_cast<size_t>(truth_count));
   for (uint64_t i = 0; i < truth_count; ++i) {
@@ -857,10 +933,10 @@ void DecodeMetricsSection(ByteReader reader, const TraceStoreMeta& meta,
     uint8_t flags = 0;
     uint64_t hot_offset = 0;
     uint64_t hot_bytes = 0;
-    if (!reader.GetByte(&flags) || !reader.GetF64(&truth.mean_read_bps) ||
-        !reader.GetF64(&truth.mean_write_bps) || !reader.GetVarint(&hot_offset) ||
-        !reader.GetVarint(&hot_bytes) || !reader.GetF64(&truth.hot_prob_read) ||
-        !reader.GetF64(&truth.hot_prob_write)) {
+    if (!reader->GetByte(&flags) || !reader->GetF64(&truth.mean_read_bps) ||
+        !reader->GetF64(&truth.mean_write_bps) || !reader->GetVarint(&hot_offset) ||
+        !reader->GetVarint(&hot_bytes) || !reader->GetF64(&truth.hot_prob_read) ||
+        !reader->GetF64(&truth.hot_prob_write)) {
       DecodeFail("metrics truth record overrun");
     }
     truth.read_active = (flags & 1) != 0;
@@ -871,14 +947,59 @@ void DecodeMetricsSection(ByteReader reader, const TraceStoreMeta& meta,
   }
 
   FaultStats& faults = result->faults;
-  if (!reader.GetVarint(&faults.issued) || !reader.GetVarint(&faults.completed) ||
-      !reader.GetVarint(&faults.timed_out) || !reader.GetVarint(&faults.retries) ||
-      !reader.GetVarint(&faults.failovers) || !reader.GetVarint(&faults.slowed) ||
-      !reader.GetVarint(&faults.hiccuped) || !reader.GetVarint(&faults.degraded_steps)) {
+  if (!reader->GetVarint(&faults.issued) || !reader->GetVarint(&faults.completed) ||
+      !reader->GetVarint(&faults.timed_out) || !reader->GetVarint(&faults.retries) ||
+      !reader->GetVarint(&faults.failovers) || !reader->GetVarint(&faults.slowed) ||
+      !reader->GetVarint(&faults.hiccuped) || !reader->GetVarint(&faults.degraded_steps)) {
     DecodeFail("metrics fault stats overrun");
   }
-  if (!reader.exhausted()) {
+  if (!reader->exhausted()) {
     DecodeFail("trailing bytes after metrics section");
+  }
+}
+
+void DecodeMetricsSection(ByteReader reader, const TraceStoreMeta& meta,
+                          WorkloadResult* result) {
+  uint64_t window_steps = 0;
+  double step_seconds = 0.0;
+  if (!reader.GetVarint(&window_steps) || !reader.GetF64(&step_seconds)) {
+    DecodeFail("metrics section header overrun");
+  }
+  if (window_steps != meta.window_steps || step_seconds != meta.step_seconds) {
+    DecodeFail("metrics section window disagrees with the file header");
+  }
+  const size_t steps = static_cast<size_t>(window_steps);
+  result->metrics.window_steps = steps;
+  result->metrics.step_seconds = step_seconds;
+
+  // A walk error is rethrown only after every series before it decoded, so
+  // the first error in file order wins, as in a serial decode. A series the
+  // walk could not skip is still a piece: decoding it fails at the same
+  // block, or at an earlier one.
+  std::vector<SeriesPiece> pieces;
+  std::exception_ptr walk_error;
+  try {
+    WalkMetricsSection(&reader, step_seconds, result, &pieces);
+  } catch (const TraceStoreError&) {
+    walk_error = std::current_exception();
+  }
+  // Each series is allocated and first touched by the worker that decodes it.
+  const uint8_t* const end = reader.end;
+  PieceLoop(kSeriesPerThread)
+      .Run(
+          PieceCount(pieces.size(), kSeriesPerPiece), nullptr,
+          [&](size_t i) {
+            const auto [first, count] = PieceRange(i, kSeriesPerPiece, pieces.size());
+            for (size_t s = first; s < first + count; ++s) {
+              const SeriesPiece& piece = pieces[s];
+              *piece.series = RwSeries(steps, step_seconds);
+              ByteReader series(piece.begin, static_cast<size_t>(end - piece.begin));
+              DecodeRwSeries(&series, piece.series);
+            }
+          },
+          nullptr);
+  if (walk_error) {
+    std::rethrow_exception(walk_error);
   }
 }
 
@@ -949,26 +1070,62 @@ bool TraceStoreWriter::Append(const TraceRecord& record, uint32_t step) {
   pending_.push_back(record);
   pending_steps_.push_back(step);
   ++records_written_;
-  if (pending_.size() >= options_.chunk_records) {
-    return FlushChunk();
+  if (pending_.size() < options_.chunk_records) {
+    return true;
   }
-  return true;
-}
-
-bool TraceStoreWriter::FlushChunk() {
-  if (pending_.empty()) {
-    return ok_;
-  }
-  const std::vector<uint8_t> payload =
-      EncodeChunkPayload(pending_, pending_steps_, options_.precision);
-  std::vector<uint8_t> header;
-  PutU32(&header, static_cast<uint32_t>(pending_.size()));
-  PutU32(&header, static_cast<uint32_t>(payload.size()));
-  PutU32(&header, Crc32(payload));
-  index_.push_back({offset_, static_cast<uint32_t>(pending_.size())});
+  const bool wrote = WriteChunks(pending_, pending_steps_);
   pending_.clear();
   pending_steps_.clear();
-  return WriteRaw(header.data(), header.size()) && WriteRaw(payload.data(), payload.size());
+  return wrote;
+}
+
+bool TraceStoreWriter::AppendAll(std::span<const TraceRecord> records,
+                                 std::span<const uint32_t> steps) {
+  if (!ok()) {
+    return false;
+  }
+  for (size_t i = 0; i < steps.size(); ++i) {
+    if (steps[i] >= meta_.window_steps || (i > 0 && steps[i] < steps[i - 1])) {
+      ok_ = false;
+      return false;
+    }
+  }
+  records_written_ = records.size();
+  last_step_ = steps.empty() ? 0 : steps.back();
+  return WriteChunks(records, steps);
+}
+
+bool TraceStoreWriter::WriteChunks(std::span<const TraceRecord> records,
+                                   std::span<const uint32_t> steps) {
+  struct Chunk {
+    std::vector<uint8_t> payload;
+    uint32_t crc = 0;
+  };
+  const PieceLoop loop(kChunksPerThread);
+  std::vector<Chunk> slots(loop.window);
+  const size_t per_chunk = options_.chunk_records;
+  loop.Run(
+      PieceCount(records.size(), per_chunk), nullptr,
+      [&](size_t i) {
+        const auto [first, count] = PieceRange(i, per_chunk, records.size());
+        Chunk& chunk = slots[i % loop.window];
+        EncodeChunkPayload(records.subspan(first, count), steps.subspan(first, count),
+                           options_.precision, &chunk.payload);
+        chunk.crc = Crc32(chunk.payload);
+      },
+      [&](size_t i) {
+        const auto count =
+            static_cast<uint32_t>(PieceRange(i, per_chunk, records.size()).second);
+        const Chunk& chunk = slots[i % loop.window];
+        std::vector<uint8_t> header;
+        PutU32(&header, count);
+        PutU32(&header, static_cast<uint32_t>(chunk.payload.size()));
+        PutU32(&header, chunk.crc);
+        index_.push_back({offset_, count});
+        WriteRaw(header.data(), header.size());
+        WriteRaw(chunk.payload.data(), chunk.payload.size());
+      });
+  return ok_;
 }
 
 bool TraceStoreWriter::Finish() { return FinishImpl(nullptr); }
@@ -980,16 +1137,16 @@ bool TraceStoreWriter::FinishImpl(const WorkloadResult* result) {
     return false;
   }
   finished_ = true;
-  FlushChunk();
+  WriteChunks(pending_, pending_steps_);
 
   uint64_t metrics_offset = 0;
   uint64_t metrics_size = 0;
   uint32_t metrics_crc = 0;
   if (result != nullptr && ok_) {
     metrics_offset = offset_;
-    EncodeMetricsSection(*result, [&](const std::vector<uint8_t>& piece) {
+    EncodeMetricsSection(*result, [&](const std::vector<uint8_t>& piece, uint32_t crc) {
       metrics_size += piece.size();
-      metrics_crc = Crc32Extend(metrics_crc, piece.data(), piece.size());
+      metrics_crc = Crc32Combine(metrics_crc, crc, piece.size());
       WriteRaw(piece.data(), piece.size());
     });
   }
@@ -1029,17 +1186,19 @@ bool TraceStoreWriter::FinishImpl(const WorkloadResult* result) {
 
 namespace {
 
-// The batch conveniences: every record at its derived step, then the footer
-// (with the metrics section when `result` is given).
-bool WriteStore(const std::string& path, const TraceDataset& traces, double step_seconds,
-                uint32_t window_steps, TraceStoreOptions options,
-                const WorkloadResult* result) {
-  TraceStoreMeta meta;
-  meta.sampling_rate = traces.sampling_rate;
-  meta.window_seconds = traces.window_seconds;
-  meta.step_seconds = step_seconds;
-  meta.window_steps = window_steps;
-  TraceStoreWriter writer(path, meta, options);
+TraceStoreMeta MetaOf(const TraceDataset& traces, double step_seconds, uint32_t window_steps) {
+  return {.sampling_rate = traces.sampling_rate,
+          .window_seconds = traces.window_seconds,
+          .step_seconds = step_seconds,
+          .window_steps = window_steps};
+}
+
+// Every record's step, derived from its timestamp as the batch conveniences
+// document.
+std::vector<uint32_t> DerivedSteps(const TraceDataset& traces, double step_seconds,
+                                   uint32_t window_steps) {
+  std::vector<uint32_t> steps;
+  steps.reserve(traces.records.size());
   uint32_t prev_step = 0;
   for (const TraceRecord& record : traces.records) {
     uint32_t step = 0;
@@ -1051,11 +1210,9 @@ bool WriteStore(const std::string& path, const TraceDataset& traces, double step
     }
     step = std::max(step, prev_step);  // generator timestamps never regress a step
     prev_step = step;
-    if (!writer.Append(record, step)) {
-      return false;
-    }
+    steps.push_back(step);
   }
-  return result != nullptr ? writer.Finish(*result) : writer.Finish();
+  return steps;
 }
 
 }  // namespace
@@ -1063,13 +1220,18 @@ bool WriteStore(const std::string& path, const TraceDataset& traces, double step
 bool WriteDatasetToStore(const std::string& path, const TraceDataset& traces,
                          double step_seconds, uint32_t window_steps,
                          TraceStoreOptions options) {
-  return WriteStore(path, traces, step_seconds, window_steps, options, nullptr);
+  TraceStoreWriter writer(path, MetaOf(traces, step_seconds, window_steps), options);
+  return writer.AppendAll(traces.records, DerivedSteps(traces, step_seconds, window_steps)) &&
+         writer.Finish();
 }
 
 bool WriteWorkloadToStore(const std::string& path, const WorkloadResult& result,
                           double step_seconds, TraceStoreOptions options) {
-  return WriteStore(path, result.traces, step_seconds,
-                    static_cast<uint32_t>(result.metrics.window_steps), options, &result);
+  const auto window_steps = static_cast<uint32_t>(result.metrics.window_steps);
+  TraceStoreWriter writer(path, MetaOf(result.traces, step_seconds, window_steps), options);
+  return writer.AppendAll(result.traces.records,
+                          DerivedSteps(result.traces, step_seconds, window_steps)) &&
+         writer.Finish(result);
 }
 
 // ---------------------------------------------------------------------------
@@ -1248,11 +1410,7 @@ uint64_t TraceStoreReader::ChunkEndBoundary(size_t index) const {
   return info_.file_bytes;  // footer range is validated against the trailer
 }
 
-void TraceStoreReader::ReadChunk(size_t index, std::vector<TraceRecord>* records,
-                                 std::vector<uint32_t>* steps) const {
-  if (index >= chunks_.size()) {
-    throw std::out_of_range("trace store: chunk index out of range");
-  }
+uint32_t TraceStoreReader::ReadChunkBytes(size_t index, std::vector<uint8_t>* payload) const {
   const StoreChunkInfo& entry = chunks_[index];
   uint8_t header_bytes[kStoreChunkHeaderBytes];
   ReadAt(entry.offset, header_bytes, kStoreChunkHeaderBytes);
@@ -1271,30 +1429,19 @@ void TraceStoreReader::ReadChunk(size_t index, std::vector<TraceRecord>* records
   if (payload_end > ChunkEndBoundary(index)) {
     throw TraceStoreError(StoreErrorCode::kChunkCorrupt, "chunk payload overruns section");
   }
-  std::vector<uint8_t> payload(payload_size);
-  ReadAt(entry.offset + kStoreChunkHeaderBytes, payload.data(), payload.size());
-  if (Crc32(payload) != payload_crc) {
-    throw TraceStoreError(StoreErrorCode::kChunkCorrupt, "chunk CRC mismatch");
+  payload->resize(payload_size);
+  ReadAt(entry.offset + kStoreChunkHeaderBytes, payload->data(), payload->size());
+  return payload_crc;
+}
+
+void TraceStoreReader::ReadChunk(size_t index, std::vector<TraceRecord>* records,
+                                 std::vector<uint32_t>* steps) const {
+  if (index >= chunks_.size()) {
+    throw std::out_of_range("trace store: chunk index out of range");
   }
-  // Decoded in place; a chunk that fails to decode leaves both outputs as
-  // they were.
-  const size_t base = records->size();
-  const size_t step_base = steps != nullptr ? steps->size() : 0;
-  records->resize(base + record_count);
-  if (steps != nullptr) {
-    steps->resize(step_base + record_count);
-  }
-  try {
-    DecodeChunkPayload(ByteReader(payload.data(), payload.size()), record_count,
-                       info_.meta.window_steps, records->data() + base,
-                       steps != nullptr ? steps->data() + step_base : nullptr);
-  } catch (...) {
-    records->resize(base);
-    if (steps != nullptr) {
-      steps->resize(step_base);
-    }
-    throw;
-  }
+  std::vector<uint8_t> payload;
+  const uint32_t crc = ReadChunkBytes(index, &payload);
+  DecodeChunk(payload, crc, chunks_[index].records, info_.meta.window_steps, records, steps);
 }
 
 TraceDataset TraceStoreReader::ReadAll() const {
@@ -1306,9 +1453,31 @@ TraceDataset TraceStoreReader::ReadAll() const {
   // forged total cannot size the dataset. Any real store stays under it.
   dataset.records.reserve(
       static_cast<size_t>(std::min(info_.record_count, info_.file_bytes)));
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    ReadChunk(i, &dataset.records);
-  }
+  // Chunk bytes are read here, in order; each chunk is CRC-checked and
+  // decoded on a worker into its slot, then appended here, in order.
+  struct Chunk {
+    std::vector<uint8_t> payload;
+    uint32_t crc = 0;
+    std::vector<TraceRecord> records;
+  };
+  const PieceLoop loop(kChunksPerThread);
+  std::vector<Chunk> slots(loop.window);
+  loop.Run(
+      chunks_.size(),
+      [&](size_t i) {
+        Chunk& chunk = slots[i % loop.window];
+        chunk.crc = ReadChunkBytes(i, &chunk.payload);
+      },
+      [&](size_t i) {
+        Chunk& chunk = slots[i % loop.window];
+        chunk.records.clear();
+        DecodeChunk(chunk.payload, chunk.crc, chunks_[i].records, info_.meta.window_steps,
+                    &chunk.records, nullptr);
+      },
+      [&](size_t i) {
+        const std::vector<TraceRecord>& records = slots[i % loop.window].records;
+        dataset.records.insert(dataset.records.end(), records.begin(), records.end());
+      });
   return dataset;
 }
 
@@ -1321,7 +1490,22 @@ void TraceStoreReader::ReadMetricsInto(WorkloadResult* result) const {
   const size_t size = static_cast<size_t>(footer_.metrics_size);
   const std::unique_ptr<uint8_t[]> section = std::make_unique_for_overwrite<uint8_t[]>(size);
   ReadAt(footer_.metrics_offset, section.get(), size);
-  if (Crc32(section.get(), size) != footer_.metrics_crc) {
+  // The CRC, in slices on the workers, joined in order, is checked before
+  // any byte is decoded.
+  const PieceLoop loop(kChunksPerThread);
+  std::vector<uint32_t> slice_crcs(loop.window);
+  uint32_t crc = 0;
+  loop.Run(
+      PieceCount(size, kCrcSliceBytes), nullptr,
+      [&](size_t i) {
+        const auto [first, bytes] = PieceRange(i, kCrcSliceBytes, size);
+        slice_crcs[i % loop.window] = Crc32(section.get() + first, bytes);
+      },
+      [&](size_t i) {
+        crc = Crc32Combine(crc, slice_crcs[i % loop.window],
+                           PieceRange(i, kCrcSliceBytes, size).second);
+      });
+  if (crc != footer_.metrics_crc) {
     throw TraceStoreError(StoreErrorCode::kChunkCorrupt, "metrics section CRC mismatch");
   }
   DecodeMetricsSection(ByteReader(section.get(), size), info_.meta, result);

@@ -49,6 +49,15 @@
 // state resets at every chunk boundary, so any chunk can be decoded on its
 // own through the footer's seek index.
 //
+// Parallel codec: every chunk, and every run of consecutive metric series,
+// is a piece that encodes and decodes on its own. The batch writer
+// (WriteDatasetToStore, WriteWorkloadToStore), ReadAll and ReadMetricsInto
+// run the pieces on the calling thread plus DefaultGenerateWorkers() helpers
+// (src/util/parallel.h), a bounded window of them in flight, while the
+// calling thread reads and writes the file in file order. The bytes written,
+// and the first error in file order on a read, are those of a serial codec.
+// Append and ReadChunk stay one chunk at a time.
+//
 // The metrics section stores the storage domain the way SegmentSeriesMap
 // holds it: the map's source series (one delivered series per VD for a
 // generated run), then its entry table, sorted by segment id. An RwSeries is
@@ -66,10 +75,12 @@
 // 2x size reduction; a chunk whose values do not fit the fixed-point grid
 // falls back to the exact encoding column by column.
 //
-// Every section is CRC-32-protected: a truncated file, a flipped bit, or a
-// malformed varint surfaces as a typed TraceStoreError — never UB, never
-// silently wrong data (the corruption suite in tests/trace_store_test.cc
-// sweeps every byte of a file under ASan/UBSan to pin this down).
+// Every section is CRC-32-protected (the metrics section's CRC is its
+// pieces' CRCs joined in order with Crc32Combine, which is the CRC of the
+// whole section): a truncated file, a flipped bit, or a malformed varint
+// surfaces as a typed TraceStoreError — never UB, never silently wrong data
+// (the corruption suite in tests/trace_store_test.cc sweeps every byte of a
+// file under ASan/UBSan to pin this down).
 
 #ifndef SRC_TRACE_STORE_H_
 #define SRC_TRACE_STORE_H_
@@ -77,6 +88,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,8 +105,10 @@ enum class StorePrecision {
 
 struct TraceStoreOptions {
   StorePrecision precision = StorePrecision::kExact;
-  // Records per chunk; the memory bound of streaming readers and writers.
-  // The writer refuses (ok() is false) a value above kStoreMaxChunkRecords.
+  // Records per chunk, the unit of memory: Append and ReadChunk hold one
+  // chunk, the batch writer and ReadAll at most two per codec thread in
+  // flight. The writer refuses (ok() is false) a value above
+  // kStoreMaxChunkRecords.
   size_t chunk_records = 4096;
 };
 
@@ -144,13 +158,25 @@ class TraceStoreWriter {
   uint64_t records_written() const { return records_written_; }
 
  private:
+  // The batch conveniences append a whole dataset through AppendAll.
+  friend bool WriteDatasetToStore(const std::string& path, const TraceDataset& traces,
+                                  double step_seconds, uint32_t window_steps,
+                                  TraceStoreOptions options);
+  friend bool WriteWorkloadToStore(const std::string& path, const WorkloadResult& result,
+                                   double step_seconds, TraceStoreOptions options);
+
   struct ChunkIndexEntry {
     uint64_t offset = 0;
     uint32_t records = 0;
   };
 
   bool WriteRaw(const void* data, size_t size);
-  bool FlushChunk();
+  // Append for every record at once, with nothing pending: the steps are
+  // checked as Append checks them, then every chunk is written.
+  bool AppendAll(std::span<const TraceRecord> records, std::span<const uint32_t> steps);
+  // Writes records[i] at steps[i] as consecutive chunks of at most
+  // options.chunk_records records, encoded in parallel, written in order.
+  bool WriteChunks(std::span<const TraceRecord> records, std::span<const uint32_t> steps);
   bool FinishImpl(const WorkloadResult* result);
 
   TraceStoreMeta meta_;
@@ -236,6 +262,9 @@ class TraceStoreReader {
 
   void ReadAt(uint64_t offset, void* out, size_t size) const;
   uint64_t ChunkEndBoundary(size_t index) const;
+  // Reads chunk `index`'s header and payload, checked against the footer
+  // index but not yet against the CRC, which is returned.
+  uint32_t ReadChunkBytes(size_t index, std::vector<uint8_t>* payload) const;
 
   std::FILE* file_ = nullptr;
   TraceStoreInfo info_;

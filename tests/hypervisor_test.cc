@@ -1,6 +1,7 @@
 // Tests for the hypervisor analyses and rebinding/dispatch simulators using
 // hand-built fleets with exactly-known traffic.
 
+#include <limits>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -208,6 +209,62 @@ TEST(RebindingTest, ActiveRatioReflectsOnlyBusyPeriods) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_LT(results[0].rebinding_ratio, 0.01);
   EXPECT_GT(results[0].active_rebinding_ratio, 0.9);
+}
+
+TEST(RebindingTest, NonFiniteOrDegenerateParametersAreRejected) {
+  // The period counts are ceil(window / x), cast to size_t. A zero or
+  // 1e-300 period used to crash, and NaN or -1 threw an untyped
+  // std::length_error; each is now std::invalid_argument before any work.
+  const Fleet fleet = MakeTinyFleet({{{1, 1}}}, /*wt_count=*/2);
+  std::vector<std::pair<double, QpId>> ios;
+  for (int t = 0; t < 20; ++t) {
+    ios.emplace_back(0.05 + 0.1 * t, fleet.qps[t % 2].id);
+  }
+  const TraceDataset traces = MakeTraces(fleet, ios, 2.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double seconds : {0.0, -0.0, -1.0, 1e-300, nan, inf, -inf}) {
+    RebindingConfig period;
+    period.period_seconds = seconds;
+    EXPECT_THROW(SimulateRebinding(fleet, traces, period), std::invalid_argument) << seconds;
+    EXPECT_THROW(CompareHostingModels(fleet, traces, period), std::invalid_argument) << seconds;
+    EXPECT_THROW(HottestWtPeriodSeries(fleet, traces, ComputeNodeId(0), seconds),
+                 std::invalid_argument)
+        << seconds;
+    RebindingConfig gain;
+    gain.gain_window_seconds = seconds;
+    EXPECT_THROW(SimulateRebinding(fleet, traces, gain), std::invalid_argument) << seconds;
+    EXPECT_THROW(CompareHostingModels(fleet, traces, gain), std::invalid_argument) << seconds;
+  }
+  for (const double ratio : {nan, inf, -inf, -1.0}) {
+    RebindingConfig config;
+    config.trigger_ratio = ratio;
+    EXPECT_THROW(SimulateRebinding(fleet, traces, config), std::invalid_argument) << ratio;
+    EXPECT_THROW(CompareHostingModels(fleet, traces, config), std::invalid_argument) << ratio;
+  }
+  // A window whose period count is not a number is rejected the same way.
+  TraceDataset nan_window = traces;
+  nan_window.window_seconds = nan;
+  EXPECT_THROW(SimulateRebinding(fleet, nan_window, RebindingConfig{}), std::invalid_argument);
+  EXPECT_THROW(HottestWtPeriodSeries(fleet, nan_window, ComputeNodeId(0), 0.1),
+               std::invalid_argument);
+
+  // A zero-second window still has one period for its records to land in;
+  // it used to index a period table of size zero.
+  TraceDataset no_window = traces;
+  no_window.window_seconds = 0.0;
+  EXPECT_EQ(HottestWtPeriodSeries(fleet, no_window, ComputeNodeId(0), 0.1).size(), 1u);
+  EXPECT_EQ(SimulateRebinding(fleet, no_window, RebindingConfig{}).size(), 1u);
+  EXPECT_EQ(CompareHostingModels(fleet, no_window, RebindingConfig{}).size(), 3u);
+
+  // The edges stay valid: a zero trigger ratio, and a period longer than the
+  // window (one period).
+  RebindingConfig edges;
+  edges.trigger_ratio = 0.0;
+  edges.period_seconds = 5.0;
+  EXPECT_EQ(SimulateRebinding(fleet, traces, edges).size(), 1u);
+  EXPECT_EQ(CompareHostingModels(fleet, traces, edges).size(), 3u);
+  EXPECT_EQ(HottestWtPeriodSeries(fleet, traces, ComputeNodeId(0), 5.0).size(), 1u);
 }
 
 TEST(DispatchTest, PerIoDispatchBalancesBest) {

@@ -347,6 +347,31 @@ TEST(SimulationTest, BatchFacadeHasRunWhenConstructed) {
   EXPECT_EQ(faulty.stats().events, faulty.traces().records.size());
 }
 
+TEST(ReplayEngineTest, FinishedRunKeepsItsStreamCountAndFaultDriver) {
+  // Finalize frees the generator shards once their fault stats are summed.
+  // What a caller reads after Run() stays put: the stream count, the fault
+  // driver and the fault accounting drawn from both.
+  SimulationConfig config = SmallConfig();
+  config.fleet.user_count = 4;
+  config.workload.window_steps = 30;
+  const Fleet fleet = BuildFleet(config.fleet);
+  config.workload.faults =
+      CrashHeavySchedule(fleet, config.workload.window_steps, /*seed=*/7);
+  ReplayEngine engine(fleet, config.workload, {.worker_threads = 3});
+  const FaultDriver* driver = engine.fault_driver();
+  ASSERT_NE(driver, nullptr);
+  const WorkloadResult result = engine.Run();
+  EXPECT_EQ(engine.stats().shards, 3u);
+  EXPECT_EQ(engine.fault_driver(), driver);
+  EXPECT_EQ(result.faults.degraded_steps, driver->DegradedStepCount());
+  EXPECT_GT(result.faults.issued, 0u);
+  const FaultStats serial = GenerateWorkloadParallel(fleet, config.workload, 1).faults;
+  EXPECT_EQ(result.faults.issued, serial.issued);
+  EXPECT_EQ(result.faults.completed, serial.completed);
+  EXPECT_EQ(result.faults.retries, serial.retries);
+  EXPECT_EQ(result.faults.failovers, serial.failovers);
+}
+
 // Hammers every lazy rollup accessor of `sim` from many threads; under
 // EBS_SANITIZE=thread this is the regression test for the shared RollupCache.
 template <typename Sim>

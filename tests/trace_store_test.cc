@@ -219,6 +219,51 @@ TEST(StoreFormatTest, Crc32MatchesBitwiseReference) {
   }
 }
 
+TEST(StoreFormatTest, Crc32CombineJoinsPiecesOfAnySplit) {
+  std::vector<uint8_t> buffer(4096);
+  uint64_t x = 0x9E3779B97F4A7C15ull;  // xorshift64
+  const auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (uint8_t& byte : buffer) {
+    byte = static_cast<uint8_t>(next() >> 56);
+  }
+  const auto joined = [&](const uint8_t* data, size_t split, size_t length) {
+    return Crc32Combine(Crc32(data, split), Crc32(data + split, length - split),
+                        length - split);
+  };
+  // Every split of every length around the 8-byte slicing step, empty
+  // pieces included.
+  for (size_t length = 0; length <= 24; ++length) {
+    for (size_t split = 0; split <= length; ++split) {
+      ASSERT_EQ(joined(buffer.data() + 1, split, length), Crc32(buffer.data() + 1, length))
+          << "length " << length << " split " << split;
+    }
+  }
+  // Random splits of longer pieces at every alignment.
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t offset = next() % 8;
+    const size_t length = next() % (buffer.size() - offset + 1);
+    const size_t split = next() % (length + 1);
+    ASSERT_EQ(joined(buffer.data() + offset, split, length),
+              Crc32(buffer.data() + offset, length))
+        << "offset " << offset << " length " << length << " split " << split;
+  }
+  // A running CRC joined piece by piece, as the writer joins the metrics
+  // section's pieces.
+  uint32_t crc = 0;
+  size_t at = 0;
+  for (const size_t size : {size_t{0}, size_t{7}, size_t{8}, size_t{9}, size_t{1000}, size_t{0},
+                            size_t{3}}) {
+    crc = Crc32Combine(crc, Crc32(buffer.data() + at, size), size);
+    at += size;
+  }
+  EXPECT_EQ(crc, Crc32(buffer.data(), at));
+}
+
 TEST(StoreFormatTest, QuantizeScaledGuardsNonRepresentableValues) {
   int64_t q = 0;
   EXPECT_TRUE(QuantizeScaled(1.5, kMicrosPerSecond, &q));
@@ -429,6 +474,39 @@ TEST_F(TraceStoreFixture, WrittenBytesArePinnedAtBothPrecisions) {
   }
 }
 
+// Append flushes one chunk at a time through the chunk writer that
+// WriteWorkloadToStore hands the whole dataset to, where the chunks encode
+// in parallel; the files are the same bytes.
+TEST_F(TraceStoreFixture, AppendedStoreIsByteIdenticalToTheBatchWriter) {
+  for (const StorePrecision precision : {StorePrecision::kExact, StorePrecision::kExport}) {
+    const TraceStoreOptions options{.precision = precision, .chunk_records = 64};
+    const std::string batch = TempPath("append_batch.ebst");
+    ASSERT_TRUE(WriteWorkloadToStore(batch, *result_, 1.0, options));
+    TraceStoreMeta meta;
+    meta.sampling_rate = result_->traces.sampling_rate;
+    meta.window_seconds = result_->traces.window_seconds;
+    meta.step_seconds = 1.0;
+    meta.window_steps = static_cast<uint32_t>(result_->metrics.window_steps);
+    const std::string appended = TempPath("append_one.ebst");
+    TraceStoreWriter writer(appended, meta, options);
+    uint32_t step = 0;
+    for (const TraceRecord& record : result_->traces.records) {
+      // The batch writer's step: floor(timestamp), inside the window, never
+      // regressing.
+      const double raw = std::floor(std::max(record.timestamp, 0.0));
+      step = std::max(step, raw >= meta.window_steps ? meta.window_steps - 1
+                                                     : static_cast<uint32_t>(raw));
+      ASSERT_TRUE(writer.Append(record, step));
+    }
+    ASSERT_TRUE(writer.Finish(*result_));
+    EXPECT_GT(writer.records_written(), 4u * options.chunk_records);
+    EXPECT_TRUE(ReadFileBytes(appended) == ReadFileBytes(batch))
+        << "precision " << static_cast<int>(precision);
+    std::remove(batch.c_str());
+    std::remove(appended.c_str());
+  }
+}
+
 // Extreme and adversarial values, hand-built: UINT64_MAX offsets, UINT32_MAX
 // sizes, non-finite / denormal / negative doubles (which defeat the
 // fixed-point grid and must fall back to the exact encoding even at export
@@ -614,11 +692,12 @@ class StoreCorruptionTest : public ::testing::Test {
     PutU32At(bytes, kStoreHeaderBytes - 4, Crc32(bytes->data(), kStoreHeaderBytes - 4));
   }
 
-  // Where the first chunk's payload, the footer and the metrics section of a
-  // store sit, read back through its trailer and footer.
+  // Where the chunks (the first one's payload too), the footer and the
+  // metrics section of a store sit, read back through its trailer and footer.
   struct Layout {
     size_t chunk_payload = 0;
     size_t chunk_payload_size = 0;
+    std::vector<size_t> chunks;  // each chunk's header
     size_t footer = 0;
     size_t footer_size = 0;
     size_t metrics = 0;
@@ -645,9 +724,13 @@ class StoreCorruptionTest : public ::testing::Test {
     uint64_t record_count = 0;
     uint64_t chunk_count = 0;
     EXPECT_TRUE(index.GetVarint(&record_count) && index.GetVarint(&chunk_count));
-    for (uint64_t i = 0; i < 2 * chunk_count; ++i) {  // (offset delta, records) pairs
-      uint64_t skipped = 0;
-      EXPECT_TRUE(index.GetVarint(&skipped));
+    uint64_t chunk = 0;
+    for (uint64_t i = 0; i < chunk_count; ++i) {  // (offset delta, records) pairs
+      uint64_t delta = 0;
+      uint64_t records_in_chunk = 0;
+      EXPECT_TRUE(index.GetVarint(&delta) && index.GetVarint(&records_in_chunk));
+      chunk += delta;
+      layout.chunks.push_back(static_cast<size_t>(chunk));
     }
     uint64_t metrics = 0;
     uint64_t metrics_size = 0;
@@ -744,11 +827,12 @@ class StoreCorruptionTest : public ::testing::Test {
     return section;
   }
 
-  // `bytes` with its first chunk's payload_size shrunk by one and the chunk
-  // CRC resealed over the shorter payload: the CRC gate passes, and the
-  // column decoder meets a block that overruns the payload.
-  static std::vector<uint8_t> ShrinkFirstChunkPayload(std::vector<uint8_t> bytes) {
-    const size_t chunk = kStoreHeaderBytes;  // the first chunk follows the header
+  // `bytes` with the payload_size of the chunk at `chunk` (by default the
+  // first, which follows the header) shrunk by one and the chunk CRC resealed
+  // over the shorter payload: the CRC gate passes, and the column decoder
+  // meets a block that overruns the payload.
+  static std::vector<uint8_t> ShrinkFirstChunkPayload(std::vector<uint8_t> bytes,
+                                                      size_t chunk = kStoreHeaderBytes) {
     ByteReader header(bytes.data() + chunk, kStoreChunkHeaderBytes);
     uint32_t records = 0;
     uint32_t payload_size = 0;
@@ -758,6 +842,84 @@ class StoreCorruptionTest : public ::testing::Test {
     PutU32At(&bytes, chunk + 8,
              Crc32(bytes.data() + chunk + kStoreChunkHeaderBytes, payload_size - 1));
     return bytes;
+  }
+
+  // Where each series of a store's metrics section starts (the qp, source
+  // and offered-VD series, in file order), whether its first block carries a
+  // payload, and where the first segment entry's read weight sits.
+  struct MetricsLayout {
+    std::vector<size_t> series;
+    std::vector<bool> payload;
+    size_t first_offered = 0;  // index in `series` of the first offered-VD series
+    size_t first_entry_weight = 0;
+  };
+
+  static MetricsLayout MetricsLayoutOf(const std::vector<uint8_t>& bytes) {
+    const Layout layout = LayoutOf(bytes);
+    ByteReader reader(bytes.data() + layout.metrics, layout.metrics_size);
+    MetricsLayout metrics;
+    uint64_t steps = 0;
+    double step_seconds = 0.0;
+    EXPECT_TRUE(reader.GetVarint(&steps) && reader.GetF64(&step_seconds));
+    const auto series_list = [&] {
+      uint64_t count = 0;
+      EXPECT_TRUE(reader.GetVarint(&count));
+      for (uint64_t i = 0; i < count; ++i) {
+        metrics.series.push_back(static_cast<size_t>(reader.pos - bytes.data()));
+        for (int block = 0; block < 4; ++block) {
+          uint8_t tag = 0;
+          uint64_t size = 0;
+          ByteReader payload;
+          EXPECT_TRUE(reader.GetByte(&tag) && reader.GetVarint(&size) &&
+                      reader.GetSpan(static_cast<size_t>(size), &payload));
+          if (block == 0) {
+            metrics.payload.push_back(size > 0);
+          }
+        }
+      }
+    };
+    series_list();  // qp
+    series_list();  // sources
+    uint64_t entries = 0;
+    EXPECT_TRUE(reader.GetVarint(&entries));
+    EXPECT_GT(entries, 0u);
+    for (uint64_t i = 0; i < entries; ++i) {
+      uint64_t skipped = 0;
+      double weight = 0.0;
+      EXPECT_TRUE(reader.GetVarint(&skipped) && reader.GetVarint(&skipped));
+      if (i == 0) {
+        metrics.first_entry_weight = static_cast<size_t>(reader.pos - bytes.data());
+      }
+      EXPECT_TRUE(reader.GetF64(&weight) && reader.GetF64(&weight));
+    }
+    metrics.first_offered = metrics.series.size();
+    series_list();  // offered-VD
+    return metrics;
+  }
+
+  // Recomputes the metrics section's CRC in the footer, and the footer's in
+  // the trailer.
+  static void ResealMetrics(std::vector<uint8_t>* bytes) {
+    const Layout layout = LayoutOf(*bytes);
+    PutU32At(bytes, layout.footer + layout.footer_size - 4,
+             Crc32(bytes->data() + layout.metrics, layout.metrics_size));
+    PutU32At(bytes, bytes->size() - kStoreTrailerBytes + 16,
+             Crc32(bytes->data() + layout.footer, layout.footer_size));
+  }
+
+  // The error a full read of `bytes` ends with: its code and its message.
+  static std::pair<StoreErrorCode, std::string> ErrorOf(const std::vector<uint8_t>& bytes) {
+    const std::string path = TempPath("corruption_order.ebst");
+    WriteFileBytes(path, bytes);
+    try {
+      ReadEverything(path);
+    } catch (const TraceStoreError& error) {
+      std::remove(path.c_str());
+      return {error.code(), error.what()};
+    }
+    std::remove(path.c_str());
+    ADD_FAILURE() << "no error thrown";
+    return {StoreErrorCode::kIoError, ""};
   }
 
   static StoreErrorCode CodeOf(const std::string& path) {
@@ -849,6 +1011,120 @@ TEST_F(StoreCorruptionTest, ResealedByteFlipsReachTheDecoders) {
   });
   std::remove(path.c_str());
   EXPECT_GT(decode_errors, 0u);
+}
+
+TEST_F(StoreCorruptionTest, FirstChunkErrorInFileOrderWins) {
+  // Chunks are read in order on the calling thread but CRC-checked and
+  // decoded on workers, so a later chunk can fail first. The error reported
+  // is still the first in file order: chunk 1's decode error, never chunk
+  // 3's CRC mismatch or header mismatch. The base run's records, in 4-record
+  // chunks:
+  const std::string path = TempPath("corruption_chunks.ebst");
+  WriteFileBytes(path, *base_);
+  const TraceDataset dataset = TraceStoreReader(path).ReadAll();
+  ASSERT_TRUE(WriteDatasetToStore(path, dataset, 1.0, 10,
+                                  {.precision = StorePrecision::kExport, .chunk_records = 4}));
+  const std::vector<uint8_t> chunked = ReadFileBytes(path);
+  std::remove(path.c_str());
+  const Layout layout = LayoutOf(chunked);
+  ASSERT_GE(layout.chunks.size(), 4u);
+  const size_t third = layout.chunks[3];
+  const auto crc_mismatch = [&](std::vector<uint8_t> bytes) {
+    bytes[third + kStoreChunkHeaderBytes] ^= 0xFF;  // payload flipped, CRC not resealed
+    return bytes;
+  };
+  const auto header_mismatch = [&](std::vector<uint8_t> bytes) {
+    ByteReader header(bytes.data() + third, kStoreChunkHeaderBytes);
+    uint32_t records = 0;
+    EXPECT_TRUE(header.GetU32(&records));
+    PutU32At(&bytes, third, records + 1);  // disagrees with the footer index
+    return bytes;
+  };
+  const std::vector<uint8_t> decode_error = ShrinkFirstChunkPayload(chunked, layout.chunks[1]);
+  const auto lone = ErrorOf(decode_error);
+  ASSERT_EQ(lone.first, StoreErrorCode::kDecodeError) << lone.second;
+  const auto lone_crc = ErrorOf(crc_mismatch(chunked));
+  EXPECT_EQ(lone_crc.first, StoreErrorCode::kChunkCorrupt);
+  const auto lone_header = ErrorOf(header_mismatch(chunked));
+  EXPECT_EQ(lone_header.first, StoreErrorCode::kChunkCorrupt);
+  EXPECT_NE(lone_crc.second, lone_header.second);
+
+  EXPECT_EQ(ErrorOf(crc_mismatch(decode_error)), lone);
+  EXPECT_EQ(ErrorOf(header_mismatch(decode_error)), lone);
+}
+
+TEST_F(StoreCorruptionTest, FirstMetricsErrorInFileOrderWins) {
+  // Metric series decode on workers, in pieces of consecutive series, and
+  // the walk over the section's counts, entries and truth records runs ahead
+  // of them on the calling thread. Every error still ranks by file order.
+  // Each mutation below is resealed, so the CRC gate passes and the decoders
+  // meet it. An 8-user run has series enough for several pieces.
+  SimulationConfig config = DcPreset(1);
+  config.fleet.user_count = 8;
+  config.workload.window_steps = 10;
+  const EbsSimulation sim(config);
+  const std::string path = TempPath("corruption_series.ebst");
+  ASSERT_TRUE(WriteWorkloadToStore(path, sim.workload(), 1.0));
+  const std::vector<uint8_t> store = ReadFileBytes(path);
+  std::remove(path.c_str());
+  const MetricsLayout metrics = MetricsLayoutOf(store);
+  std::vector<size_t> with_payload;  // qp and source series whose first block has a payload
+  for (size_t i = 0; i < metrics.first_offered; ++i) {
+    if (metrics.payload[i]) {
+      with_payload.push_back(metrics.series[i]);
+    }
+  }
+  ASSERT_GE(with_payload.size(), 2u);
+  ASSERT_GE(metrics.first_offered, 100u);
+  ASSERT_LT(metrics.first_offered, metrics.series.size());
+  // A tag no series block uses, and the all-zero tag over a payload, which
+  // leaves trailing bytes: two different messages.
+  const auto bad_tag = [](std::vector<uint8_t>* bytes, size_t series) { (*bytes)[series] = 0x7F; };
+  const auto zero_tag = [](std::vector<uint8_t>* bytes, size_t series) { (*bytes)[series] = 0; };
+  const auto error_of = [](std::vector<uint8_t> bytes) {
+    ResealMetrics(&bytes);
+    return ErrorOf(bytes);
+  };
+  const size_t first = with_payload.front();
+  std::vector<uint8_t> zero_first = store;
+  zero_tag(&zero_first, first);
+  std::vector<uint8_t> tag_first = store;
+  bad_tag(&tag_first, first);
+  const auto lone_zero = error_of(zero_first);
+  const auto lone_tag = error_of(tag_first);
+  ASSERT_EQ(lone_zero.first, StoreErrorCode::kDecodeError) << lone_zero.second;
+  ASSERT_EQ(lone_tag.first, StoreErrorCode::kDecodeError) << lone_tag.second;
+  ASSERT_NE(lone_zero.second, lone_tag.second);
+
+  // Two corrupt series, the next one with a payload and the last one before
+  // the entries: the earlier one's error, whichever kind.
+  for (const size_t later : {with_payload[1], with_payload.back()}) {
+    std::vector<uint8_t> both = zero_first;
+    bad_tag(&both, later);
+    EXPECT_EQ(error_of(both), lone_zero) << "series at " << later;
+    both = tag_first;
+    zero_tag(&both, later);
+    EXPECT_EQ(error_of(both), lone_tag) << "series at " << later;
+  }
+
+  // A NaN segment weight is found by the walk, after the qp and source
+  // series and before the offered-VD series: it loses to a series error
+  // before it and wins over one after it.
+  std::vector<uint8_t> nan_weight = store;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  uint64_t nan_bits = 0;
+  std::memcpy(&nan_bits, &nan, sizeof(nan_bits));
+  for (size_t i = 0; i < 8; ++i) {
+    nan_weight[metrics.first_entry_weight + i] = static_cast<uint8_t>(nan_bits >> (8 * i));
+  }
+  const auto lone_weight = error_of(nan_weight);
+  ASSERT_EQ(lone_weight.first, StoreErrorCode::kDecodeError);
+  std::vector<uint8_t> both = nan_weight;
+  bad_tag(&both, with_payload.back());
+  EXPECT_EQ(error_of(both), lone_tag);
+  both = nan_weight;
+  bad_tag(&both, metrics.series[metrics.first_offered]);
+  EXPECT_EQ(error_of(both), lone_weight);
 }
 
 TEST_F(StoreCorruptionTest, OversizedMetricsCountsAreDecodeErrors) {
