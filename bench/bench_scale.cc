@@ -1,5 +1,6 @@
-// Million-VD scale pass: throughput and memory of the aggregation hot path
-// as the fleet grows, and worker-count invariance of the streaming engine.
+// Fleet-tier scale sweep: throughput and memory of trace aggregation and the
+// rollups as the fleet grows, and worker-count invariance of the streaming
+// engine.
 //
 // Two scenario families, one JSON (BENCH_SCALE.json):
 //
@@ -9,9 +10,10 @@
 //                   aggregation, was the sweep's wall, and the parallel
 //                   output is worker-count invariant, which is what lets the
 //                   largest tier grow while the sweep stays CI-sized.
-//                   Times the dense path (vector-indexed qp series +
-//                   SegmentSeriesMap slots + RwMatrix rollups) and records
-//                   its per-record memory, which must stay flat across tiers.
+//                   Times trace aggregation (vector-indexed qp series +
+//                   SegmentSeriesMap slots) and the seven RollupTo* folds,
+//                   and records the per-record memory, which must stay flat
+//                   across tiers.
 //
 //   workers_<n>     the same medium-tier config through StreamingSimulation
 //                   at 1/2/4 worker threads. The VD/BS rollup fingerprints
@@ -40,7 +42,6 @@
 #include "src/obs/report.h"
 #include "src/trace/aggregate.h"
 #include "src/trace/records.h"
-#include "src/trace/rollup_dense.h"
 #include "src/util/table.h"
 #include "src/workload/generator.h"
 
@@ -118,20 +119,20 @@ ScaleRow RunTier(const std::string& name, int user_count, size_t window_steps) {
 
   const double step_seconds = result.metrics.step_seconds;
 
-  // Dense production path: trace aggregation + all seven SoA rollups.
+  // Trace aggregation, then all seven rollup levels.
   const auto dense_begin = Clock::now();
   const ebs::MetricDataset dense =
       ebs::AggregateTraces(fleet, result.traces, step_seconds, window_steps);
   row.wall_dense_agg_s = Seconds(dense_begin, Clock::now());
 
   const auto rollup_begin = Clock::now();
-  const ebs::RwMatrix vd = ebs::RollupMatrixToVd(fleet, dense);
-  const ebs::RwMatrix vm = ebs::RollupMatrixToVm(fleet, dense);
-  const ebs::RwMatrix user = ebs::RollupMatrixToUser(fleet, dense);
-  const ebs::RwMatrix wt = ebs::RollupMatrixToWt(fleet, dense);
-  const ebs::RwMatrix cn = ebs::RollupMatrixToComputeNode(fleet, dense);
-  const ebs::RwMatrix bs = ebs::RollupMatrixToBlockServer(fleet, dense);
-  const ebs::RwMatrix sn = ebs::RollupMatrixToStorageNode(fleet, dense);
+  const std::vector<ebs::RwSeries> vd = ebs::RollupToVd(fleet, dense);
+  const std::vector<ebs::RwSeries> vm = ebs::RollupToVm(fleet, dense);
+  const std::vector<ebs::RwSeries> user = ebs::RollupToUser(fleet, dense);
+  const std::vector<ebs::RwSeries> wt = ebs::RollupToWt(fleet, dense);
+  const std::vector<ebs::RwSeries> cn = ebs::RollupToComputeNode(fleet, dense);
+  const std::vector<ebs::RwSeries> bs = ebs::RollupToBlockServer(fleet, dense);
+  const std::vector<ebs::RwSeries> sn = ebs::RollupToStorageNode(fleet, dense);
   row.wall_rollup_s = Seconds(rollup_begin, Clock::now());
 
   row.records = result.traces.records.size();
@@ -149,8 +150,8 @@ ScaleRow RunTier(const std::string& name, int user_count, size_t window_steps) {
       static_cast<double>(row.records) / row.wall_dense_agg_s;
 
   uint64_t h = 1469598103934665603ULL;
-  h = FingerprintSeries(h, vd.ToSeriesVector());
-  h = FingerprintSeries(h, bs.ToSeriesVector());
+  h = FingerprintSeries(h, vd);
+  h = FingerprintSeries(h, bs);
   (void)vm;
   (void)user;
   (void)wt;

@@ -148,13 +148,15 @@ echo "== [9/13] Configure + build: ThreadSanitizer =="
 cmake -S "${repo_root}" -B "${build_root}/tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=thread >/dev/null
 cmake --build "${build_root}/tsan" -j "${jobs}" \
-  --target replay_test fault_test striped_table_test control_test scenario_test workload_test \
+  --target replay_test fault_test obs_test control_test scenario_test workload_test \
   qmodel_test trace_store_test store_replay_test util_parallel_test
 
-echo "== [10/13] Replay + fault chaos + striped-table + control + scenario + generator + qmodel + store codec tests (TSan) =="
+echo "== [10/13] Replay + fault chaos + obs registry + control + scenario + generator + qmodel + store codec tests (TSan) =="
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/replay_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/fault_test"
-TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/striped_table_test"
+# The metric registry takes registrations from 8 threads at once (shared
+# names, disjoint names, lookups racing new names) under one mutex.
+TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/obs_test"
 # Control-enabled streaming replay at 1/2/4 workers (healthy and crash-heavy):
 # the decision-log bit-identity contracts run with the race detector on.
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/control_test"

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "src/util/stats.h"
@@ -31,9 +32,29 @@ const char* ImporterPolicyName(ImporterPolicy policy) {
   return "unknown";
 }
 
+namespace {
+
+void ValidateBalancerConfig(const BalancerConfig& config) {
+  if (config.period_steps == 0) {
+    throw std::invalid_argument("balancer: period_steps must be >= 1");
+  }
+  if (!std::isfinite(config.exporter_threshold) || config.exporter_threshold < 0.0) {
+    throw std::invalid_argument("balancer: exporter_threshold must be finite and non-negative");
+  }
+  if (!std::isfinite(config.migration_budget) || config.migration_budget < 0.0) {
+    throw std::invalid_argument("balancer: migration_budget must be finite and non-negative");
+  }
+}
+
+}  // namespace
+
 InterBsBalancer::InterBsBalancer(const Fleet& fleet, const MetricDataset& metrics,
                                  StorageClusterId cluster, BalancerConfig config)
     : fleet_(fleet), metrics_(metrics), config_(std::move(config)), rng_(config_.seed) {
+  ValidateBalancerConfig(config_);
+  if (cluster.value() >= fleet.storage_clusters.size()) {
+    throw std::invalid_argument("balancer: unknown storage cluster");
+  }
   const StorageCluster& sc = fleet.storage_clusters[cluster.value()];
   std::map<uint32_t, uint32_t> bs_slot;  // BlockServerId value -> slot
   for (const StorageNodeId node_id : sc.nodes) {
@@ -363,6 +384,9 @@ BalancerResult InterBsBalancer::Run() {
 
 double FrequentMigrationProportion(const std::vector<Migration>& migrations,
                                    size_t window_periods) {
+  if (window_periods == 0) {
+    throw std::invalid_argument("FrequentMigrationProportion: window_periods must be >= 1");
+  }
   if (migrations.empty()) {
     return 0.0;
   }

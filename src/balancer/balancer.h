@@ -84,6 +84,9 @@ struct BalancerResult {
 // Runs the balancer over one storage cluster of the fleet.
 class InterBsBalancer {
  public:
+  // Throws std::invalid_argument on a cluster the fleet does not have, a
+  // zero period_steps, or an exporter_threshold or migration_budget that is
+  // not finite and non-negative.
   InterBsBalancer(const Fleet& fleet, const MetricDataset& metrics, StorageClusterId cluster,
                   BalancerConfig config);
 
@@ -126,7 +129,7 @@ class InterBsBalancer {
 
 // Fig 4(a): fraction of migrations that are "frequent" — their BS has both an
 // incoming and an outgoing migration within the same window of
-// `window_periods` periods.
+// `window_periods` periods. Throws std::invalid_argument on a zero window.
 double FrequentMigrationProportion(const std::vector<Migration>& migrations,
                                    size_t window_periods);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 #include "src/ml/arima.h"
 #include "src/ml/attention.h"
@@ -15,6 +16,12 @@ std::vector<std::vector<double>> BsPeriodTraffic(const Fleet& fleet,
                                                  const MetricDataset& metrics,
                                                  StorageClusterId cluster,
                                                  size_t period_steps) {
+  if (period_steps == 0) {
+    throw std::invalid_argument("BsPeriodTraffic: period_steps must be >= 1");
+  }
+  if (cluster.value() >= fleet.storage_clusters.size()) {
+    throw std::invalid_argument("BsPeriodTraffic: unknown storage cluster");
+  }
   const StorageCluster& sc = fleet.storage_clusters[cluster.value()];
   const size_t periods = metrics.window_steps / period_steps;
 
@@ -139,6 +146,12 @@ PredictionResult RunAttention(const std::vector<std::vector<double>>& series, si
 std::vector<PredictionResult> RunPredictionExperiment(
     const Fleet& fleet, const MetricDataset& metrics, StorageClusterId cluster,
     const PredictionExperimentConfig& config) {
+  if (config.period_steps == 0) {
+    throw std::invalid_argument("prediction: period_steps must be >= 1");
+  }
+  if (config.epoch_periods <= 0) {
+    throw std::invalid_argument("prediction: epoch_periods must be >= 1");
+  }
   const std::vector<std::vector<double>> series =
       BsPeriodTraffic(fleet, metrics, cluster, config.period_steps);
   std::vector<PredictionResult> results;

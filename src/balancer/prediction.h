@@ -33,13 +33,16 @@ struct PredictionResult {
 };
 
 // Builds per-BS period traffic for one storage cluster (static assignment).
-// Only BSs with non-zero traffic are returned.
+// Only BSs with non-zero traffic are returned. Throws std::invalid_argument
+// on a zero period_steps or a cluster the fleet does not have.
 std::vector<std::vector<double>> BsPeriodTraffic(const Fleet& fleet,
                                                  const MetricDataset& metrics,
                                                  StorageClusterId cluster,
                                                  size_t period_steps);
 
-// Runs P1..P5 on the cluster and returns one result per predictor.
+// Runs P1..P5 on the cluster and returns one result per predictor. Throws
+// std::invalid_argument on a zero period_steps or a non-positive
+// epoch_periods.
 std::vector<PredictionResult> RunPredictionExperiment(const Fleet& fleet,
                                                       const MetricDataset& metrics,
                                                       StorageClusterId cluster,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 namespace ebs {
 namespace obs {
@@ -13,6 +14,17 @@ namespace {
 size_t NextThreadIndex() {
   static std::atomic<size_t> next{0};
   return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+// The metric registered under `name`, created by make() when absent.
+template <typename T, typename Make>
+T* FindOrInsert(std::map<std::string, std::unique_ptr<T>, std::less<>>& by_name,
+                std::string_view name, Make make) {
+  auto it = by_name.lower_bound(name);
+  if (it == by_name.end() || it->first != name) {
+    it = by_name.emplace_hint(it, std::string(name), make());
+  }
+  return it->second.get();
 }
 
 }  // namespace
@@ -81,58 +93,72 @@ MetricRegistry& MetricRegistry::Global() {
 }
 
 Counter* MetricRegistry::GetCounter(std::string_view name) {
-  return counters_.GetOrCreate(name, [this] { return std::make_unique<Counter>(&enabled_); });
+  util::MutexLock lock(&mu_);
+  return FindOrInsert(counters_, name, [this] { return std::make_unique<Counter>(&enabled_); });
 }
 
 Gauge* MetricRegistry::GetGauge(std::string_view name) {
-  return gauges_.GetOrCreate(name, [this] { return std::make_unique<Gauge>(&enabled_); });
+  util::MutexLock lock(&mu_);
+  return FindOrInsert(gauges_, name, [this] { return std::make_unique<Gauge>(&enabled_); });
 }
 
 ObsHistogram* MetricRegistry::GetHistogram(std::string_view name, std::string_view unit) {
-  return histograms_.GetOrCreate(
-      name, [this, unit] { return std::make_unique<ObsHistogram>(&enabled_, std::string(unit)); });
+  util::MutexLock lock(&mu_);
+  return FindOrInsert(histograms_, name, [this, unit] {
+    return std::make_unique<ObsHistogram>(&enabled_, std::string(unit));
+  });
 }
 
 void MetricRegistry::Reset() {
-  counters_.ForEachSorted([](const std::string&, Counter& counter) { counter.Reset(); });
-  gauges_.ForEachSorted([](const std::string&, Gauge& gauge) { gauge.Reset(); });
-  histograms_.ForEachSorted([](const std::string&, ObsHistogram& hist) { hist.Reset(); });
+  util::MutexLock lock(&mu_);
+  for (const auto& [name, counter] : counters_) {
+    counter->Reset();
+  }
+  for (const auto& [name, gauge] : gauges_) {
+    gauge->Reset();
+  }
+  for (const auto& [name, hist] : histograms_) {
+    hist->Reset();
+  }
 }
 
 RunReport MetricRegistry::Snapshot() const {
   RunReport report;
+  util::MutexLock lock(&mu_);
   report.metrics.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  counters_.ForEachSorted([&report](const std::string& name, Counter& counter) {
+  for (const auto& [name, counter] : counters_) {
     MetricSnapshot snap;
     snap.name = name;
     snap.kind = "counter";
-    snap.value = static_cast<double>(counter.Value());
+    snap.value = static_cast<double>(counter->Value());
     report.metrics.push_back(std::move(snap));
-  });
-  gauges_.ForEachSorted([&report](const std::string& name, Gauge& gauge) {
+  }
+  for (const auto& [name, gauge] : gauges_) {
     MetricSnapshot snap;
     snap.name = name;
     snap.kind = "gauge";
-    snap.value = gauge.Value();
+    snap.value = gauge->Value();
     report.metrics.push_back(std::move(snap));
-  });
-  histograms_.ForEachSorted([&report](const std::string& name, ObsHistogram& hist) {
+  }
+  for (const auto& [name, hist] : histograms_) {
     MetricSnapshot snap;
     snap.name = name;
     snap.kind = "histogram";
-    snap.unit = hist.unit();
-    snap.count = hist.count();
-    snap.sum = static_cast<double>(hist.sum());
-    snap.mean = hist.Mean();
-    snap.max = static_cast<double>(hist.max());
-    snap.p50 = hist.Percentile(0.50);
-    snap.p90 = hist.Percentile(0.90);
-    snap.p99 = hist.Percentile(0.99);
-    snap.p999 = hist.Percentile(0.999);
+    snap.unit = hist->unit();
+    snap.count = hist->count();
+    snap.sum = static_cast<double>(hist->sum());
+    snap.mean = hist->Mean();
+    snap.max = static_cast<double>(hist->max());
+    snap.p50 = hist->Percentile(0.50);
+    snap.p90 = hist->Percentile(0.90);
+    snap.p99 = hist->Percentile(0.99);
+    snap.p999 = hist->Percentile(0.999);
     report.metrics.push_back(std::move(snap));
-  });
-  std::sort(report.metrics.begin(), report.metrics.end(),
-            [](const MetricSnapshot& a, const MetricSnapshot& b) { return a.name < b.name; });
+  }
+  // Kinds share one name order; a name held by two kinds keeps the order
+  // counter, gauge, histogram.
+  std::stable_sort(report.metrics.begin(), report.metrics.end(),
+                   [](const MetricSnapshot& a, const MetricSnapshot& b) { return a.name < b.name; });
   return report;
 }
 

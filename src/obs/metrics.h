@@ -28,12 +28,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/util/striped_table.h"
 #include "src/util/thread_annotations.h"
 
 namespace ebs {
@@ -212,29 +213,36 @@ class MetricRegistry {
   void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  Counter* GetCounter(std::string_view name);
-  Gauge* GetGauge(std::string_view name);
+  Counter* GetCounter(std::string_view name) EBS_EXCLUDES(mu_);
+  Gauge* GetGauge(std::string_view name) EBS_EXCLUDES(mu_);
   // Nanosecond histogram for ScopedTimer.
   ObsHistogram* GetTimer(std::string_view name) { return GetHistogram(name, "ns"); }
-  ObsHistogram* GetHistogram(std::string_view name, std::string_view unit = "count");
+  ObsHistogram* GetHistogram(std::string_view name, std::string_view unit = "count")
+      EBS_EXCLUDES(mu_);
 
   // Zeroes every registered metric (registrations persist).
-  void Reset();
+  void Reset() EBS_EXCLUDES(mu_);
 
-  RunReport Snapshot() const;
+  RunReport Snapshot() const EBS_EXCLUDES(mu_);
 
  private:
-  std::atomic<bool> enabled_{false};
-  // Striped concurrent tables: registrations for different names contend only
-  // when they hash to the same stripe, instead of serializing on one global
-  // registry mutex. Values live behind unique_ptr, so metric pointers stay
-  // valid across rehashes; the metric objects themselves are internally
-  // synchronized (striped/relaxed atomics), so handing out stable pointers
-  // past the stripe lock is safe. Iteration is sorted-only — Snapshot's
-  // name-ordered output never depends on hash order.
-  util::StripedTable<Counter> counters_;
-  util::StripedTable<Gauge> gauges_;
-  util::StripedTable<ObsHistogram> histograms_;
+  template <typename T>
+  using ByName = std::map<std::string, std::unique_ptr<T>, std::less<>>;
+
+  // Every Add/Record on every thread reads this flag, so it sits alone on
+  // its cache line: neither the lock below nor a neighbouring heap object
+  // shares it.
+  alignas(64) std::atomic<bool> enabled_{false};
+  // One mutex for all three maps: Get* runs while a call site is set up,
+  // never per record. The metrics live behind unique_ptr, so the pointers
+  // Get* hands out stay valid as the maps grow, and the metrics synchronize
+  // themselves (striped/relaxed atomics), so recording through a pointer
+  // never takes the lock. The maps iterate in name order, so Snapshot and
+  // Reset never see a hash order.
+  alignas(64) mutable util::Mutex mu_;
+  ByName<Counter> counters_ EBS_GUARDED_BY(mu_);
+  ByName<Gauge> gauges_ EBS_GUARDED_BY(mu_);
+  ByName<ObsHistogram> histograms_ EBS_GUARDED_BY(mu_);
 };
 
 }  // namespace obs

@@ -3,8 +3,8 @@
 //  - TraceCollectorSink materializes the per-IO trace dataset (the piece
 //    ReplayEngine::Run deliberately does not build) for offline analyses.
 //  - RollupAggregatorSink folds every entity-level rollup once, at the last
-//    step boundary, through the shared RollupCache (bit-identical to the
-//    batch Rollup* functions). The facades own their own cache instead.
+//    step boundary, through the shared RollupCache (the RollupTo* folds of
+//    src/trace/aggregate.h). The facades own their own cache instead.
 //  - ThroughputProbeSink counts the stream — cheap observer for benchmarks
 //    and smoke checks.
 //  - StoreWriterSink streams the merged events into an EBST trace store

@@ -1,46 +1,101 @@
 #include "src/trace/aggregate.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "src/trace/rollup_dense.h"
-
 namespace ebs {
 
-// The vector<RwSeries> rollups are materialized views of the SoA matrix path
-// (src/trace/rollup_dense.h). The matrix visits sources in the same order the
-// original per-entity accumulation used, so each extracted series is
-// bit-identical to the legacy result — the dense-rollup equivalence test
-// locks this in against a map-based reference implementation.
+RollupSources::RollupSources(const MetricDataset& metrics)
+    : RollupSources(metrics.window_steps, metrics.step_seconds, metrics.qp_series,
+                    metrics.segment_series) {}
 
-std::vector<RwSeries> RollupToVd(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupMatrixToVd(fleet, metrics).ToSeriesVector();
+RollupSources::RollupSources(size_t window_steps, double dt, const std::vector<RwSeries>& qps,
+                             const SegmentSeriesMap& segments)
+    : steps(window_steps), step_seconds(dt), qp_series(&qps), segment_series(&segments) {}
+
+namespace {
+
+// dst[t] += src[t] * weight. A zero weight is skipped, which equals adding
+// its 0.0 cells: an accumulator starts at +0.0 and so never holds -0.0.
+void AccumulateWeighted(TimeSeries& dst, const TimeSeries& src, double weight) {
+  if (weight == 0.0) {
+    return;
+  }
+  for (size_t t = 0; t < dst.size(); ++t) {
+    dst[t] += src[t] * weight;
+  }
 }
 
-std::vector<RwSeries> RollupToVm(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupMatrixToVm(fleet, metrics).ToSeriesVector();
+// Sums QP-level series into buckets chosen by `bucket_of(qp)`.
+template <typename BucketFn>
+std::vector<RwSeries> RollupComputeSide(const Fleet& fleet, const RollupSources& sources,
+                                        size_t bucket_count, BucketFn bucket_of) {
+  std::vector<RwSeries> out(bucket_count, RwSeries(sources.steps, sources.step_seconds));
+  for (const Qp& qp : fleet.qps) {
+    out[bucket_of(qp)].Accumulate((*sources.qp_series)[qp.id.value()]);
+  }
+  return out;
 }
 
-std::vector<RwSeries> RollupToUser(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupMatrixToUser(fleet, metrics).ToSeriesVector();
+// Sums segment-level series into buckets chosen by `bucket_of(segment)`,
+// each cell multiplied out of its source series as it is added.
+template <typename BucketFn>
+std::vector<RwSeries> RollupStorageSide(const Fleet& fleet, const RollupSources& sources,
+                                        size_t bucket_count, BucketFn bucket_of) {
+  std::vector<RwSeries> out(bucket_count, RwSeries(sources.steps, sources.step_seconds));
+  const SegmentSeriesMap& segments = *sources.segment_series;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const SegmentView segment = segments[i];
+    RwSeries& dst = out[bucket_of(fleet.segments[segment.id])];
+    AccumulateWeighted(dst.read_bytes, segment.source->read_bytes, segment.read_weight);
+    AccumulateWeighted(dst.write_bytes, segment.source->write_bytes, segment.write_weight);
+    AccumulateWeighted(dst.read_ops, segment.source->read_ops, segment.read_weight);
+    AccumulateWeighted(dst.write_ops, segment.source->write_ops, segment.write_weight);
+  }
+  return out;
 }
 
-std::vector<RwSeries> RollupToWt(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupMatrixToWt(fleet, metrics).ToSeriesVector();
+}  // namespace
+
+std::vector<RwSeries> RollupToVd(const Fleet& fleet, const RollupSources& sources) {
+  return RollupComputeSide(fleet, sources, fleet.vds.size(),
+                           [](const Qp& qp) { return qp.vd.value(); });
 }
 
-std::vector<RwSeries> RollupToComputeNode(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupMatrixToComputeNode(fleet, metrics).ToSeriesVector();
+std::vector<RwSeries> RollupToVm(const Fleet& fleet, const RollupSources& sources) {
+  return RollupComputeSide(fleet, sources, fleet.vms.size(),
+                           [](const Qp& qp) { return qp.vm.value(); });
 }
 
-std::vector<RwSeries> RollupToBlockServer(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupMatrixToBlockServer(fleet, metrics).ToSeriesVector();
+std::vector<RwSeries> RollupToUser(const Fleet& fleet, const RollupSources& sources) {
+  return RollupComputeSide(fleet, sources, fleet.users.size(), [&fleet](const Qp& qp) {
+    return fleet.vms[qp.vm.value()].user.value();
+  });
 }
 
-std::vector<RwSeries> RollupToStorageNode(const Fleet& fleet, const MetricDataset& metrics) {
-  return RollupMatrixToStorageNode(fleet, metrics).ToSeriesVector();
+std::vector<RwSeries> RollupToWt(const Fleet& fleet, const RollupSources& sources) {
+  return RollupComputeSide(fleet, sources, fleet.wts.size(),
+                           [](const Qp& qp) { return qp.bound_wt.value(); });
+}
+
+std::vector<RwSeries> RollupToComputeNode(const Fleet& fleet, const RollupSources& sources) {
+  return RollupComputeSide(fleet, sources, fleet.nodes.size(),
+                           [](const Qp& qp) { return qp.node.value(); });
+}
+
+std::vector<RwSeries> RollupToBlockServer(const Fleet& fleet, const RollupSources& sources) {
+  return RollupStorageSide(fleet, sources, fleet.block_servers.size(),
+                           [](const Segment& segment) { return segment.server.value(); });
+}
+
+std::vector<RwSeries> RollupToStorageNode(const Fleet& fleet, const RollupSources& sources) {
+  return RollupStorageSide(fleet, sources, fleet.storage_nodes.size(),
+                           [&fleet](const Segment& segment) {
+                             return fleet.block_servers[segment.server.value()].node.value();
+                           });
 }
 
 MetricDataset AggregateTraces(const Fleet& fleet, const TraceDataset& traces,

@@ -5,6 +5,7 @@
 #ifndef SRC_TRACE_AGGREGATE_H_
 #define SRC_TRACE_AGGREGATE_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "src/topology/fleet.h"
@@ -13,14 +14,32 @@
 
 namespace ebs {
 
+// What a rollup folds: the per-QP series (compute domain, indexed by
+// QpId::value()) and the active segments (storage domain). A MetricDataset
+// converts implicitly; the replay rollup sink builds one from the step view.
+struct RollupSources {
+  RollupSources(const MetricDataset& metrics);
+  RollupSources(size_t window_steps, double dt, const std::vector<RwSeries>& qps,
+                const SegmentSeriesMap& segments);
+
+  size_t steps;
+  double step_seconds;
+  const std::vector<RwSeries>* qp_series;
+  const SegmentSeriesMap* segment_series;
+};
+
 // Each rollup returns one RwSeries per entity, indexed by the entity id.
-std::vector<RwSeries> RollupToVd(const Fleet& fleet, const MetricDataset& metrics);
-std::vector<RwSeries> RollupToVm(const Fleet& fleet, const MetricDataset& metrics);
-std::vector<RwSeries> RollupToUser(const Fleet& fleet, const MetricDataset& metrics);
-std::vector<RwSeries> RollupToWt(const Fleet& fleet, const MetricDataset& metrics);
-std::vector<RwSeries> RollupToComputeNode(const Fleet& fleet, const MetricDataset& metrics);
-std::vector<RwSeries> RollupToBlockServer(const Fleet& fleet, const MetricDataset& metrics);
-std::vector<RwSeries> RollupToStorageNode(const Fleet& fleet, const MetricDataset& metrics);
+// The compute levels add QP series in fleet order, the storage levels add
+// segment series in ascending id order, so every sum is deterministic and
+// independent of how the sources were populated (e.g. by how many replay
+// shards).
+std::vector<RwSeries> RollupToVd(const Fleet& fleet, const RollupSources& sources);
+std::vector<RwSeries> RollupToVm(const Fleet& fleet, const RollupSources& sources);
+std::vector<RwSeries> RollupToUser(const Fleet& fleet, const RollupSources& sources);
+std::vector<RwSeries> RollupToWt(const Fleet& fleet, const RollupSources& sources);
+std::vector<RwSeries> RollupToComputeNode(const Fleet& fleet, const RollupSources& sources);
+std::vector<RwSeries> RollupToBlockServer(const Fleet& fleet, const RollupSources& sources);
+std::vector<RwSeries> RollupToStorageNode(const Fleet& fleet, const RollupSources& sources);
 
 // Rebuilds an (approximate) metric dataset from sampled traces by scaling
 // each record by 1/sampling_rate. Used to validate dataset consistency and to

@@ -57,8 +57,12 @@ std::vector<TraceRecord> GenerateFullRateStream(const Fleet& fleet, VdId vd_id,
       }
     }
   }
-  std::sort(stream.begin(), stream.end(),
-            [](const TraceRecord& a, const TraceRecord& b) { return a.timestamp < b.timestamp; });
+  // Stable: a step's first read and first write share a timestamp, and they
+  // keep their emission order (reads first) instead of std::sort's
+  // unspecified tie order.
+  std::stable_sort(stream.begin(), stream.end(), [](const TraceRecord& a, const TraceRecord& b) {
+    return a.timestamp < b.timestamp;
+  });
   return stream;
 }
 

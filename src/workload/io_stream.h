@@ -26,9 +26,10 @@ struct IoStreamConfig {
   size_t max_ios = 2'000'000;     // hard cap; generation stops beyond it
 };
 
-// Generates every IO of one VD over the window, timestamp-ordered. Only the
-// fields a per-IO study needs are populated: timestamp, op, size, offset, vd,
-// segment. The VD's application profile comes from its VM.
+// Generates every IO of one VD over the window, timestamp-ordered; IOs with
+// equal timestamps keep their generation order (a step's reads before its
+// writes). Only the fields a per-IO study needs are populated: timestamp, op,
+// size, offset, vd, segment. The VD's application profile comes from its VM.
 std::vector<TraceRecord> GenerateFullRateStream(const Fleet& fleet, VdId vd,
                                                 const IoStreamConfig& config);
 

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "src/balancer/balancer.h"
+#include "src/balancer/prediction.h"
 #include "tests/test_helpers.h"
 
 namespace ebs {
@@ -176,6 +181,66 @@ TEST_F(BalancerFixture, IdealPolicyRuns) {
   const auto result = balancer.Run();
   EXPECT_FALSE(result.migrations.empty());
   EXPECT_LT(result.write_cov.back(), result.write_cov.front());
+}
+
+// A zero period used to divide by zero while sizing the run, and a NaN
+// threshold or budget used to run and silently never migrate.
+TEST_F(BalancerFixture, BadConfigIsRejected) {
+  BalancerConfig zero_period;
+  zero_period.period_steps = 0;
+  EXPECT_THROW(InterBsBalancer(fleet_, metrics_, StorageClusterId(0), zero_period),
+               std::invalid_argument);
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(), -0.5}) {
+    BalancerConfig threshold;
+    threshold.exporter_threshold = bad;
+    EXPECT_THROW(InterBsBalancer(fleet_, metrics_, StorageClusterId(0), threshold),
+                 std::invalid_argument)
+        << bad;
+    BalancerConfig budget;
+    budget.migration_budget = bad;
+    EXPECT_THROW(InterBsBalancer(fleet_, metrics_, StorageClusterId(0), budget),
+                 std::invalid_argument)
+        << bad;
+  }
+  BalancerConfig zero_thresholds;
+  zero_thresholds.period_steps = 10;
+  zero_thresholds.exporter_threshold = 0.0;
+  zero_thresholds.migration_budget = 0.0;
+  EXPECT_NO_THROW(InterBsBalancer(fleet_, metrics_, StorageClusterId(0), zero_thresholds).Run());
+}
+
+// A cluster id past the fleet's clusters used to index out of bounds.
+TEST_F(BalancerFixture, UnknownClusterIsRejected) {
+  const StorageClusterId unknown(static_cast<uint32_t>(fleet_.storage_clusters.size()));
+  EXPECT_THROW(InterBsBalancer(fleet_, metrics_, unknown, BalancerConfig{}),
+               std::invalid_argument);
+  EXPECT_THROW(BsPeriodTraffic(fleet_, metrics_, unknown, 5), std::invalid_argument);
+}
+
+TEST_F(BalancerFixture, PredictionRejectsZeroPeriodAndEpoch) {
+  SetSegmentWrite(SegmentId(0), 100.0);
+  SetSegmentWrite(SegmentId(1), 50.0);
+  EXPECT_THROW(BsPeriodTraffic(fleet_, metrics_, StorageClusterId(0), 0), std::invalid_argument);
+  PredictionExperimentConfig zero_period;
+  zero_period.period_steps = 0;
+  EXPECT_THROW(RunPredictionExperiment(fleet_, metrics_, StorageClusterId(0), zero_period),
+               std::invalid_argument);
+  for (const int epochs : {0, -1}) {
+    PredictionExperimentConfig bad_epoch;
+    bad_epoch.warmup_periods = 2;
+    bad_epoch.epoch_periods = epochs;
+    EXPECT_THROW(RunPredictionExperiment(fleet_, metrics_, StorageClusterId(0), bad_epoch),
+                 std::invalid_argument)
+        << epochs;
+  }
+}
+
+TEST(MigrationStatsTest, ZeroWindowIsRejected) {
+  const std::vector<Migration> migrations = {
+      {SegmentId(0), BlockServerId(0), BlockServerId(1), 0, OpType::kWrite},
+  };
+  EXPECT_THROW(FrequentMigrationProportion(migrations, 0), std::invalid_argument);
+  EXPECT_THROW(FrequentMigrationProportion({}, 0), std::invalid_argument);
 }
 
 TEST(MigrationStatsTest, FrequentMigrationDetection) {

@@ -4,6 +4,7 @@
 
 #include <unordered_map>
 
+#include "src/core/config.h"
 #include "src/trace/gc_model.h"
 #include "src/workload/io_stream.h"
 #include "tests/test_helpers.h"
@@ -99,6 +100,37 @@ TEST_F(IoStreamFixture, StreamIsOrderedAndValid) {
     EXPECT_EQ(r.vd, vd_);
     EXPECT_EQ(fleet_.SegmentForOffset(vd_, r.offset), r.segment);
   }
+}
+
+// The prefetcher study's stream (bench_ablation_cache: DcPreset(1)'s first
+// BigData VD with at least 8 segments, 60 steps at 120/80 MB/s). A step's
+// first read and first write share a timestamp; the sort must keep them in
+// emission order, read first, not in an unspecified tie order.
+TEST(IoStreamOrderTest, EqualTimestampsKeepReadsBeforeWrites) {
+  const Fleet fleet = BuildFleet(DcPreset(1).fleet);
+  const Vd* scan_vd = nullptr;
+  for (const Vd& vd : fleet.vds) {
+    if (fleet.vms[vd.vm.value()].app == AppType::kBigData && vd.segments.size() >= 8) {
+      scan_vd = &vd;
+      break;
+    }
+  }
+  ASSERT_NE(scan_vd, nullptr);
+  IoStreamConfig config;
+  config.window_steps = 60;
+  config.read_rate_mbps = 120.0;
+  config.write_rate_mbps = 80.0;
+  const auto stream = GenerateFullRateStream(fleet, scan_vd->id, config);
+  size_t ties = 0;
+  for (size_t i = 1; i < stream.size(); ++i) {
+    if (stream[i].timestamp != stream[i - 1].timestamp) {
+      continue;
+    }
+    ++ties;
+    EXPECT_FALSE(stream[i - 1].op == OpType::kWrite && stream[i].op == OpType::kRead)
+        << "a read follows a write at t=" << stream[i].timestamp << " (record " << i << ")";
+  }
+  EXPECT_GT(ties, 0u);
 }
 
 TEST_F(IoStreamFixture, VolumeRoughlyMatchesConfiguredRates) {

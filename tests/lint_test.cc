@@ -110,18 +110,6 @@ TEST(LintFixtureTest, SortedKeyCollectionWithAllowIsClean) {
   EXPECT_TRUE(LintFixture("unordered_iter_allowed.cc").empty());
 }
 
-TEST(LintFixtureTest, StripedTableIterationFlagged) {
-  const auto findings = LintFixture("striped_table_iter_bad.cc");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "unordered-iter");
-  EXPECT_EQ(findings[0].line, 14u);
-  EXPECT_NE(findings[0].message.find("bytes_by_name"), std::string::npos);
-}
-
-TEST(LintFixtureTest, StripedTableSortedTraversalIsClean) {
-  EXPECT_TRUE(LintFixture("striped_table_iter_good.cc").empty());
-}
-
 TEST(LintFixtureTest, FloatMapKeysFlagged) {
   const auto findings = LintFixture("float_key_bad.cc");
   EXPECT_EQ(Rules(findings),

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -67,6 +68,89 @@ TEST(ObsRegistryTest, ReturnsStablePointersPerName) {
   EXPECT_EQ(a, b);
   EXPECT_NE(registry.GetCounter("other.name"), a);
   EXPECT_EQ(registry.GetTimer("t"), registry.GetHistogram("t", "ns"));
+}
+
+// Registration from many threads at once: the registry resolves one metric
+// per name, so no thread's increments land in an orphaned counter.
+TEST(ObsRegistryTest, ConcurrentGetCounterResolvesOneCounterPerName) {
+  MetricRegistry registry;
+  registry.set_enabled(true);
+  constexpr int kThreads = 8;
+  constexpr int kNames = 64;
+  constexpr int kIncrementsPerThread = 16 * kNames;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&registry] {
+      for (int rep = 0; rep < kIncrementsPerThread; ++rep) {
+        registry.GetCounter("metric." + std::to_string(rep % kNames))->Increment();
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const RunReport report = registry.Snapshot();
+  ASSERT_EQ(report.metrics.size(), static_cast<size_t>(kNames));
+  double total = 0.0;
+  for (const obs::MetricSnapshot& metric : report.metrics) {
+    EXPECT_EQ(metric.kind, "counter");
+    EXPECT_EQ(metric.value, static_cast<double>(kThreads * 16)) << metric.name;
+    total += metric.value;
+  }
+  EXPECT_EQ(total, static_cast<double>(kThreads * kIncrementsPerThread));
+}
+
+TEST(ObsRegistryTest, ConcurrentDisjointRegistrationsAllAppearInSnapshot) {
+  MetricRegistry registry;
+  constexpr int kThreads = 8;
+  constexpr int kNamesPerThread = 500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&registry, t] {
+      for (int i = 0; i < kNamesPerThread; ++i) {
+        std::string name = "t";
+        name += std::to_string(t);
+        name += ".k";
+        name += std::to_string(i);
+        if (i % 2 == 0) {
+          registry.GetGauge(name);
+        } else {
+          registry.GetTimer(name);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  const RunReport report = registry.Snapshot();
+  ASSERT_EQ(report.metrics.size(), static_cast<size_t>(kThreads * kNamesPerThread));
+  for (size_t i = 1; i < report.metrics.size(); ++i) {
+    EXPECT_LT(report.metrics[i - 1].name, report.metrics[i].name);
+  }
+}
+
+// A pointer taken before other threads register more names is the one a
+// later lookup returns: growing the maps never moves a metric.
+TEST(ObsRegistryTest, PointerStaysStableWhileOtherThreadsRegister) {
+  MetricRegistry registry;
+  registry.set_enabled(true);
+  obs::Counter* stable = registry.GetCounter("stable");
+  stable->Add(42);
+  std::thread writer([&registry] {
+    for (int i = 0; i < 20000; ++i) {
+      registry.GetCounter("churn." + std::to_string(i));
+    }
+  });
+  std::thread reader([&registry, stable] {
+    for (int i = 0; i < 20000; ++i) {
+      EXPECT_EQ(registry.GetCounter("stable"), stable);
+      EXPECT_EQ(stable->Value(), 42u);
+    }
+  });
+  writer.join();
+  reader.join();
+  EXPECT_EQ(registry.GetCounter("stable"), stable);
 }
 
 TEST(ObsHistogramTest, TracksCountSumMaxAndBuckets) {

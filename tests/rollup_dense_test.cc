@@ -1,13 +1,11 @@
-// Equivalence battery for the struct-of-arrays rollup path.
+// Equivalence battery for the rollup folds.
 //
-// The RwMatrix rollups replaced the hash-map / vector<RwSeries> aggregation
-// introduced with the original dataset schemas. Their contract is stronger
-// than "close": because every accumulator element sees the same addition
-// sequence (QPs in fleet order, segments in ascending id order), the matrix
-// rows must be BIT-identical to the legacy representation. These tests
+// The RollupTo* folds must be BIT-identical to the legacy per-entity walk,
+// not just close: every accumulator element sees the same addition sequence
+// (QPs in fleet order, segments in ascending id order). These tests
 // re-implement the legacy rollups inline (ordered map + per-entity
-// RwSeries::Accumulate) on a DcPreset-derived workload and compare with
-// operator== on every double.
+// RwSeries::Accumulate over materialized segment series) on a
+// DcPreset-derived workload and compare with operator== on every double.
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -19,7 +17,6 @@
 #include "src/topology/fleet.h"
 #include "src/trace/aggregate.h"
 #include "src/trace/records.h"
-#include "src/trace/rollup_dense.h"
 #include "src/workload/generator.h"
 
 namespace ebs {
@@ -143,22 +140,23 @@ TEST_F(RollupEquivalenceFixture, StorageSideRollupsMatchLegacyBitForBit) {
   }
 }
 
-TEST_F(RollupEquivalenceFixture, MatrixRowsMatchExtractedSeries) {
-  const RwMatrix vm = RollupMatrixToVm(*fleet_, result_->metrics);
-  const auto vm_legacy = LegacyComputeRollup(fleet_->vms.size(),
-                                             [](const Qp& qp) { return qp.vm.value(); });
-  ASSERT_EQ(vm.entities(), vm_legacy.size());
-  ASSERT_EQ(vm.steps(), result_->metrics.window_steps);
-  for (size_t e = 0; e < vm.entities(); ++e) {
-    // Raw SoA rows, the ExtractSeries bridge and the legacy path must agree.
-    const RwSeries extracted = vm.ExtractSeries(e);
-    ExpectSeriesBitIdentical(extracted, vm_legacy[e], "vm-extract", e);
-    for (size_t t = 0; t < vm.steps(); ++t) {
-      EXPECT_EQ(vm.ReadBytes(e)[t], vm_legacy[e].read_bytes[t]);
-      EXPECT_EQ(vm.WriteBytes(e)[t], vm_legacy[e].write_bytes[t]);
-      EXPECT_EQ(vm.ReadOps(e)[t], vm_legacy[e].read_ops[t]);
-      EXPECT_EQ(vm.WriteOps(e)[t], vm_legacy[e].write_ops[t]);
-    }
+TEST_F(RollupEquivalenceFixture, VmAndComputeNodeRollupsMatchLegacyBitForBit) {
+  const MetricDataset& metrics = result_->metrics;
+  const auto vm_ref = LegacyComputeRollup(fleet_->vms.size(),
+                                          [](const Qp& qp) { return qp.vm.value(); });
+  const auto vm_got = RollupToVm(*fleet_, metrics);
+  ASSERT_EQ(vm_got.size(), vm_ref.size());
+  for (size_t e = 0; e < vm_ref.size(); ++e) {
+    ExpectSeriesBitIdentical(vm_got[e], vm_ref[e], "vm", e);
+    EXPECT_EQ(vm_got[e].read_bytes.step_seconds(), metrics.step_seconds);
+  }
+
+  const auto cn_ref = LegacyComputeRollup(fleet_->nodes.size(),
+                                          [](const Qp& qp) { return qp.node.value(); });
+  const auto cn_got = RollupToComputeNode(*fleet_, metrics);
+  ASSERT_EQ(cn_got.size(), cn_ref.size());
+  for (size_t e = 0; e < cn_ref.size(); ++e) {
+    ExpectSeriesBitIdentical(cn_got[e], cn_ref[e], "cn", e);
   }
 }
 
@@ -221,41 +219,6 @@ TEST_F(RollupEquivalenceFixture, BsPeriodTrafficMatchesLegacyMapWalk) {
       EXPECT_EQ(got[s][p], ref[s][p]) << "bs slot " << s << " period " << p;
     }
   }
-}
-
-TEST(RwMatrixTest, AccumulateRowMatchesRwSeriesAccumulate) {
-  RwSeries src(4, 1.0);
-  src.read_bytes[0] = 1.5;
-  src.write_bytes[1] = 2.5;
-  src.read_ops[2] = 3.0;
-  src.write_ops[3] = 4.0;
-
-  RwMatrix matrix(2, 4, 1.0);
-  matrix.AccumulateRow(1, src);
-  matrix.AccumulateRow(1, src);
-
-  RwSeries ref(4, 1.0);
-  ref.Accumulate(src);
-  ref.Accumulate(src);
-  for (size_t t = 0; t < 4; ++t) {
-    EXPECT_EQ(matrix.ReadBytes(1)[t], ref.read_bytes[t]);
-    EXPECT_EQ(matrix.WriteBytes(1)[t], ref.write_bytes[t]);
-    EXPECT_EQ(matrix.ReadOps(1)[t], ref.read_ops[t]);
-    EXPECT_EQ(matrix.WriteOps(1)[t], ref.write_ops[t]);
-    // Row 0 untouched.
-    EXPECT_EQ(matrix.ReadBytes(0)[t], 0.0);
-  }
-}
-
-TEST(RwMatrixTest, ToSeriesVectorRoundTrips) {
-  RwMatrix matrix(3, 2, 0.5);
-  matrix.ReadBytes(2)[1] = 9.0;
-  const std::vector<RwSeries> series = matrix.ToSeriesVector();
-  ASSERT_EQ(series.size(), 3u);
-  EXPECT_EQ(series[2].read_bytes.size(), 2u);
-  EXPECT_EQ(series[2].read_bytes.step_seconds(), 0.5);
-  EXPECT_EQ(series[2].read_bytes[1], 9.0);
-  EXPECT_EQ(series[0].read_bytes[1], 0.0);
 }
 
 }  // namespace

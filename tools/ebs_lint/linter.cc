@@ -249,13 +249,9 @@ constexpr std::array<const char*, 14> kControlDeterminism = {
     "future",       "promise",
 };
 
-// Types whose iteration order is implementation-defined. StripedTable is the
-// repo's own concurrent registry table: its physical slot order is hash
-// order, so it rides the same declaration tracking and unordered-iter rule as
-// the standard hash containers (sorted-only traversal via SortedItems()).
-constexpr std::array<const char*, 5> kUnorderedTypes = {
+// Types whose iteration order is implementation-defined.
+constexpr std::array<const char*, 4> kUnorderedTypes = {
     "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset",
-    "StripedTable",
 };
 
 constexpr std::array<const char*, 4> kMapTypes = {
@@ -775,14 +771,6 @@ constexpr SelfCheckCase kCases[] = {
      nullptr},
     {"vector iteration is clean", "src/a.cc",
      "void F() {\n  std::vector<int> v;\n  for (int x : v) { (void)x; }\n}", nullptr},
-    {"striped-table iter fires", "src/a.cc",
-     "void F() {\n  util::StripedTable<int> table;\n  for (const auto& [k, v] : table) "
-     "{ (void)k; (void)v; }\n}",
-     "unordered-iter"},
-    {"striped-table sorted traversal is clean", "src/a.cc",
-     "void F() {\n  util::StripedTable<int> table;\n  for (const auto& [k, v] : "
-     "table.SortedItems()) { (void)k; (void)v; }\n}",
-     nullptr},
     {"float-key fires", "src/a.cc", "std::map<double, int> m;", "float-key"},
     {"float-key unordered fires", "tools/a.cc", "std::unordered_map<float, int> m;",
      "float-key"},
