@@ -1,12 +1,34 @@
 #include "src/cache/hotspot.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/analysis/skewness.h"
 
 namespace ebs {
+
+namespace {
+
+// Whole subwindows in the window, at least 1. The count is cast to size_t, so
+// it must be a finite double no larger than 2^53.
+size_t SubwindowCount(double window_seconds, double subwindow_seconds) {
+  if (!std::isfinite(window_seconds) || window_seconds <= 0.0 ||
+      !std::isfinite(subwindow_seconds) || subwindow_seconds <= 0.0) {
+    throw std::invalid_argument(
+        "hotspot: window_seconds and subwindow_seconds must be finite and positive");
+  }
+  const double count = window_seconds / subwindow_seconds;
+  if (!(count <= 9007199254740992.0)) {
+    throw std::invalid_argument(
+        "hotspot: window_seconds / subwindow_seconds gives more than 2^53 subwindows");
+  }
+  return std::max<size_t>(1, static_cast<size_t>(count));
+}
+
+}  // namespace
 
 VdTraceIndex::VdTraceIndex(const Fleet& fleet, const TraceDataset& traces) {
   per_vd_.resize(fleet.vds.size());
@@ -39,6 +61,7 @@ std::optional<HotBlockStats> AnalyzeHottestBlock(std::span<const TraceRecord* co
                                                  uint64_t capacity_bytes, uint64_t block_bytes,
                                                  double window_seconds,
                                                  double subwindow_seconds) {
+  const size_t subwindows = SubwindowCount(window_seconds, subwindow_seconds);
   if (vd_traces.empty() || block_bytes == 0 || capacity_bytes == 0) {
     return std::nullopt;
   }
@@ -76,8 +99,6 @@ std::optional<HotBlockStats> AnalyzeHottestBlock(std::span<const TraceRecord* co
 
   uint64_t reads = 0;
   uint64_t writes = 0;
-  const size_t subwindows =
-      std::max<size_t>(1, static_cast<size_t>(window_seconds / subwindow_seconds));
   std::vector<uint64_t> sub_total(subwindows, 0);
   std::vector<uint64_t> sub_block(subwindows, 0);
   for (const TraceRecord* r : vd_traces) {
@@ -85,8 +106,12 @@ std::optional<HotBlockStats> AnalyzeHottestBlock(std::span<const TraceRecord* co
     if (in_block) {
       (r->op == OpType::kRead ? reads : writes) += 1;
     }
-    const size_t w = std::min(subwindows - 1,
-                              static_cast<size_t>(r->timestamp / subwindow_seconds));
+    // Clamped as a double: a timestamp past the window (or before 0) must not
+    // reach the integer cast.
+    const double slot = r->timestamp / subwindow_seconds;
+    const size_t w = slot < static_cast<double>(subwindows - 1)
+                         ? static_cast<size_t>(std::max(slot, 0.0))
+                         : subwindows - 1;
     ++sub_total[w];
     if (in_block) {
       ++sub_block[w];

@@ -45,7 +45,9 @@ struct HotBlockStats {
   double hot_rate = 0.0;          // temporal continuity (§7.2)
 };
 
-// Returns nullopt when the VD has no sampled IOs.
+// Returns nullopt when the VD has no sampled IOs. Throws std::invalid_argument
+// unless both window lengths are finite and positive and the window holds at
+// most 2^53 subwindows.
 std::optional<HotBlockStats> AnalyzeHottestBlock(std::span<const TraceRecord* const> vd_traces,
                                                  uint64_t capacity_bytes, uint64_t block_bytes,
                                                  double window_seconds,

@@ -44,7 +44,7 @@ class OnlineCacheSink : public ReplaySink {
   // Closed-loop actuation hook: while admission is disabled, events bypass
   // the caches entirely — no page is admitted, no access or hit is counted
   // (the IO takes the uncached path). Enabled by default, so a run that never
-  // toggles it is bit-identical to the seed behavior. The control loop flips
+  // toggles it is bit-identical to the seed behavior. The control plane flips
   // this at period boundaries when hotspot detection says caching would (or
   // would not) pay.
   void set_admission_enabled(bool enabled) { admission_enabled_ = enabled; }

@@ -152,7 +152,7 @@ void MigrationPolicy::Evaluate(const ControlSignal& signal, PeriodContext* conte
   const double budget = config_.migration_budget * context->budget_scale * mean;
 
   // 3. Bucket the trusted segments by their current BS in one pass, ascending
-  // id within a bucket. Exact: the loop applies decisions only after Evaluate
+  // id within a bucket. Exact: the plane applies decisions only after Evaluate
   // returns, so no assignment moves during the exporter scan below.
   for (std::vector<std::pair<double, uint32_t>>& bucket : candidates_) {
     bucket.clear();

@@ -17,8 +17,9 @@
 //      admission pays only while one VD dominates the offered load.
 //
 // Policies are pure state machines over ControlSignals: no clocks, no RNG, no
-// unordered iteration (ebs_lint control-determinism). They emit decisions;
-// ControlLoop applies them.
+// unordered iteration (ebs_lint control-determinism). OnStart resets a policy
+// before the first period; Evaluate reads one period's signal, may update the
+// policy's state and emits decisions into `out`, which ControlPlane applies.
 
 #ifndef SRC_CONTROL_POLICIES_H_
 #define SRC_CONTROL_POLICIES_H_
@@ -30,7 +31,9 @@
 #include "src/balancer/actuator.h"
 #include "src/cache/policy.h"
 #include "src/control/policy.h"
+#include "src/control/signal.h"
 #include "src/topology/entities.h"
+#include "src/topology/fleet.h"
 
 namespace ebs {
 namespace control {
@@ -78,14 +81,14 @@ struct ControlConfig {
   double throttle_cap_scale = 1.0;  // ThrottleConfig for the plane's lending sink
 };
 
-class FaultResponsePolicy : public Policy {
+class FaultResponsePolicy {
  public:
   FaultResponsePolicy(const ControlConfig& config, const MigrationActuator* actuator)
       : config_(config), actuator_(actuator) {}
-  PolicyId id() const override { return PolicyId::kFaultResponse; }
-  void OnStart(const Fleet& fleet) override;
+  static constexpr PolicyId id() { return PolicyId::kFaultResponse; }
+  void OnStart(const Fleet& fleet);
   void Evaluate(const ControlSignal& signal, PeriodContext* context,
-                std::vector<Decision>* out) override;
+                std::vector<Decision>* out);
 
  private:
   const ControlConfig& config_;
@@ -93,14 +96,14 @@ class FaultResponsePolicy : public Policy {
   std::vector<uint8_t> prev_down_;  // by BS id: down at the previous period end
 };
 
-class MigrationPolicy : public Policy {
+class MigrationPolicy {
  public:
   MigrationPolicy(const ControlConfig& config, const MigrationActuator* actuator)
       : config_(config), actuator_(actuator) {}
-  PolicyId id() const override { return PolicyId::kMigration; }
-  void OnStart(const Fleet& fleet) override;
+  static constexpr PolicyId id() { return PolicyId::kMigration; }
+  void OnStart(const Fleet& fleet);
   void Evaluate(const ControlSignal& signal, PeriodContext* context,
-                std::vector<Decision>* out) override;
+                std::vector<Decision>* out);
 
   // Misprediction feedback accounting: forecasts whose relative error
   // exceeded the tolerance, cumulative.
@@ -118,13 +121,13 @@ class MigrationPolicy : public Policy {
   uint64_t mispredictions_ = 0;
 };
 
-class LendingPolicy : public Policy {
+class LendingPolicy {
  public:
   explicit LendingPolicy(const ControlConfig& config) : config_(config) {}
-  PolicyId id() const override { return PolicyId::kLending; }
-  void OnStart(const Fleet& fleet) override;
+  static constexpr PolicyId id() { return PolicyId::kLending; }
+  void OnStart(const Fleet& fleet);
   void Evaluate(const ControlSignal& signal, PeriodContext* context,
-                std::vector<Decision>* out) override;
+                std::vector<Decision>* out);
 
   double tokens_spent() const { return tokens_spent_; }
 
@@ -134,13 +137,13 @@ class LendingPolicy : public Policy {
   double tokens_spent_ = 0.0;
 };
 
-class CacheAdmissionPolicy : public Policy {
+class CacheAdmissionPolicy {
  public:
   explicit CacheAdmissionPolicy(const ControlConfig& config) : config_(config) {}
-  PolicyId id() const override { return PolicyId::kCacheAdmission; }
-  void OnStart(const Fleet& fleet) override;
+  static constexpr PolicyId id() { return PolicyId::kCacheAdmission; }
+  void OnStart(const Fleet& fleet);
   void Evaluate(const ControlSignal& signal, PeriodContext* context,
-                std::vector<Decision>* out) override;
+                std::vector<Decision>* out);
 
  private:
   const ControlConfig& config_;

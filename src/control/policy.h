@@ -1,11 +1,10 @@
-// Decision schema, decision log, and the Policy interface of the closed-loop
-// control plane.
+// Decision schema and decision log of the closed-loop control plane.
 //
 // Policies never touch actuators directly: they emit Decision records, and
-// ControlLoop applies each record through the Actuators bundle in emission
-// order. The log is therefore the single source of truth for everything the
-// control plane did — fingerprinting it pins *policy behavior*, not just
-// traffic totals, and replaying the log would reproduce every actuation.
+// ControlPlane applies each record to its sinks in emission order. The log is
+// therefore the single source of truth for everything the control plane did —
+// fingerprinting it pins *policy behavior*, not just traffic totals, and
+// replaying the log would reproduce every actuation.
 
 #ifndef SRC_CONTROL_POLICY_H_
 #define SRC_CONTROL_POLICY_H_
@@ -13,9 +12,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "src/control/signal.h"
-#include "src/topology/fleet.h"
 
 namespace ebs {
 namespace control {
@@ -70,22 +66,11 @@ class DecisionLog {
   std::vector<Decision> decisions_;
 };
 
-// Mutable per-period context shared across the policy chain in evaluation
-// order. FaultResponse escalates; Migration consumes the escalation.
+// Mutable per-period context shared across the policies in evaluation order.
+// FaultResponse escalates; Migration consumes the escalation.
 struct PeriodContext {
   double budget_scale = 1.0;     // multiplier on the migration budget
   double threshold_scale = 1.0;  // multiplier on the exporter threshold
-};
-
-class Policy {
- public:
-  virtual ~Policy() = default;
-  virtual PolicyId id() const = 0;
-  // Called once before the first period.
-  virtual void OnStart(const Fleet& fleet) = 0;
-  // Reads the signal, may update internal state, emits decisions into `out`.
-  virtual void Evaluate(const ControlSignal& signal, PeriodContext* context,
-                        std::vector<Decision>* out) = 0;
 };
 
 }  // namespace control

@@ -1,4 +1,5 @@
-// ControlSignal: the per-period observation snapshot the control loop reads.
+// ControlSignal: the per-period observation snapshot ControlPlane assembles at
+// each complete period's last step and hands to its policies.
 //
 // Every field is a pure function of simulated state — full-scale metric
 // columns the step views expose, the fault schedule's step-indexed tables,
@@ -12,6 +13,7 @@
 #define SRC_CONTROL_SIGNAL_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace ebs {
@@ -28,7 +30,8 @@ struct QmodelSignal {
 };
 
 // One control period's observations. The vectors are owned by the producer
-// (ControlSink) and valid only during the OnPeriod call.
+// (ControlPlane, or a test's hand signal) and valid only during the OnPeriod
+// call.
 struct ControlSignal {
   uint32_t period = 0;       // 0-based control period index
   uint32_t step_begin = 0;   // first step of the period

@@ -27,7 +27,7 @@ struct SimulationConfig {
   // it adds per-VD/per-tenant latency distributions and SLO counters on the
   // side without perturbing any dataset.
   qmodel::QueueModelConfig queueing;
-  // Opt-in closed-loop control plane (src/control). Off by default. The loop
+  // Opt-in closed-loop control plane (src/control). Off by default. The plane
   // only actuates mitigation overlays (lending rate, cache admission, qmodel
   // remap), never generation, so the base datasets stay bit-identical to a
   // run without it.
@@ -46,7 +46,7 @@ SimulationConfig StorageStudyPreset(uint64_t seed = 5);
 // sink (config.queueing) and the closed-loop control plane (config.control)
 // with the fault driver that feeds it the down-BS signal. The driver is built
 // from config.workload.faults — a pure function of the schedule — so live and
-// store-replay runs hand the loop the same signal. `config` must already be
+// store-replay runs hand the plane the same signal. `config` must already be
 // valid (the facades check it before building the fleet).
 class OverlaySinks {
  public:
@@ -56,7 +56,7 @@ class OverlaySinks {
   OverlaySinks& operator=(const OverlaySinks&) = delete;
 
   // Registration order: qmodel, then the plane's lending -> cache -> wt-cov ->
-  // control.
+  // plane (ControlPlane::Sinks()).
   std::vector<ReplaySink*> Sinks();
 
   // nullptr unless config.queueing.enabled / config.control.enabled.

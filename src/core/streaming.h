@@ -79,7 +79,7 @@ class StreamingSimulation {
   }
   // Closed-loop control plane; nullptr unless config.control.enabled. The
   // decision log is final after Run() and bit-identical at any worker count.
-  // The loop's fault signal comes from config.workload's schedule on live and
+  // The plane's fault signal comes from config.workload's schedule on live and
   // store replay alike, keeping crash-heavy store replay log-identical to the
   // recorded run.
   const control::ControlPlane* control_plane() const { return overlays_.plane(); }

@@ -72,7 +72,6 @@ FaultDriver::FaultDriver(const Fleet& fleet, const FaultSchedule& schedule, size
   for (const uint8_t active : step_active_) {
     degraded_step_count_ += active;
   }
-  registry.GetCounter("fault.degraded_steps")->Add(degraded_step_count_);
 
   // Failover attempt order, built only for segments that can actually lose
   // their primary (segments of a BS with a crash window).

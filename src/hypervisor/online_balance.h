@@ -48,7 +48,7 @@ class OnlineWtCovSink : public ReplaySink {
 
   // Closed-loop signal hook: mean normalized CoV across the nodes of the most
   // recently completed CoV window, or 0 before the first complete window.
-  // Updated at window boundaries inside OnStepComplete, so a control sink
+  // Updated at window boundaries inside OnStepComplete, so the control plane
   // running later in the chain reads the window that just closed.
   double LatestWindowMeanCov() const { return latest_window_mean_cov_; }
   uint64_t complete_windows() const { return complete_windows_; }

@@ -33,7 +33,7 @@ class QueueModelSink : public ReplaySink {
 
   // Live simulator for the closed-loop control plane (AdvanceTo / Interim /
   // online what-if setters). Valid between OnStart and OnFinish; nullptr
-  // outside that window. The control sink runs on the same merge thread, so
+  // outside that window. The control plane runs on the same merge thread, so
   // no synchronization is needed.
   QueueSimulator* simulator() { return simulator_.has_value() ? &*simulator_ : nullptr; }
 

@@ -158,6 +158,10 @@ WorkloadResult ReplayEngine::Run() {
   rethrow_source_error();
 
   source_->Finalize(&result);
+  // Counted once per run, here rather than per FaultDriver: a live run with
+  // control builds a second driver for the plane, and store replay builds
+  // none without control but decodes the recorded count.
+  registry.GetCounter("fault.degraded_steps")->Add(result.faults.degraded_steps);
   if (source_->sampling_rate() > 0.0) {
     stats_.modeled_ios = static_cast<double>(stats_.events) / source_->sampling_rate();
   }

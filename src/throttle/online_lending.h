@@ -57,7 +57,7 @@ class OnlineLendingSink : public ReplaySink {
   // Closed-loop actuation hook: replaces Algorithm 2's lending rate p for
   // every step completed from now on. Steps already completed but still
   // pending run under the old rate first, so a rate set at a period boundary
-  // (the control loop runs after this sink in the chain) governs exactly the
+  // (the control plane runs after this sink in the chain) governs exactly the
   // whole next period. Clamped to [0, 1] — p outside that range has no
   // meaning in Algorithm 2; NaN throws std::invalid_argument.
   void SetLendingRate(double p);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -238,6 +240,41 @@ TEST(HotspotTest, ReadDominantBlock) {
 
 TEST(HotspotTest, EmptyTracesGiveNullopt) {
   EXPECT_FALSE(AnalyzeHottestBlock({}, 64ULL * kGiB, 64ULL * kMiB, 10.0, 1.0).has_value());
+}
+
+TEST(HotspotTest, RejectsWindowsThatAreNotFiniteAndPositive) {
+  // A zero subwindow used to return hot_rate 1.0, and -1 or NaN reached an
+  // undefined float-to-integer cast. Each is rejected before any work, also
+  // for a VD without IOs.
+  const Fleet fleet = MakeTinyFleet({{{1}}});
+  const TraceDataset traces = HotTraces(fleet, VdId(0), 100.0);
+  const VdTraceIndex index(fleet, traces);
+  const auto analyze = [&index](std::span<const TraceRecord* const> records, double window,
+                                double subwindow) {
+    return AnalyzeHottestBlock(records, 64ULL * kGiB, 64ULL * kMiB, window, subwindow);
+  };
+  const std::span<const TraceRecord* const> vd = index.ForVd(VdId(0));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -0.0, -1.0, std::numeric_limits<double>::quiet_NaN(), kInf,
+                           -kInf}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(analyze(vd, 100.0, bad), std::invalid_argument);
+    EXPECT_THROW(analyze(vd, bad, 10.0), std::invalid_argument);
+    EXPECT_THROW(analyze({}, 100.0, bad), std::invalid_argument);
+  }
+  // 1e-300 s subwindows number 1e302, more than a double counts exactly.
+  EXPECT_THROW(analyze(vd, 100.0, 1e-300), std::invalid_argument);
+
+  // Valid edges: one subwindow as long as the window (the FrozenHot and
+  // cache-study callers), a longer one that still counts as one, and tiny
+  // lengths whose ratio is small.
+  const auto whole = analyze(vd, 100.0, 100.0);
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_DOUBLE_EQ(whole->hot_rate, 1.0);
+  const auto longer = analyze(vd, 100.0, 1000.0);
+  ASSERT_TRUE(longer.has_value());
+  EXPECT_DOUBLE_EQ(longer->hot_rate, 1.0);
+  EXPECT_TRUE(analyze(vd, 1e-300, 1e-300).has_value());
 }
 
 TEST(HotspotTest, SizeAndTouchedFractions) {

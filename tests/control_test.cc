@@ -5,7 +5,9 @@
 //      overloaded BS yields exactly one migration decision at the right
 //      period, misprediction feedback distrusts unstable forecasts, lending
 //      spends tokens under a hard budget, cache admission toggles only on
-//      hotspot edges, fault response evacuates newly-down servers once.
+//      hotspot edges, fault response evacuates newly-down servers once. The
+//      plane applies migration, lending-rate and cache-admission decisions to
+//      its own actuators and lists its sinks in registration order.
 //   2. The determinism contract: the decision log is bit-identical batch vs
 //      streaming at 1/2/4 workers, healthy and under CrashHeavySchedule, and
 //      pinned to golden fingerprints on the battery preset (healthy, crash
@@ -30,7 +32,6 @@
 #include <gtest/gtest.h>
 
 #include "src/balancer/actuator.h"
-#include "src/control/loop.h"
 #include "src/control/plane.h"
 #include "src/control/policies.h"
 #include "src/control/policy.h"
@@ -247,20 +248,70 @@ TEST(ControlLoopTest, AppliesMigrationDecisionsToTheActuator) {
   config.lending = false;
   config.cache_admission = false;
   config.ewma_alpha = 1.0;
-  control::ControlLoop loop(fleet, config);
-  loop.OnRunStart();
+  control::ControlPlane plane(fleet, config, /*qmodel=*/nullptr);
+  plane.OnStart(fleet, /*window_steps=*/30, /*step_seconds=*/1.0);
 
   SignalData data;
   data.segment_bytes = {{0, 1000.0}, {1, 100.0}, {2, 800.0}};
-  loop.OnPeriod(data.Signal(0));
+  plane.OnPeriod(data.Signal(0));
 
-  ASSERT_EQ(loop.log().size(), 1u);
-  EXPECT_EQ(loop.periods_evaluated(), 1u);
+  ASSERT_EQ(plane.log().size(), 1u);
+  EXPECT_EQ(plane.periods_evaluated(), 1u);
   // The decision actuated: the plane's placement view moved segment 0.
-  EXPECT_EQ(loop.actuator().CurrentBs(SegmentId(0)), BlockServerId(1));
-  EXPECT_EQ(loop.actuator().CurrentBs(SegmentId(2)), BlockServerId(0));
-  ASSERT_EQ(loop.actuator().migrations().size(), 1u);
-  EXPECT_FALSE(loop.actuator().migrations()[0].forced);
+  EXPECT_EQ(plane.actuator().CurrentBs(SegmentId(0)), BlockServerId(1));
+  EXPECT_EQ(plane.actuator().CurrentBs(SegmentId(2)), BlockServerId(0));
+  ASSERT_EQ(plane.actuator().migrations().size(), 1u);
+  EXPECT_FALSE(plane.actuator().migrations()[0].forced);
+}
+
+TEST(ControlPlaneTest, SinksAreLendingCacheWtCovThenThePlane) {
+  // Positional contract: callers register these in order and time the
+  // deciding sink as the fourth.
+  const Fleet fleet = TwoBsFleet();
+  ControlConfig config;
+  config.enabled = true;
+  control::ControlPlane plane(fleet, config, /*qmodel=*/nullptr);
+  const std::vector<ReplaySink*> expected = {&plane.lending(), &plane.cache(), &plane.wt_cov(),
+                                             &plane};
+  EXPECT_EQ(plane.Sinks(), expected);
+}
+
+TEST(ControlPlaneTest, HandSignalsActuateLendingRateAndCacheAdmission) {
+  const Fleet fleet = TwoBsFleet();
+  ControlConfig config;
+  config.enabled = true;
+  config.fault_response = false;
+  config.migration = false;
+  config.base_lending_rate = 0.0;
+  config.raised_lending_rate = 0.8;
+  config.high_cov = 0.5;
+  config.hot_vd_factor = 1.5;
+  control::ControlPlane plane(fleet, config, /*qmodel=*/nullptr);
+  plane.OnStart(fleet, /*window_steps=*/60, /*step_seconds=*/1.0);
+  ASSERT_DOUBLE_EQ(plane.lending().lending_rate(), 0.0);
+  ASSERT_TRUE(plane.cache().admission_enabled());
+
+  // Period 0: high CoV raises the lending rate; flat load turns admission off.
+  SignalData flat;
+  flat.vd_offered = {100.0, 100.0};
+  ControlSignal signal = flat.Signal(0);
+  signal.wt_cov = 0.9;
+  plane.OnPeriod(signal);
+  ASSERT_EQ(plane.log().size(), 2u);
+  EXPECT_EQ(plane.log().decisions()[0].action, ActionKind::kSetLendingRate);
+  EXPECT_EQ(plane.log().decisions()[1].action, ActionKind::kSetCacheAdmission);
+  EXPECT_DOUBLE_EQ(plane.lending().lending_rate(), 0.8);
+  EXPECT_FALSE(plane.cache().admission_enabled());
+
+  // Period 1: calm CoV drops the rate to base; one hot VD (900 > 1.5 x 500)
+  // turns admission back on.
+  SignalData hot;
+  hot.vd_offered = {100.0, 900.0};
+  plane.OnPeriod(hot.Signal(1));
+  ASSERT_EQ(plane.log().size(), 4u);
+  EXPECT_DOUBLE_EQ(plane.lending().lending_rate(), 0.0);
+  EXPECT_TRUE(plane.cache().admission_enabled());
+  EXPECT_EQ(plane.periods_evaluated(), 2u);
 }
 
 // --- Determinism: the decision-audit contract ---------------------------------
@@ -314,7 +365,7 @@ TEST(ControlDeterminismTest, GoldenFingerprintOnTheBatteryPreset) {
   EXPECT_EQ(batch.control_log()->Fingerprint(), kGoldenHealthyFingerprint)
       << "decision log changed; audit with DecisionLog::Format():\n"
       << batch.control_log()->Format();
-  EXPECT_EQ(batch.control_plane()->loop().periods_evaluated(), 3u);
+  EXPECT_EQ(batch.control_plane()->periods_evaluated(), 3u);
 }
 
 // The crash-heavy battery's decision-log fingerprint: evacuations, pressure
@@ -362,7 +413,7 @@ std::ostream& operator<<(std::ostream& os, const PlaneOutputs& o) {
 PlaneOutputs OutputsOf(const control::ControlPlane& plane) {
   return {plane.log().Fingerprint(), plane.lending().baseline_throttled_seconds(),
           plane.lending().lending_throttled_seconds(),
-          DoublesFingerprint(plane.wt_cov().samples()), plane.loop().periods_evaluated()};
+          DoublesFingerprint(plane.wt_cov().samples()), plane.periods_evaluated()};
 }
 
 constexpr PlaneOutputs kGoldenTrailingPartial = {
@@ -597,7 +648,7 @@ TEST(ControlPropertyTest, LendingTokensNeverExceedTheBudgetAtFleetScale) {
   config.control.lending_budget = 1.0;  // tight: forces the clamp to engage
   config.control.high_cov = 0.0;        // every period triggers a raise
   const EbsSimulation sim(config);
-  const double spent = sim.control_plane()->loop().lending_tokens_spent();
+  const double spent = sim.control_plane()->lending_tokens_spent();
   EXPECT_GT(spent, 0.0);
   EXPECT_LE(spent, config.control.lending_budget + 1e-12);
   // The raises the log records sum to exactly the spend-side movement.
@@ -647,7 +698,7 @@ TEST(ControlPropertyTest, AllPoliciesDisabledIsFingerprintIdenticalToSeed) {
   // is bit-identical to a run without the control plane at all.
   ASSERT_NE(disabled.control_log(), nullptr);
   EXPECT_TRUE(disabled.control_log()->empty());
-  EXPECT_TRUE(disabled.control_plane()->loop().actuator().migrations().empty());
+  EXPECT_TRUE(disabled.control_plane()->actuator().migrations().empty());
   EXPECT_EQ(AggregateFingerprint(disabled.traces()), AggregateFingerprint(seed.traces()));
   ASSERT_NE(seed.queue_result(), nullptr);
   ASSERT_NE(disabled.queue_result(), nullptr);

@@ -224,11 +224,11 @@ TEST(LintScopingTest, VirtualTimeRulesOnlyUnderQmodel) {
 }
 
 TEST(LintScopingTest, ControlRulesOnlyUnderControl) {
-  EXPECT_TRUE(Linter::OptionsForPath("src/control/loop.cc").control_rules);
+  EXPECT_TRUE(Linter::OptionsForPath("src/control/plane.cc").control_rules);
   EXPECT_TRUE(Linter::OptionsForPath("/root/repo/src/control/policies.cc").control_rules);
   // control files still carry the whole src/ determinism contract.
-  EXPECT_TRUE(Linter::OptionsForPath("src/control/loop.cc").determinism_rules);
-  EXPECT_FALSE(Linter::OptionsForPath("src/control/loop.cc").virtual_time_rules);
+  EXPECT_TRUE(Linter::OptionsForPath("src/control/plane.cc").determinism_rules);
+  EXPECT_FALSE(Linter::OptionsForPath("src/control/plane.cc").virtual_time_rules);
   EXPECT_FALSE(Linter::OptionsForPath("src/core/simulation.cc").control_rules);
   EXPECT_FALSE(Linter::OptionsForPath("bench/bench_latency.cc").control_rules);
 }

@@ -17,6 +17,7 @@
 #include "src/core/simulation.h"
 #include "src/core/streaming.h"
 #include "src/fault/schedule.h"
+#include "src/obs/metrics.h"
 #include "src/replay/sinks.h"
 #include "src/trace/format.h"
 #include "src/trace/store.h"
@@ -172,6 +173,50 @@ TEST(StoreReplayTest, FaultAnnotatedRunRoundTripsThroughStore) {
   EXPECT_GT(batch_retries + batch_failovers, 0u);
   EXPECT_EQ(replay_retries, batch_retries);
   EXPECT_EQ(replay_failovers, batch_failovers);
+}
+
+TEST(StoreReplayTest, DegradedStepsCounterCountsEachRunOnce) {
+  // fault.degraded_steps is a per-run total. A live faulted run with control
+  // builds a second fault driver for the plane, and store replay without
+  // control builds none; each run still adds its degraded steps exactly once.
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const obs::Counter* counter = registry.GetCounter("fault.degraded_steps");
+
+  SimulationConfig config = DcPreset(1);
+  config.fleet.user_count = 24;
+  config.workload.window_steps = 60;
+  config.workload.faults =
+      CrashHeavySchedule(BuildFleet(config.fleet), config.workload.window_steps, /*seed=*/7);
+  const std::string path = TempPath("degraded_steps.ebst");
+  uint64_t degraded = 0;
+  {
+    const EbsSimulation recorded(config);
+    degraded = recorded.fault_stats().degraded_steps;
+    ASSERT_TRUE(WriteWorkloadToStore(path, recorded.workload(), config.workload.step_seconds,
+                                     {.precision = StorePrecision::kExact}));
+  }
+  ASSERT_GT(degraded, 0u);
+
+  for (const bool control : {false, true}) {
+    SimulationConfig run_config = config;
+    run_config.control.enabled = control;
+    registry.Reset();
+    StreamingSimulation live(run_config);
+    live.Run();
+    EXPECT_EQ(live.fault_stats().degraded_steps, degraded) << "control=" << control;
+    EXPECT_EQ(counter->Value(), degraded) << "live, control=" << control;
+
+    registry.Reset();
+    StreamingSimulation replay(path, run_config);
+    replay.Run();
+    EXPECT_EQ(replay.fault_stats().degraded_steps, degraded) << "control=" << control;
+    EXPECT_EQ(counter->Value(), degraded) << "store replay, control=" << control;
+  }
+  std::remove(path.c_str());
+  registry.set_enabled(was_enabled);
+  registry.Reset();
 }
 
 TEST(StoreReplayTest, TraceOnlyStoreIsRejectedAtConstruction) {
