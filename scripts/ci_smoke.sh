@@ -33,8 +33,10 @@
 # the config guards: qmodel_test (an out-of-range segment_bs_remap entry is an
 # ASan heap overflow unless the simulator rejects it), throttle_test and
 # hypervisor_test (a zero lending period or CoV window is a UBSan division by
-# zero unless the sinks reject it) and shapes_test (a fleet config that fails
-# validation must never reach BuildFleet's divisions). The storage domain's
+# zero unless the sinks reject it), shapes_test (a fleet config that fails
+# validation must never reach BuildFleet's divisions) and extensions_test
+# (the hybrid cache-placement study divides offsets by block_bytes, so it
+# must reject a zero block or a NaN threshold before any work). The storage domain's
 # index arithmetic runs under both as well: segment entries name their source
 # series by index, and trace_test (ASan; it copies and moves results and frees
 # the originals), rollup_dense_test and control_test (both stages) and
@@ -88,7 +90,7 @@ cmake -S "${repo_root}" -B "${build_root}/asan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=address -DEBS_FUZZERS=ON >/dev/null
 cmake --build "${build_root}/asan" -j "${jobs}" \
   --target replay_test fault_test trace_store_test store_replay_test cache_test \
-           qmodel_test throttle_test hypervisor_test shapes_test \
+           qmodel_test throttle_test hypervisor_test shapes_test extensions_test \
            trace_test rollup_dense_test control_test \
            fuzz_scenario fuzz_store
 
@@ -102,6 +104,7 @@ echo "== [5/13] Replay determinism + fault chaos + store corruption + cache + co
 "${build_root}/asan/tests/throttle_test"
 "${build_root}/asan/tests/hypervisor_test"
 "${build_root}/asan/tests/shapes_test"
+"${build_root}/asan/tests/extensions_test"
 "${build_root}/asan/tests/trace_test"
 "${build_root}/asan/tests/rollup_dense_test"
 "${build_root}/asan/tests/control_test"
@@ -123,7 +126,7 @@ cmake -S "${repo_root}" -B "${build_root}/ubsan" \
 cmake --build "${build_root}/ubsan" -j "${jobs}" \
   --target util_container_test util_stats_test trace_test csv_export_test obs_test \
            fault_test trace_store_test store_replay_test cache_test \
-           qmodel_test throttle_test hypervisor_test shapes_test \
+           qmodel_test throttle_test hypervisor_test shapes_test extensions_test \
            rollup_dense_test control_test replay_test
 
 echo "== [8/13] Numeric + export + obs + fault + store corruption + cache + config-guard + storage-domain tests (UBSan) =="
@@ -140,6 +143,7 @@ UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/qmodel_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/throttle_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/hypervisor_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/shapes_test"
+UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/extensions_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/rollup_dense_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/control_test"
 UBSAN_OPTIONS=halt_on_error=1 "${build_root}/ubsan/tests/replay_test"

@@ -23,6 +23,8 @@ HybridCacheResult EvaluateHybridDeployment(const Fleet& fleet, const TraceDatase
                                            const VdTraceIndex& index,
                                            CacheDeployment deployment,
                                            const HybridCacheConfig& config) {
+  CheckCacheStudyConfig(config.block_bytes, config.cacheable_threshold, config.flash_read_us,
+                        config.flash_write_us);
   HybridCacheResult result;
   result.deployment = deployment;
 

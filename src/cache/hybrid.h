@@ -48,6 +48,8 @@ struct HybridCacheResult {
   size_t max_bs_slots_used = 0;
 };
 
+// Throws std::invalid_argument for a config CheckCacheStudyConfig (location.h)
+// rejects.
 HybridCacheResult EvaluateHybridDeployment(const Fleet& fleet, const TraceDataset& traces,
                                            const VdTraceIndex& index,
                                            CacheDeployment deployment,

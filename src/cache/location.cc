@@ -1,7 +1,8 @@
 #include "src/cache/location.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cmath>
+#include <stdexcept>
 
 #include "src/util/stats.h"
 
@@ -11,9 +12,26 @@ const char* CacheSiteName(CacheSite site) {
   return site == CacheSite::kComputeNode ? "CN-cache" : "BS-cache";
 }
 
+void CheckCacheStudyConfig(uint64_t block_bytes, double cacheable_threshold,
+                           double flash_read_us, double flash_write_us) {
+  if (block_bytes == 0) {
+    throw std::invalid_argument("cache study: block_bytes must be positive");
+  }
+  if (!(cacheable_threshold >= 0.0 && cacheable_threshold <= 1.0)) {
+    throw std::invalid_argument("cache study: cacheable_threshold must be in [0, 1]");
+  }
+  if (!(std::isfinite(flash_read_us) && flash_read_us >= 0.0) ||
+      !(std::isfinite(flash_write_us) && flash_write_us >= 0.0)) {
+    throw std::invalid_argument(
+        "cache study: flash_read_us and flash_write_us must be finite and non-negative");
+  }
+}
+
 CacheLocationAnalysis AnalyzeCacheLocation(const Fleet& fleet, const TraceDataset& traces,
                                            const VdTraceIndex& index,
                                            const CacheLocationConfig& config) {
+  CheckCacheStudyConfig(config.block_bytes, config.cacheable_threshold, config.flash_read_us,
+                        config.flash_write_us);
   CacheLocationAnalysis analysis;
 
   // Hottest block (and cacheability) per VD.

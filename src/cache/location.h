@@ -14,6 +14,7 @@
 #define SRC_CACHE_LOCATION_H_
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "src/cache/hotspot.h"
@@ -50,6 +51,15 @@ struct CacheLocationAnalysis {
   size_t cacheable_vds = 0;
 };
 
+// Throws std::invalid_argument unless block_bytes is positive,
+// cacheable_threshold is in [0, 1] and both flash latencies are finite and
+// non-negative. A NaN threshold would mark every VD cacheable in one study
+// (`<` is false) and none in the other (`>=` is false). AnalyzeCacheLocation
+// and EvaluateHybridDeployment check their config with it before any work.
+void CheckCacheStudyConfig(uint64_t block_bytes, double cacheable_threshold,
+                           double flash_read_us, double flash_write_us);
+
+// Throws std::invalid_argument for a config CheckCacheStudyConfig rejects.
 CacheLocationAnalysis AnalyzeCacheLocation(const Fleet& fleet, const TraceDataset& traces,
                                            const VdTraceIndex& index,
                                            const CacheLocationConfig& config);

@@ -1,6 +1,7 @@
 #include "src/cache/online_hotspot.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "src/topology/entities.h"
@@ -8,9 +9,7 @@
 namespace ebs {
 
 OnlineCacheSink::OnlineCacheSink(CachePolicy policy, uint64_t block_bytes)
-    : policy_(policy),
-      block_bytes_(block_bytes),
-      capacity_pages_(static_cast<size_t>(block_bytes / kPageBytes)) {
+    : policy_(policy), capacity_pages_(static_cast<size_t>(block_bytes / kPageBytes)) {
   if (policy == CachePolicy::kFrozenHot) {
     throw std::invalid_argument(
         "OnlineCacheSink: FrozenHot needs a hottest-block pre-pass; use ReplayVdCache");
@@ -22,8 +21,8 @@ OnlineCacheSink::OnlineCacheSink(CachePolicy policy, uint64_t block_bytes)
 
 void OnlineCacheSink::OnStart(const Fleet& fleet, size_t /*window_steps*/,
                               double /*step_seconds*/) {
-  per_vd_.clear();
-  per_vd_.resize(fleet.vds.size());
+  recorded_.clear();
+  per_vd_.assign(fleet.vds.size(), VdTotals{});
   total_hits_ = 0;
   total_accesses_ = 0;
   fault_bypassed_ = 0;
@@ -41,26 +40,53 @@ void OnlineCacheSink::OnEvent(const ReplayEvent& event) {
     ++admission_skipped_;
     return;
   }
-  VdCacheState& state = per_vd_[event.record.vd.value()];
-  if (state.cache == nullptr) {
-    state.cache = MakeCache(policy_, capacity_pages_);
+  // size_bytes is 32-bit, so the page count fits the entry's 32 bits.
+  const uint32_t pages =
+      std::max<uint32_t>(1, static_cast<uint32_t>(event.record.size_bytes / kPageBytes));
+  recorded_.push_back({event.record.offset / kPageBytes, event.record.vd.value(), pages});
+}
+
+void OnlineCacheSink::OnFinish() {
+  obs::ScopedTimer timer(replay_timer_);
+  // Stable counting sort by VD: each VD's entries keep their stream order,
+  // the only order its hits depend on.
+  const size_t vds = per_vd_.size();
+  std::vector<size_t> begin(vds + 1, 0);
+  for (const Access& access : recorded_) {
+    ++begin[access.vd + 1];
   }
-  const uint64_t start_page = event.record.offset / kPageBytes;
-  const size_t pages = std::max<size_t>(1, event.record.size_bytes / kPageBytes);
-  const size_t hits = AccessRange(*state.cache, start_page, pages);
-  state.hits += hits;
-  state.accesses += pages;
-  total_hits_ += hits;
-  total_accesses_ += pages;
+  for (size_t vd = 0; vd < vds; ++vd) {
+    begin[vd + 1] += begin[vd];
+  }
+  std::vector<Access> grouped(recorded_.size());
+  std::vector<size_t> next(begin.begin(), begin.end() - 1);
+  for (const Access& access : recorded_) {
+    grouped[next[access.vd]++] = access;
+  }
+  std::vector<Access>().swap(recorded_);  // replayed once; free the buffer
+
+  for (size_t vd = 0; vd < vds; ++vd) {
+    if (begin[vd] == begin[vd + 1]) {
+      continue;
+    }
+    const std::unique_ptr<PageCache> cache = MakeCache(policy_, capacity_pages_);
+    VdTotals& totals = per_vd_[vd];
+    for (size_t i = begin[vd]; i < begin[vd + 1]; ++i) {
+      totals.hits += AccessRange(*cache, grouped[i].start_page, grouped[i].pages);
+      totals.accesses += grouped[i].pages;
+    }
+    total_hits_ += totals.hits;
+    total_accesses_ += totals.accesses;
+  }
 }
 
 CacheReplayResult OnlineCacheSink::ResultFor(VdId vd) const {
-  const VdCacheState& state = per_vd_[vd.value()];
+  const VdTotals& totals = per_vd_[vd.value()];
   CacheReplayResult result;
-  result.page_accesses = state.accesses;
-  result.hit_ratio = state.accesses == 0
-                         ? 0.0
-                         : static_cast<double>(state.hits) / static_cast<double>(state.accesses);
+  result.page_accesses = totals.accesses;
+  result.hit_ratio = totals.accesses == 0 ? 0.0
+                                          : static_cast<double>(totals.hits) /
+                                                static_cast<double>(totals.accesses);
   return result;
 }
 

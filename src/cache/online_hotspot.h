@@ -1,16 +1,19 @@
 // Online per-VD cache replay (§7.3.1) for the replay engine.
 //
-// OnlineCacheSink feeds each VD's sampled IOs through its own page cache as
-// the merged stream plays, instead of materializing the trace dataset and
-// replaying per VD afterwards. Works for the eviction-based policies (FIFO,
-// LRU, LFU, CLOCK, 2Q); FrozenHot needs a hottest-block pre-pass over the
-// finished trace and stays offline-only.
+// OnlineCacheSink runs the per-VD cache study inside a replay, without
+// materializing the trace dataset. OnEvent only records each admitted IO as a
+// compact (start page, VD, pages) entry; OnFinish groups the entries by VD,
+// keeping each VD's stream order, and replays each VD through its own page
+// cache, which it builds for that VD and frees once the VD is done. A VD's
+// hits depend only on its own access order, so the results equal
+// ReplayVdCache over each VD's trace records. Works for the eviction-based
+// policies (FIFO, LRU, LFU, CLOCK, 2Q); FrozenHot needs a hottest-block
+// pre-pass over the finished trace and stays offline-only.
 
 #ifndef SRC_CACHE_ONLINE_HOTSPOT_H_
 #define SRC_CACHE_ONLINE_HOTSPOT_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/cache/hotspot.h"
@@ -29,12 +32,21 @@ class OnlineCacheSink : public ReplaySink {
 
   void OnStart(const Fleet& fleet, size_t window_steps, double step_seconds) override;
   void OnEvent(const ReplayEvent& event) override;
+  // Replays the recorded IOs VD by VD (timer `sink.cache.replay`).
+  void OnFinish() override;
 
+  // The replay results below are final once OnFinish returns. OnStart resets
+  // them to zero and nothing replays before OnFinish, so during a run, and
+  // after a run that aborted before OnFinish, they read zero.
+  //
   // Per-VD replay outcome, equal to ReplayVdCache over the same VD's trace
   // records (zero-initialized for VDs that saw no sampled IO).
   CacheReplayResult ResultFor(VdId vd) const;
   uint64_t total_page_accesses() const { return total_accesses_; }
   uint64_t total_page_hits() const { return total_hits_; }
+
+  // The two event counters below count as the events arrive.
+  //
   // Degraded-mode fallback: IOs a fault timed out never reached the data
   // path, so they bypass the cache — no warming, no access counted.
   // ReplayVdCache applies the same skip, keeping online == offline under any
@@ -43,25 +55,33 @@ class OnlineCacheSink : public ReplaySink {
 
   // Closed-loop actuation hook: while admission is disabled, events bypass
   // the caches entirely — no page is admitted, no access or hit is counted
-  // (the IO takes the uncached path). Enabled by default, so a run that never
-  // toggles it is bit-identical to the seed behavior. The control plane flips
-  // this at period boundaries when hotspot detection says caching would (or
-  // would not) pay.
+  // (the IO takes the uncached path). Admission is read when the event
+  // arrives, so the replay in OnFinish sees only the IOs admitted then.
+  // Enabled by default, so a run that never toggles it is bit-identical to
+  // the seed behavior. The control plane flips this at period boundaries
+  // when hotspot detection says caching would (or would not) pay.
   void set_admission_enabled(bool enabled) { admission_enabled_ = enabled; }
   bool admission_enabled() const { return admission_enabled_; }
   uint64_t admission_skipped_events() const { return admission_skipped_; }
 
  private:
-  struct VdCacheState {
-    std::unique_ptr<PageCache> cache;  // created on the VD's first IO
+  // One admitted IO, recorded in stream order.
+  struct Access {
+    uint64_t start_page = 0;
+    uint32_t vd = 0;
+    uint32_t pages = 0;
+  };
+  static_assert(sizeof(Access) == 16);
+
+  struct VdTotals {
     uint64_t hits = 0;
     uint64_t accesses = 0;
   };
 
   CachePolicy policy_;
-  uint64_t block_bytes_;
   size_t capacity_pages_;
-  std::vector<VdCacheState> per_vd_;
+  std::vector<Access> recorded_;  // this run's admitted IOs, until OnFinish
+  std::vector<VdTotals> per_vd_;
   uint64_t total_hits_ = 0;
   uint64_t total_accesses_ = 0;
   uint64_t fault_bypassed_ = 0;
@@ -70,6 +90,7 @@ class OnlineCacheSink : public ReplaySink {
   obs::Counter* event_counter_ = obs::MetricRegistry::Global().GetCounter("sink.cache.events");
   obs::Counter* bypass_counter_ =
       obs::MetricRegistry::Global().GetCounter("sink.cache.fault_bypassed");
+  obs::ObsHistogram* replay_timer_ = obs::MetricRegistry::Global().GetTimer("sink.cache.replay");
 };
 
 }  // namespace ebs

@@ -76,16 +76,13 @@ FaultDriver::FaultDriver(const Fleet& fleet, const FaultSchedule& schedule, size
   // Failover attempt order, built only for segments that can actually lose
   // their primary (segments of a BS with a crash window).
   failover_ring_.resize(fleet.segments.size());
+  FailoverPlanner planner(fleet);
   for (uint32_t bs = 0; bs < bs_down_.size(); ++bs) {
     if (bs_down_[bs].empty()) {
       continue;
     }
     for (const SegmentId seg : fleet.block_servers[bs].segments) {
-      if (failover_ring_[seg.value()].empty()) {
-        for (const BlockServerId candidate : FailoverCandidates(fleet, seg)) {
-          failover_ring_[seg.value()].push_back(candidate.value());
-        }
-      }
+      failover_ring_[seg.value()] = planner.Candidates(seg);
     }
   }
 }
@@ -166,14 +163,14 @@ void FaultDriver::Apply(TraceRecord* record, FaultStats* stats) const {
     timed_out = true;
   } else if (BlockServerDown(step, record->bs)) {
     failed_attempts = 1;  // the primary attempt
-    const std::vector<uint32_t>& ring = failover_ring_[record->segment.value()];
+    const std::vector<BlockServerId>& ring = failover_ring_[record->segment.value()];
     for (size_t i = 0; i < ring.size() && failed_attempts < retry_.max_attempts; ++i) {
-      if (BlockServerDown(step, BlockServerId(ring[i]))) {
+      if (BlockServerDown(step, ring[i])) {
         ++failed_attempts;
         continue;
       }
-      record->bs = BlockServerId(ring[i]);
-      record->sn = fleet_.block_servers[ring[i]].node;
+      record->bs = ring[i];
+      record->sn = fleet_.block_servers[ring[i].value()].node;
       failed_over = true;
       break;
     }

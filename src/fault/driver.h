@@ -120,7 +120,7 @@ class FaultDriver {
 
   // Failover attempt order per segment: the cluster's other BSs starting
   // after the primary in ring order, sibling-hosting BSs pushed to the back.
-  std::vector<std::vector<uint32_t>> failover_ring_;
+  std::vector<std::vector<BlockServerId>> failover_ring_;
 
   // Fault counters mirrored into the global registry (striped, thread-safe;
   // no-ops while the registry is disabled).

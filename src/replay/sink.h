@@ -76,7 +76,11 @@ class ReplaySink {
   // Called after the last event of second `view.step`.
   virtual void OnStepComplete(const ReplayStepView& /*view*/) {}
 
-  // Called once, after the final step completed.
+  // Called once, after the final step completed. A sink may defer work to
+  // here: OnlineCacheSink records IOs during the run and replays them in
+  // OnFinish, so its results are final only once OnFinish returns. A run that
+  // aborts never calls OnFinish, so such a sink's results stay as OnStart
+  // reset them (zero).
   virtual void OnFinish() {}
 };
 

@@ -237,44 +237,58 @@ Fleet BuildFleet(const FleetConfig& config) {
 }
 
 std::vector<BlockServerId> FailoverCandidates(const Fleet& fleet, SegmentId segment) {
-  const Segment& seg = fleet.segments[segment.value()];
-  const BlockServer& primary = fleet.block_servers[seg.server.value()];
-  const StorageCluster& cluster = fleet.storage_clusters[primary.cluster.value()];
+  return FailoverPlanner(fleet).Candidates(segment);
+}
+
+FailoverPlanner::FailoverPlanner(const Fleet& fleet)
+    : fleet_(fleet),
+      rings_(fleet.storage_clusters.size()),
+      vd_mark_(fleet.block_servers.size(), 0) {
+  for (size_t c = 0; c < rings_.size(); ++c) {
+    std::vector<uint32_t>& ring = rings_[c];
+    ring.reserve(fleet.storage_clusters[c].nodes.size());
+    for (const StorageNodeId node : fleet.storage_clusters[c].nodes) {
+      ring.push_back(fleet.storage_nodes[node.value()].block_server.value());
+    }
+    std::sort(ring.begin(), ring.end());
+  }
+}
+
+std::vector<BlockServerId> FailoverPlanner::Candidates(SegmentId segment) {
+  const Segment& seg = fleet_.segments[segment.value()];
+  const uint32_t primary = seg.server.value();
+  const std::vector<uint32_t>& ring = rings_[fleet_.block_servers[primary].cluster.value()];
 
   // Sibling-hosting BSs: placing a second segment of the VD there would break
-  // the same-VD-different-BS spread, so they rank last.
-  std::vector<uint32_t> sibling_bs;
-  for (const SegmentId sib : fleet.vds[seg.vd.value()].segments) {
-    if (sib.value() != segment.value()) {
-      sibling_bs.push_back(fleet.segments[sib.value()].server.value());
+  // the same-VD-different-BS spread, so they rank last. Every BS hosting a
+  // segment of the VD gets the VD's mark; the primary is one of them, which
+  // is harmless because the walk skips it. A mark is only ever written to a
+  // BS that hosts a segment of that VD, so a stale mark never misleads, and
+  // consecutive segments of one VD reuse its marks.
+  const uint32_t mark = seg.vd.value() + 1;
+  if (last_mark_ != mark) {
+    for (const SegmentId sibling : fleet_.vds[seg.vd.value()].segments) {
+      vd_mark_[fleet_.segments[sibling.value()].server.value()] = mark;
     }
+    last_mark_ = mark;
   }
-  const auto hosts_sibling = [&sibling_bs](uint32_t bs) {
-    return std::find(sibling_bs.begin(), sibling_bs.end(), bs) != sibling_bs.end();
-  };
 
-  // The cluster's BSs in ascending id order form the ring; rotate so the walk
-  // starts just after the primary.
-  std::vector<uint32_t> ring;
-  ring.reserve(cluster.nodes.size());
-  for (const StorageNodeId node : cluster.nodes) {
-    ring.push_back(fleet.storage_nodes[node.value()].block_server.value());
-  }
-  std::sort(ring.begin(), ring.end());
-  const auto at = std::find(ring.begin(), ring.end(), seg.server.value());
+  // The cluster's BSs in ascending id order form the ring; the walk starts
+  // just after the primary, spread-preserving BSs first, then the sibling
+  // hosts, each in ring order.
+  const auto at = std::find(ring.begin(), ring.end(), primary);
   const size_t start = at == ring.end() ? 0 : static_cast<size_t>(at - ring.begin()) + 1;
-
-  std::vector<BlockServerId> spread_ok;
-  std::vector<BlockServerId> spread_breaking;
-  for (size_t i = 0; i < ring.size(); ++i) {
-    const uint32_t bs = ring[(start + i) % ring.size()];
-    if (bs == seg.server.value()) {
-      continue;
+  std::vector<BlockServerId> candidates;
+  candidates.reserve(ring.size());
+  for (const bool hosts_sibling : {false, true}) {
+    for (size_t i = 0; i < ring.size(); ++i) {
+      const uint32_t bs = ring[(start + i) % ring.size()];
+      if (bs != primary && (vd_mark_[bs] == mark) == hosts_sibling) {
+        candidates.push_back(BlockServerId(bs));
+      }
     }
-    (hosts_sibling(bs) ? spread_breaking : spread_ok).push_back(BlockServerId(bs));
   }
-  spread_ok.insert(spread_ok.end(), spread_breaking.begin(), spread_breaking.end());
-  return spread_ok;
+  return candidates;
 }
 
 }  // namespace ebs

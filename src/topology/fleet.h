@@ -82,6 +82,24 @@ Fleet BuildFleet(const FleetConfig& config);
 // unavailable. Deterministic, depends only on fleet structure.
 std::vector<BlockServerId> FailoverCandidates(const Fleet& fleet, SegmentId segment);
 
+// FailoverCandidates for many segments of one fleet. The constructor sorts
+// each storage cluster's ring once; FailoverCandidates builds a planner per
+// call, so FaultDriver, which resolves every segment of each crashing
+// BlockServer, keeps one instead. The fleet must outlive the planner.
+class FailoverPlanner {
+ public:
+  explicit FailoverPlanner(const Fleet& fleet);
+
+  // FailoverCandidates(fleet, segment).
+  std::vector<BlockServerId> Candidates(SegmentId segment);
+
+ private:
+  const Fleet& fleet_;
+  std::vector<std::vector<uint32_t>> rings_;  // by cluster: its BSs, ascending id
+  std::vector<uint32_t> vd_mark_;  // by BS id: 1 + id of the VD last marked there, or 0
+  uint32_t last_mark_ = 0;         // the mark of the VD Candidates last marked
+};
+
 }  // namespace ebs
 
 #endif  // SRC_TOPOLOGY_FLEET_H_

@@ -1,9 +1,12 @@
 // Tests for the page-cache policies (including a hit-for-hit differential
 // check against the node-based reference in tests/cache_reference.h),
-// hottest-block analysis and the cache-location study.
+// hottest-block analysis, the online cache sink's deferred replay and the
+// cache-location study.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -12,6 +15,7 @@
 
 #include "src/cache/hotspot.h"
 #include "src/cache/location.h"
+#include "src/cache/online_hotspot.h"
 #include "src/cache/policy.h"
 #include "src/util/distributions.h"
 #include "tests/cache_reference.h"
@@ -357,6 +361,93 @@ INSTANTIATE_TEST_SUITE_P(EvictionPolicies, SubPageCapacityTest,
                            return std::string(CachePolicyName(policy.param));
                          });
 
+// --- Online cache sink ----------------------------------------------------------
+
+// Drives an OnlineCacheSink by hand through one run: the events in `records`
+// order, admission closed for events [close_at, reopen_at). Returns, per VD,
+// the records the sink should replay: admitted and not timed out.
+std::vector<std::vector<const TraceRecord*>> DriveCacheSink(
+    const Fleet& fleet, const std::vector<TraceRecord>& records, size_t close_at,
+    size_t reopen_at, OnlineCacheSink* sink) {
+  std::vector<std::vector<const TraceRecord*>> admitted(fleet.vds.size());
+  sink->OnStart(fleet, /*window_steps=*/1, /*step_seconds=*/1.0);
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i == close_at) {
+      sink->set_admission_enabled(false);
+    }
+    if (i == reopen_at) {
+      sink->set_admission_enabled(true);
+    }
+    ReplayEvent event;
+    event.record = records[i];
+    sink->OnEvent(event);
+    if (sink->admission_enabled() && !records[i].fault_timed_out) {
+      admitted[records[i].vd.value()].push_back(&records[i]);
+    }
+  }
+  return admitted;
+}
+
+TEST(OnlineCacheSinkTest, DeferredReplayMatchesReplayVdCacheOverTheAdmittedRecords) {
+  const Fleet fleet = MakeTinyFleet({{{1}}, {{1}}});
+  // Two VDs, interleaved. VD 0 cycles through 12 pages on a 4-page LRU, so its
+  // hits depend on its access order; VD 1 touches a few 2-page IOs.
+  std::vector<TraceRecord> records;
+  uint64_t lcg = 7;
+  for (int i = 0; i < 400; ++i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    TraceRecord r;
+    r.timestamp = i * 0.001;
+    r.vd = VdId(i % 3 == 2 ? 1 : 0);
+    r.vm = fleet.vds[r.vd.value()].vm;
+    r.size_bytes = r.vd == VdId(1) ? 2 * kPageBytes : kPageBytes;
+    r.offset = kPageBytes * ((lcg >> 33) % (r.vd == VdId(1) ? 5 : 12));
+    records.push_back(r);
+  }
+  records[57].fault_timed_out = true;
+  const size_t close_at = 120;
+  const size_t reopen_at = 170;
+
+  constexpr uint64_t kBlockBytes = 4 * kPageBytes;
+  OnlineCacheSink sink(CachePolicy::kLru, kBlockBytes);
+  for (int run = 0; run < 2; ++run) {
+    const auto admitted = DriveCacheSink(fleet, records, close_at, reopen_at, &sink);
+    // Nothing is replayed before OnFinish: an aborted run reads zero.
+    EXPECT_EQ(sink.total_page_accesses(), 0u) << run;
+    EXPECT_EQ(sink.ResultFor(VdId(0)).page_accesses, 0u) << run;
+    sink.OnFinish();
+
+    EXPECT_EQ(sink.fault_bypassed_events(), 1u) << run;
+    EXPECT_EQ(sink.admission_skipped_events(), reopen_at - close_at) << run;
+    uint64_t accesses = 0;
+    uint64_t hits = 0;
+    for (const VdId vd : {VdId(0), VdId(1)}) {
+      const CacheReplayResult expected =
+          ReplayVdCache(admitted[vd.value()], /*capacity_bytes=*/0, kBlockBytes,
+                        CachePolicy::kLru);
+      const CacheReplayResult online = sink.ResultFor(vd);
+      EXPECT_GT(expected.page_accesses, 0u) << vd.value();
+      EXPECT_EQ(online.page_accesses, expected.page_accesses) << run << " " << vd.value();
+      EXPECT_EQ(online.hit_ratio, expected.hit_ratio) << run << " " << vd.value();
+      accesses += expected.page_accesses;
+      hits += static_cast<uint64_t>(
+          std::llround(expected.hit_ratio * static_cast<double>(expected.page_accesses)));
+    }
+    EXPECT_EQ(sink.total_page_accesses(), accesses) << run;
+    EXPECT_EQ(sink.total_page_hits(), hits) << run;
+
+    // The check above can see a reordering: VD 0's hits change with its
+    // order (grouped by page, nearly every access after the first hits).
+    std::vector<const TraceRecord*> by_page = admitted[0];
+    const auto by_offset = [](const TraceRecord* a, const TraceRecord* b) {
+      return a->offset < b->offset;
+    };
+    std::stable_sort(by_page.begin(), by_page.end(), by_offset);
+    EXPECT_NE(ReplayVdCache(by_page, 0, kBlockBytes, CachePolicy::kLru).hit_ratio,
+              sink.ResultFor(VdId(0)).hit_ratio);
+  }
+}
+
 // --- Cache location ----------------------------------------------------------
 
 TEST(LocationTest, LatencyGainsOrdering) {
@@ -421,6 +512,44 @@ TEST(LocationTest, NonCacheableVdGetsNoGain) {
   const auto analysis = AnalyzeCacheLocation(fleet, traces, index, config);
   EXPECT_EQ(analysis.cacheable_vds, 0u);
   EXPECT_DOUBLE_EQ(analysis.gain[1][0].p50, 1.0);
+}
+
+TEST(LocationTest, RejectsConfigsItCannotRun) {
+  const Fleet fleet = MakeTinyFleet({{{1}}});
+  const TraceDataset traces = HotTraces(fleet, VdId(0), 100.0);
+  const VdTraceIndex index(fleet, traces);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  CacheLocationConfig valid;
+  valid.block_bytes = 64ULL * kMiB;
+
+  std::vector<CacheLocationConfig> bad;
+  for (const double threshold : {nan, -0.1, 1.5, inf, -inf}) {
+    bad.push_back(valid);
+    bad.back().cacheable_threshold = threshold;
+  }
+  for (const double flash : {nan, -1.0, inf}) {
+    bad.push_back(valid);
+    bad.back().flash_read_us = flash;
+    bad.push_back(valid);
+    bad.back().flash_write_us = flash;
+  }
+  bad.push_back(valid);
+  bad.back().block_bytes = 0;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(AnalyzeCacheLocation(fleet, traces, index, bad[i]), std::invalid_argument)
+        << i;
+  }
+
+  // The edges run: every VD with IOs is cacheable at threshold 0, and zero
+  // flash latencies are allowed.
+  CacheLocationConfig edge = valid;
+  edge.cacheable_threshold = 0.0;
+  edge.flash_read_us = 0.0;
+  edge.flash_write_us = 0.0;
+  EXPECT_EQ(AnalyzeCacheLocation(fleet, traces, index, edge).cacheable_vds, 1u);
+  edge.cacheable_threshold = 1.0;
+  EXPECT_EQ(AnalyzeCacheLocation(fleet, traces, index, edge).cacheable_vds, 0u);
 }
 
 TEST(LocationTest, SiteNames) {

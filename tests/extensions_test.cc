@@ -5,7 +5,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "src/cache/hybrid.h"
 #include "src/throttle/throttle.h"
@@ -140,6 +143,53 @@ TEST(HybridCacheTest, NonCacheableVdsIgnored) {
       EvaluateHybridDeployment(fleet, traces, index, CacheDeployment::kHybrid, config);
   EXPECT_EQ(result.cached_at_cn + result.cached_at_bs + result.uncached, 0u);
   EXPECT_DOUBLE_EQ(result.write_p50_gain, 1.0);
+}
+
+TEST(HybridCacheTest, RejectsConfigsItCannotRun) {
+  const Fleet fleet = MakeTinyFleet({{{1}}});
+  const TraceDataset traces = CacheableTraces(fleet, VdId(0));
+  const VdTraceIndex index(fleet, traces);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  HybridCacheConfig valid;
+  valid.block_bytes = 64ULL * kMiB;
+
+  std::vector<HybridCacheConfig> bad;
+  for (const double threshold : {nan, -0.1, 1.5, inf, -inf}) {
+    bad.push_back(valid);
+    bad.back().cacheable_threshold = threshold;
+  }
+  for (const double flash : {nan, -1.0, inf}) {
+    bad.push_back(valid);
+    bad.back().flash_read_us = flash;
+    bad.push_back(valid);
+    bad.back().flash_write_us = flash;
+  }
+  bad.push_back(valid);
+  bad.back().block_bytes = 0;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    for (const CacheDeployment deployment :
+         {CacheDeployment::kCnOnly, CacheDeployment::kBsOnly, CacheDeployment::kHybrid}) {
+      EXPECT_THROW(EvaluateHybridDeployment(fleet, traces, index, deployment, bad[i]),
+                   std::invalid_argument)
+          << i << " " << CacheDeploymentName(deployment);
+    }
+  }
+
+  // The edges run: threshold 0 caches every VD with IOs, threshold 1 only a
+  // VD whose every IO lands in its hottest block, and zero flash latencies
+  // are allowed.
+  HybridCacheConfig edge = valid;
+  edge.cacheable_threshold = 0.0;
+  edge.flash_read_us = 0.0;
+  edge.flash_write_us = 0.0;
+  EXPECT_EQ(
+      EvaluateHybridDeployment(fleet, traces, index, CacheDeployment::kCnOnly, edge).cached_at_cn,
+      1u);
+  edge.cacheable_threshold = 1.0;
+  EXPECT_EQ(
+      EvaluateHybridDeployment(fleet, traces, index, CacheDeployment::kCnOnly, edge).cached_at_cn,
+      0u);
 }
 
 // --- CSV export ---------------------------------------------------------------

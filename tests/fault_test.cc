@@ -7,8 +7,10 @@
 // engine without deadlock and accounts dropped batches; (4) online sinks and
 // the balancer degrade deterministically, never with NaN or UB.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -282,6 +284,56 @@ TEST_F(FaultMechanicsTest, FailoverCandidatesPreferSpreadPreservingServers) {
     return;  // one multi-segment VD is enough
   }
   GTEST_SKIP() << "fleet has no multi-segment VD";
+}
+
+TEST_F(FaultMechanicsTest, OnePlannerGivesEverySegmentTheRingWalkOrder) {
+  // The order spelled out per segment: the cluster's BSs in ascending id
+  // order, walked from just after the primary, spread-preserving BSs first,
+  // then the BSs hosting another segment of the same VD.
+  const auto ring_walk = [&](SegmentId segment) {
+    const Segment& seg = fleet_.segments[segment.value()];
+    const StorageCluster& cluster =
+        fleet_.storage_clusters[fleet_.block_servers[seg.server.value()].cluster.value()];
+    std::vector<uint32_t> ring;
+    for (const StorageNodeId node : cluster.nodes) {
+      ring.push_back(fleet_.storage_nodes[node.value()].block_server.value());
+    }
+    std::sort(ring.begin(), ring.end());
+    const size_t start =
+        static_cast<size_t>(std::find(ring.begin(), ring.end(), seg.server.value()) -
+                            ring.begin()) + 1;
+    std::vector<uint32_t> spread_ok;
+    std::vector<uint32_t> sibling_hosts;
+    for (size_t i = 0; i < ring.size(); ++i) {
+      const uint32_t bs = ring[(start + i) % ring.size()];
+      if (bs == seg.server.value()) {
+        continue;
+      }
+      bool hosts_sibling = false;
+      for (const SegmentId other : fleet_.vds[seg.vd.value()].segments) {
+        hosts_sibling |= other.value() != segment.value() &&
+                         fleet_.segments[other.value()].server.value() == bs;
+      }
+      (hosts_sibling ? sibling_hosts : spread_ok).push_back(bs);
+    }
+    const size_t clean = spread_ok.size();
+    spread_ok.insert(spread_ok.end(), sibling_hosts.begin(), sibling_hosts.end());
+    return std::make_pair(spread_ok, clean);
+  };
+
+  // One planner for every segment, the way FaultDriver uses it.
+  FailoverPlanner planner(fleet_);
+  size_t with_sibling_hosts = 0;
+  for (const Segment& seg : fleet_.segments) {
+    const auto [expected, clean] = ring_walk(seg.id);
+    std::vector<uint32_t> got;
+    for (const BlockServerId bs : planner.Candidates(seg.id)) {
+      got.push_back(bs.value());
+    }
+    ASSERT_EQ(got, expected) << "segment " << seg.id.value();
+    with_sibling_hosts += clean < expected.size() ? 1 : 0;
+  }
+  EXPECT_GT(with_sibling_hosts, 0u);
 }
 
 // --- Identity contract: empty and armed-but-idle schedules --------------------
