@@ -18,7 +18,9 @@
 # the merge thread while the shards generate, and the EBST codec: the store
 # battery (tests/trace_store_test.cc), store replay
 # (tests/store_replay_test.cc), whose metrics load is the parallel decode,
-# and the ordered ParallelFor underneath (tests/util_parallel_test.cc).
+# the ordered ParallelFor underneath (tests/util_parallel_test.cc), and the
+# rollup folds, which fill chunks of entities on its helpers
+# (tests/rollup_dense_test.cc).
 #
 # The ASan and UBSan stages also run the trace-store corruption battery
 # (tests/trace_store_test.cc): its truncation and byte-flip sweeps mutate
@@ -153,9 +155,9 @@ cmake -S "${repo_root}" -B "${build_root}/tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=thread >/dev/null
 cmake --build "${build_root}/tsan" -j "${jobs}" \
   --target replay_test fault_test obs_test control_test scenario_test workload_test \
-  qmodel_test trace_store_test store_replay_test util_parallel_test
+  qmodel_test trace_store_test store_replay_test util_parallel_test rollup_dense_test
 
-echo "== [10/13] Replay + fault chaos + obs registry + control + scenario + generator + qmodel + store codec tests (TSan) =="
+echo "== [10/13] Replay + fault chaos + obs registry + control + scenario + generator + qmodel + store codec + rollup fold tests (TSan) =="
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/replay_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/fault_test"
 # The metric registry takes registrations from 8 threads at once (shared
@@ -179,6 +181,10 @@ TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/qmodel_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/util_parallel_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/trace_store_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/store_replay_test"
+# Every rollup level fills chunks of entities on ParallelFor helpers: the
+# fold battery runs its split levels under the race detector (replay_test's
+# RollupCachesAreThreadSafe above starts helpers from each concurrent reader).
+TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/rollup_dense_test"
 
 echo "== [11/13] Latency bench vs committed baseline =="
 "${build_root}/release/bench/bench_latency" "${build_root}/BENCH_LATENCY.fresh.json" \

@@ -44,6 +44,9 @@ void ValidateBalancerConfig(const BalancerConfig& config) {
   if (!std::isfinite(config.migration_budget) || config.migration_budget < 0.0) {
     throw std::invalid_argument("balancer: migration_budget must be finite and non-negative");
   }
+  if (!(config.segment_ewma_alpha >= 0.0 && config.segment_ewma_alpha <= 1.0)) {
+    throw std::invalid_argument("balancer: segment_ewma_alpha must be in [0, 1]");
+  }
 }
 
 }  // namespace

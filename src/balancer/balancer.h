@@ -54,7 +54,7 @@ struct BalancerConfig {
   uint64_t seed = 1;
   // Factory for S6; called once per BlockServer.
   std::function<std::unique_ptr<SeriesPredictor>()> predictor_factory;
-  double segment_ewma_alpha = 0.5;  // S7 smoothing factor
+  double segment_ewma_alpha = 0.5;  // S7 smoothing factor, in [0, 1]
 
   // Optional fault awareness (not owned; nullptr = healthy fleet). When set,
   // each period first force-migrates every segment whose BS is down at the
@@ -85,8 +85,9 @@ struct BalancerResult {
 class InterBsBalancer {
  public:
   // Throws std::invalid_argument on a cluster the fleet does not have, a
-  // zero period_steps, or an exporter_threshold or migration_budget that is
-  // not finite and non-negative.
+  // zero period_steps, an exporter_threshold or migration_budget that is not
+  // finite and non-negative, or a segment_ewma_alpha that is NaN or outside
+  // [0, 1].
   InterBsBalancer(const Fleet& fleet, const MetricDataset& metrics, StorageClusterId cluster,
                   BalancerConfig config);
 

@@ -35,15 +35,19 @@ SimulationConfig StorageStudyPreset(uint64_t seed) {
   return config;
 }
 
-OverlaySinks::OverlaySinks(const Fleet& fleet, const SimulationConfig& config) {
+OverlaySinks::OverlaySinks(const Fleet& fleet, const SimulationConfig& config,
+                           const FaultDriver* engine_driver) {
   if (config.queueing.enabled) {
     qmodel_.emplace(config.queueing, config.workload.sampling_rate);
   }
   if (config.control.enabled) {
-    fault_driver_.emplace(fleet, config.workload.faults, config.workload.window_steps,
-                          config.workload.step_seconds);
+    if (engine_driver == nullptr) {
+      engine_driver = &fault_driver_.emplace(fleet, config.workload.faults,
+                                             config.workload.window_steps,
+                                             config.workload.step_seconds);
+    }
     plane_.emplace(fleet, config.control, qmodel_ ? &*qmodel_ : nullptr);
-    plane_->set_fault_driver(&*fault_driver_);
+    plane_->set_fault_driver(engine_driver);
   }
 }
 

@@ -44,13 +44,17 @@ SimulationConfig StorageStudyPreset(uint64_t seed = 5);
 
 // The optional sinks the facade chains after the trace collector: the qmodel
 // sink (config.queueing) and the closed-loop control plane (config.control)
-// with the fault driver that feeds it the down-BS signal. The driver is built
-// from config.workload.faults — a pure function of the schedule — so live and
-// store-replay runs hand the plane the same signal. `config` must already be
-// valid (the facades check it before building the fleet).
+// with the fault driver that feeds it the down-BS signal. A driver is a pure
+// function of config.workload.faults, so live and store-replay runs hand the
+// plane the same signal: the plane reads `engine_driver`, the live engine's
+// driver for that schedule, and only when it is nullptr (store replay, an
+// empty schedule) is a driver built here. `engine_driver` must outlive this
+// object. `config` must already be valid (the facades check it before
+// building the fleet).
 class OverlaySinks {
  public:
-  OverlaySinks(const Fleet& fleet, const SimulationConfig& config);
+  OverlaySinks(const Fleet& fleet, const SimulationConfig& config,
+               const FaultDriver* engine_driver);
   // The plane points at the qmodel sink and the driver: pin it.
   OverlaySinks(const OverlaySinks&) = delete;
   OverlaySinks& operator=(const OverlaySinks&) = delete;

@@ -22,8 +22,8 @@ StreamingSimulation::StreamingSimulation(SimulationConfig config, ReplayOptions 
     : config_(CheckSimulationConfig(config)),
       fleet_(TimedBuildFleet(config_.fleet)),
       collector_(config_.workload.sampling_rate),
-      overlays_(fleet_, config_),
-      engine_(fleet_, config_.workload, options) {
+      engine_(fleet_, config_.workload, options),
+      overlays_(fleet_, config_, engine_.fault_driver()) {
   engine_.AddSink(&collector_);
   for (ReplaySink* sink : overlays_.Sinks()) {
     engine_.AddSink(sink);
@@ -35,8 +35,8 @@ StreamingSimulation::StreamingSimulation(const std::string& store_path, Simulati
     : config_(CheckSimulationConfig(config)),
       fleet_(TimedBuildFleet(config_.fleet)),
       collector_(config_.workload.sampling_rate),
-      overlays_(fleet_, config_),
-      engine_(fleet_, std::make_unique<StoreReplaySource>(fleet_, store_path), options) {
+      engine_(fleet_, std::make_unique<StoreReplaySource>(fleet_, store_path), options),
+      overlays_(fleet_, config_, engine_.fault_driver()) {
   engine_.AddSink(&collector_);
   for (ReplaySink* sink : overlays_.Sinks()) {
     engine_.AddSink(sink);

@@ -4,10 +4,11 @@
 // StreamingSimulation runs generation on worker threads; the merged IO stream
 // feeds the built-in trace collector, the overlay sinks (qmodel, control) and
 // any sinks the caller registers. The entity-level rollups are folded after
-// the run, each level on first access. For a fixed config every dataset,
-// rollup, qmodel result and decision log is bit-identical at any worker-thread
-// count. EbsSimulation (simulation.h) is this pipeline run in its constructor
-// on DefaultGenerateWorkers() threads.
+// the run, each level on first access, in chunks of entities on the reading
+// thread plus DefaultGenerateWorkers() helpers. For a fixed config every
+// dataset, rollup, qmodel result and decision log is bit-identical at any
+// worker-thread count. EbsSimulation (simulation.h) is this pipeline run in
+// its constructor on DefaultGenerateWorkers() threads.
 //
 //   ebs::StreamingSimulation sim(ebs::DcPreset(1), {.worker_threads = 8});
 //   ebs::OnlineLendingSink lending(sim.fleet(), groups, throttle_config);
@@ -89,7 +90,9 @@ class StreamingSimulation {
   }
 
   // Rollups, each level folded once on first access after Run()
-  // (RollupCache). Safe to call from multiple threads.
+  // (RollupCache), on the calling thread plus DefaultGenerateWorkers()
+  // helpers; bit-identical at any helper count. Safe to call from multiple
+  // threads.
   const std::vector<RwSeries>& VdSeries() const { return rollups().vd(); }
   const std::vector<RwSeries>& VmSeries() const { return rollups().vm(); }
   const std::vector<RwSeries>& UserSeries() const { return rollups().user(); }
@@ -108,8 +111,8 @@ class StreamingSimulation {
   SimulationConfig config_;
   Fleet fleet_;
   TraceCollectorSink collector_;
-  OverlaySinks overlays_;
   ReplayEngine engine_;
+  OverlaySinks overlays_;  // its plane reads engine_'s fault driver
   WorkloadResult workload_;
   std::optional<RollupCache> rollups_;  // engaged by Run()
   bool ran_ = false;

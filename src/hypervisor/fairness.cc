@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <stdexcept>
 
 #include "src/util/stats.h"
 
@@ -72,6 +73,9 @@ std::vector<double> WaterFill(const std::vector<double>& demands, double capacit
 
 FairnessResult EvaluateDispatchFairness(const Fleet& fleet, const MetricDataset& metrics,
                                         const FairnessConfig& config) {
+  if (!(config.wt_capacity_bytes_per_step > 0.0)) {
+    throw std::invalid_argument("fairness: wt_capacity_bytes_per_step must be greater than 0");
+  }
   FairnessResult result;
   result.discipline = config.discipline;
 

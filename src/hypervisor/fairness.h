@@ -32,8 +32,9 @@ enum class DispatchDiscipline : uint8_t {
 const char* DispatchDisciplineName(DispatchDiscipline discipline);
 
 struct FairnessConfig {
-  // Per-WT service capacity in bytes per step. Contention only exists when
-  // node demand can exceed wt_count * capacity.
+  // Per-WT service capacity in bytes per step; must be greater than 0 (+inf
+  // means no contention). Contention only exists when node demand can exceed
+  // wt_count * capacity.
   double wt_capacity_bytes_per_step = 50e6;
   DispatchDiscipline discipline = DispatchDiscipline::kInlinePolling;
 };
@@ -51,7 +52,8 @@ struct FairnessResult {
 };
 
 // Evaluates a discipline over every multi-tenant node, using the metric
-// dataset's per-QP demand.
+// dataset's per-QP demand. Throws std::invalid_argument on a capacity that is
+// not greater than 0 (NaN included).
 FairnessResult EvaluateDispatchFairness(const Fleet& fleet, const MetricDataset& metrics,
                                         const FairnessConfig& config);
 

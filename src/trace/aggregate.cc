@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <numeric>
 #include <utility>
 #include <vector>
+
+#include "src/util/parallel.h"
 
 namespace ebs {
 
@@ -18,6 +22,81 @@ RollupSources::RollupSources(size_t window_steps, double dt, const std::vector<R
 
 namespace {
 
+// The work of one chunk, in series steps: an output costs its own series plus
+// one per member it adds. A level under one chunk of work runs on the calling
+// thread and starts no thread.
+constexpr size_t kChunkSteps = size_t{1} << 16;
+
+// Runs fill(first, last) over consecutive ranges of the outputs [0, count),
+// each range the first to reach kChunkSteps of work, where output i costs
+// (members_of(i) + 1) * steps. The chunks run as one ParallelFor on the
+// calling thread plus DefaultGenerateWorkers() helpers; a chunk writes only
+// its own outputs, so no cell depends on which thread filled it.
+template <typename MembersOf>
+void ForEachChunk(size_t count, size_t steps, MembersOf members_of,
+                  const std::function<void(size_t, size_t)>& fill) {
+  std::vector<size_t> starts = {0};
+  size_t work = 0;
+  for (size_t i = 0; i + 1 < count; ++i) {
+    work += (members_of(i) + 1) * steps;
+    if (work >= kChunkSteps) {
+      starts.push_back(i + 1);
+      work = 0;
+    }
+  }
+  starts.push_back(count);
+  const size_t chunks = starts.size() - 1;
+  ParallelFor(
+      chunks, DefaultGenerateWorkers(), chunks, {},
+      [&](size_t c) { fill(starts[c], starts[c + 1]); }, {});
+}
+
+// Members grouped by output with a stable counting sort: output b's members
+// are members[offsets[b], offsets[b + 1]), in ascending member index.
+struct Groups {
+  std::vector<size_t> offsets;
+  std::vector<uint32_t> members;
+};
+
+template <typename BucketOf>
+Groups GroupByBucket(size_t member_count, size_t bucket_count, BucketOf bucket_of) {
+  std::vector<uint32_t> bucket(member_count);
+  Groups groups;
+  groups.offsets.assign(bucket_count + 1, 0);
+  for (size_t m = 0; m < member_count; ++m) {
+    bucket[m] = static_cast<uint32_t>(bucket_of(m));
+    ++groups.offsets[bucket[m] + 1];
+  }
+  std::partial_sum(groups.offsets.begin(), groups.offsets.end(), groups.offsets.begin());
+  std::vector<size_t> next(groups.offsets.begin(), groups.offsets.end() - 1);
+  groups.members.resize(member_count);
+  for (size_t m = 0; m < member_count; ++m) {
+    groups.members[next[bucket[m]]++] = static_cast<uint32_t>(m);
+  }
+  return groups;
+}
+
+// One zeroed RwSeries per bucket, with add(dst, member) applied for each of
+// the bucket's members in ascending order: the addition sequence of a walk
+// over the members in that order, chunked over the buckets.
+template <typename Add>
+std::vector<RwSeries> FoldGroups(const Groups& groups, const RollupSources& sources, Add add) {
+  const size_t bucket_count = groups.offsets.size() - 1;
+  std::vector<RwSeries> out(bucket_count);
+  ForEachChunk(
+      bucket_count, sources.steps,
+      [&groups](size_t b) { return groups.offsets[b + 1] - groups.offsets[b]; },
+      [&](size_t first, size_t last) {
+        for (size_t b = first; b < last; ++b) {
+          out[b] = RwSeries(sources.steps, sources.step_seconds);
+          for (size_t k = groups.offsets[b]; k < groups.offsets[b + 1]; ++k) {
+            add(out[b], groups.members[k]);
+          }
+        }
+      });
+  return out;
+}
+
 // dst[t] += src[t] * weight. A zero weight is skipped, which equals adding
 // its 0.0 cells: an accumulator starts at +0.0 and so never holds -0.0.
 void AccumulateWeighted(TimeSeries& dst, const TimeSeries& src, double weight) {
@@ -29,33 +108,35 @@ void AccumulateWeighted(TimeSeries& dst, const TimeSeries& src, double weight) {
   }
 }
 
-// Sums QP-level series into buckets chosen by `bucket_of(qp)`.
+// Sums QP-level series into buckets chosen by `bucket_of(qp)`, each bucket's
+// QPs in fleet order.
 template <typename BucketFn>
 std::vector<RwSeries> RollupComputeSide(const Fleet& fleet, const RollupSources& sources,
                                         size_t bucket_count, BucketFn bucket_of) {
-  std::vector<RwSeries> out(bucket_count, RwSeries(sources.steps, sources.step_seconds));
-  for (const Qp& qp : fleet.qps) {
-    out[bucket_of(qp)].Accumulate((*sources.qp_series)[qp.id.value()]);
-  }
-  return out;
+  const Groups groups = GroupByBucket(fleet.qps.size(), bucket_count,
+                                      [&](size_t q) { return bucket_of(fleet.qps[q]); });
+  return FoldGroups(groups, sources, [&](RwSeries& dst, uint32_t q) {
+    dst.Accumulate((*sources.qp_series)[fleet.qps[q].id.value()]);
+  });
 }
 
-// Sums segment-level series into buckets chosen by `bucket_of(segment)`,
-// each cell multiplied out of its source series as it is added.
+// Sums segment-level series into buckets chosen by `bucket_of(segment)`, each
+// bucket's segments in ascending id order, each cell multiplied out of its
+// source series as it is added.
 template <typename BucketFn>
 std::vector<RwSeries> RollupStorageSide(const Fleet& fleet, const RollupSources& sources,
                                         size_t bucket_count, BucketFn bucket_of) {
-  std::vector<RwSeries> out(bucket_count, RwSeries(sources.steps, sources.step_seconds));
   const SegmentSeriesMap& segments = *sources.segment_series;
-  for (size_t i = 0; i < segments.size(); ++i) {
+  const Groups groups = GroupByBucket(segments.size(), bucket_count, [&](size_t i) {
+    return bucket_of(fleet.segments[segments[i].id]);
+  });
+  return FoldGroups(groups, sources, [&segments](RwSeries& dst, uint32_t i) {
     const SegmentView segment = segments[i];
-    RwSeries& dst = out[bucket_of(fleet.segments[segment.id])];
     AccumulateWeighted(dst.read_bytes, segment.source->read_bytes, segment.read_weight);
     AccumulateWeighted(dst.write_bytes, segment.source->write_bytes, segment.write_weight);
     AccumulateWeighted(dst.read_ops, segment.source->read_ops, segment.read_weight);
     AccumulateWeighted(dst.write_ops, segment.source->write_ops, segment.write_weight);
-  }
-  return out;
+  });
 }
 
 }  // namespace
@@ -96,6 +177,19 @@ std::vector<RwSeries> RollupToStorageNode(const Fleet& fleet, const RollupSource
                            [&fleet](const Segment& segment) {
                              return fleet.block_servers[segment.server.value()].node.value();
                            });
+}
+
+std::vector<RwSeries> MaterializeSegments(const RollupSources& sources) {
+  const SegmentSeriesMap& segments = *sources.segment_series;
+  std::vector<RwSeries> out(segments.size());
+  ForEachChunk(
+      segments.size(), sources.steps, [](size_t) { return size_t{0}; },
+      [&](size_t first, size_t last) {
+        for (size_t i = first; i < last; ++i) {
+          out[i] = segments[i].Materialize();
+        }
+      });
+  return out;
 }
 
 MetricDataset AggregateTraces(const Fleet& fleet, const TraceDataset& traces,

@@ -32,7 +32,12 @@ struct RollupSources {
 // The compute levels add QP series in fleet order, the storage levels add
 // segment series in ascending id order, so every sum is deterministic and
 // independent of how the sources were populated (e.g. by how many replay
-// shards).
+// shards). Each fold groups its members by entity with a stable counting sort
+// and fills chunks of entities on the calling thread plus
+// DefaultGenerateWorkers() helpers (src/util/parallel.h); a chunk allocates
+// and fills only its own entities, so every cell sees the same additions in
+// the same order at any helper count. A level too small to split runs on the
+// calling thread alone.
 std::vector<RwSeries> RollupToVd(const Fleet& fleet, const RollupSources& sources);
 std::vector<RwSeries> RollupToVm(const Fleet& fleet, const RollupSources& sources);
 std::vector<RwSeries> RollupToUser(const Fleet& fleet, const RollupSources& sources);
@@ -40,6 +45,10 @@ std::vector<RwSeries> RollupToWt(const Fleet& fleet, const RollupSources& source
 std::vector<RwSeries> RollupToComputeNode(const Fleet& fleet, const RollupSources& sources);
 std::vector<RwSeries> RollupToBlockServer(const Fleet& fleet, const RollupSources& sources);
 std::vector<RwSeries> RollupToStorageNode(const Fleet& fleet, const RollupSources& sources);
+
+// The active segments' series in ascending id order, each materialized from
+// its source series (SegmentView::Materialize), chunked like the folds.
+std::vector<RwSeries> MaterializeSegments(const RollupSources& sources);
 
 // Rebuilds an (approximate) metric dataset from sampled traces by scaling
 // each record by 1/sampling_rate. Used to validate dataset consistency and to

@@ -1,6 +1,8 @@
 // RollupCache: the entity-level rollups of one finished run, held for both
 // facades and the replay rollup sink. Each level is one RollupTo* fold
-// (src/trace/aggregate.h), run on first access.
+// (src/trace/aggregate.h), or MaterializeSegments for the segment level, run
+// on first access; each fold fills chunks of entities on
+// DefaultGenerateWorkers() helpers and the reading thread.
 
 #ifndef SRC_TRACE_ROLLUP_DENSE_H_
 #define SRC_TRACE_ROLLUP_DENSE_H_
@@ -19,10 +21,11 @@ namespace ebs {
 
 // The entity-level rollups of one finished run, each level folded once on
 // first access and cached. Thread-safe: each level fills under its own
-// annotated mutex, so concurrent first readers serialize on the fill and later
-// readers pay one uncontended lock. A filled level is never reset, so the
-// returned reference outlives the lock; a fill that throws leaves the level
-// empty for the next reader to retry.
+// annotated mutex, so concurrent first readers serialize on the fill (which
+// starts its own helpers) and later readers pay one uncontended lock. A filled
+// level is never reset, so the returned reference outlives the lock; a fill
+// that throws, on any of its threads, leaves the level empty for the next
+// reader to retry.
 class RollupCache {
  public:
   // `fleet` and everything `sources` points at must stay alive and unchanged
@@ -38,7 +41,7 @@ class RollupCache {
   const std::vector<RwSeries>& bs() const { return Get(kBs); }
   const std::vector<RwSeries>& sn() const { return Get(kSn); }
   // Active-segment series, ascending segment id, each materialized from its
-  // source series on first access.
+  // source series on first access (MaterializeSegments).
   const std::vector<RwSeries>& seg() const { return Get(kSeg); }
 
   void FillAll() const;

@@ -1,7 +1,8 @@
 // Worker threads shared by the data-parallel layers: the replay engine's
-// shard count (src/replay/parallel_generate.h) and the EBST codec's helpers
-// (src/trace/store.cc) come from one DefaultGenerateWorkers(), and the codec
-// runs its pieces through ParallelFor.
+// shard count (src/replay/parallel_generate.h), the EBST codec's helpers
+// (src/trace/store.cc) and the rollup folds' helpers (src/trace/aggregate.cc)
+// come from one DefaultGenerateWorkers(). The codec runs its pieces, and each
+// rollup level its chunks of entities, through ParallelFor.
 
 #ifndef SRC_UTIL_PARALLEL_H_
 #define SRC_UTIL_PARALLEL_H_

@@ -207,6 +207,24 @@ TEST_F(BalancerFixture, BadConfigIsRejected) {
   zero_thresholds.exporter_threshold = 0.0;
   zero_thresholds.migration_budget = 0.0;
   EXPECT_NO_THROW(InterBsBalancer(fleet_, metrics_, StorageClusterId(0), zero_thresholds).Run());
+  // A NaN alpha used to run (S7 then migrated on NaN forecasts), and so did
+  // alphas outside [0, 1].
+  for (const double bad : {std::nan(""), -1.0, -0.01, 1.01, 2.0,
+                           std::numeric_limits<double>::infinity()}) {
+    BalancerConfig alpha;
+    alpha.policy = ImporterPolicy::kSegmentForecast;
+    alpha.segment_ewma_alpha = bad;
+    EXPECT_THROW(InterBsBalancer(fleet_, metrics_, StorageClusterId(0), alpha),
+                 std::invalid_argument)
+        << bad;
+  }
+  for (const double edge : {0.0, 1.0}) {
+    BalancerConfig alpha;
+    alpha.period_steps = 10;
+    alpha.policy = ImporterPolicy::kSegmentForecast;
+    alpha.segment_ewma_alpha = edge;
+    EXPECT_NO_THROW(InterBsBalancer(fleet_, metrics_, StorageClusterId(0), alpha).Run()) << edge;
+  }
 }
 
 // A cluster id past the fleet's clusters used to index out of bounds.

@@ -535,7 +535,7 @@ TEST(SinkContractTest, OverlaySinksReadNoColumnAheadOfTheStep) {
   segments.AssignEntries(real.metrics.segment_series.entries());
 
   RevealSink reveal(real, &copy, &sources);
-  OverlaySinks overlays(batch.fleet(), config);
+  OverlaySinks overlays(batch.fleet(), config, batch.fault_driver());
   std::vector<ReplaySink*> sinks = {&reveal};
   for (ReplaySink* sink : overlays.Sinks()) {
     sinks.push_back(sink);

@@ -2,6 +2,10 @@
 
 #include "src/hypervisor/fairness.h"
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "tests/test_helpers.h"
@@ -84,6 +88,30 @@ TEST_F(FairnessFixture, SingleTenantNodesAreSkipped) {
   config.wt_capacity_bytes_per_step = 10e6;
   const auto result = EvaluateDispatchFairness(solo, metrics, config);
   EXPECT_EQ(result.overloaded_steps, 0u);
+}
+
+TEST_F(FairnessFixture, CapacityMustBePositive) {
+  // A NaN capacity used to count every multi-tenant step as overloaded (and
+  // greedy dispatch reported NaN utilization); zero and negative ones ran too.
+  const DispatchDiscipline disciplines[] = {DispatchDiscipline::kInlinePolling,
+                                            DispatchDiscipline::kGreedyDispatch,
+                                            DispatchDiscipline::kDrrDispatch};
+  for (const DispatchDiscipline discipline : disciplines) {
+    for (const double bad : {std::nan(""), 0.0, -0.0, -1.0,
+                             -std::numeric_limits<double>::infinity()}) {
+      FairnessConfig config;
+      config.discipline = discipline;
+      config.wt_capacity_bytes_per_step = bad;
+      EXPECT_THROW(EvaluateDispatchFairness(fleet_, metrics_, config), std::invalid_argument)
+          << DispatchDisciplineName(discipline) << " " << bad;
+    }
+    FairnessConfig unbounded;
+    unbounded.discipline = discipline;
+    unbounded.wt_capacity_bytes_per_step = std::numeric_limits<double>::infinity();
+    const FairnessResult result = EvaluateDispatchFairness(fleet_, metrics_, unbounded);
+    EXPECT_EQ(result.overloaded_steps, 0u) << DispatchDisciplineName(discipline);
+    EXPECT_EQ(result.utilization, 1.0) << DispatchDisciplineName(discipline);
+  }
 }
 
 TEST(DispatchDisciplineTest, Names) {

@@ -2,12 +2,15 @@
 //
 // The RollupTo* folds must be BIT-identical to the legacy per-entity walk,
 // not just close: every accumulator element sees the same addition sequence
-// (QPs in fleet order, segments in ascending id order). These tests
-// re-implement the legacy rollups inline (ordered map + per-entity
-// RwSeries::Accumulate over materialized segment series) on a
-// DcPreset-derived workload and compare with operator== on every double.
+// (QPs in fleet order, segments in ascending id order), whichever chunk and
+// thread filled it. These tests re-implement the legacy rollups inline
+// (ordered map + per-entity RwSeries::Accumulate over materialized segment
+// series) on a DcPreset-derived facade and compare every double's bits.
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,37 +20,46 @@
 #include "src/topology/fleet.h"
 #include "src/trace/aggregate.h"
 #include "src/trace/records.h"
-#include "src/workload/generator.h"
 
 namespace ebs {
 namespace {
 
+void ExpectChannelBitIdentical(const TimeSeries& got, const TimeSeries& want, const char* level,
+                               size_t entity, const char* channel) {
+  ASSERT_EQ(got.size(), want.size()) << level << "[" << entity << "] " << channel;
+  EXPECT_EQ(got.step_seconds(), want.step_seconds()) << level << "[" << entity << "] " << channel;
+  for (size_t t = 0; t < want.size(); ++t) {
+    // Bits, not values: the chunked fold promises an unchanged addition
+    // order, so even the low mantissa bits and the sign of a zero must match.
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[t]), std::bit_cast<uint64_t>(want[t]))
+        << level << "[" << entity << "] " << channel << " t=" << t << ": " << got[t]
+        << " != " << want[t];
+  }
+}
+
 void ExpectSeriesBitIdentical(const RwSeries& got, const RwSeries& want, const char* level,
                               size_t entity) {
-  ASSERT_EQ(got.read_bytes.size(), want.read_bytes.size()) << level << "[" << entity << "]";
-  for (size_t t = 0; t < want.read_bytes.size(); ++t) {
-    // Exact comparison on purpose: the SoA path promises an unchanged
-    // addition order, so even the low mantissa bits must match.
-    EXPECT_EQ(got.read_bytes[t], want.read_bytes[t]) << level << "[" << entity << "] t=" << t;
-    EXPECT_EQ(got.write_bytes[t], want.write_bytes[t]) << level << "[" << entity << "] t=" << t;
-    EXPECT_EQ(got.read_ops[t], want.read_ops[t]) << level << "[" << entity << "] t=" << t;
-    EXPECT_EQ(got.write_ops[t], want.write_ops[t]) << level << "[" << entity << "] t=" << t;
-  }
+  ExpectChannelBitIdentical(got.read_bytes, want.read_bytes, level, entity, "read_bytes");
+  ExpectChannelBitIdentical(got.write_bytes, want.write_bytes, level, entity, "write_bytes");
+  ExpectChannelBitIdentical(got.read_ops, want.read_ops, level, entity, "read_ops");
+  ExpectChannelBitIdentical(got.write_ops, want.write_ops, level, entity, "write_ops");
 }
 
 class RollupEquivalenceFixture : public ::testing::Test {
  protected:
+  // 40 users over 600 steps: 708 QPs and 3,809 active segments, so every fold
+  // splits into several chunks (at 2^16 series steps per chunk: VD 9, VM 8,
+  // user 6, WT 8, CN 6, BS 29, SN 29 and the segment level 35).
   static void SetUpTestSuite() {
     SimulationConfig config = DcPreset(1);
-    config.fleet.user_count = 40;  // DcPreset model at test-suite scale
-    config.workload.window_steps = 180;
-    fleet_ = new Fleet(BuildFleet(config.fleet));
-    result_ = new WorkloadResult(WorkloadGenerator(*fleet_, config.workload).Generate());
+    config.fleet.user_count = 40;
+    config.workload.window_steps = 600;
+    sim_ = new EbsSimulation(config);
+    fleet_ = &sim_->fleet();
   }
   static void TearDownTestSuite() {
-    delete result_;
-    delete fleet_;
-    result_ = nullptr;
+    delete sim_;
+    sim_ = nullptr;
     fleet_ = nullptr;
   }
 
@@ -55,7 +67,7 @@ class RollupEquivalenceFixture : public ::testing::Test {
   // fleet order. This is verbatim the pre-SoA implementation.
   template <typename BucketOf>
   static std::vector<RwSeries> LegacyComputeRollup(size_t entities, BucketOf bucket_of) {
-    const MetricDataset& metrics = result_->metrics;
+    const MetricDataset& metrics = sim_->metrics();
     std::vector<RwSeries> out(entities, RwSeries(metrics.window_steps, metrics.step_seconds));
     for (const Qp& qp : fleet_->qps) {
       out[bucket_of(qp)].Accumulate(metrics.qp_series[qp.id.value()]);
@@ -68,7 +80,7 @@ class RollupEquivalenceFixture : public ::testing::Test {
   // explicitly), then accumulated in ascending id order.
   template <typename BucketOf>
   static std::vector<RwSeries> LegacyStorageRollup(size_t entities, BucketOf bucket_of) {
-    const MetricDataset& metrics = result_->metrics;
+    const MetricDataset& metrics = sim_->metrics();
     const std::map<uint32_t, RwSeries> ordered = OrderedSegments(metrics);
     std::vector<RwSeries> out(entities, RwSeries(metrics.window_steps, metrics.step_seconds));
     for (const auto& [seg_value, series] : ordered) {
@@ -84,15 +96,15 @@ class RollupEquivalenceFixture : public ::testing::Test {
     return ordered;
   }
 
-  static Fleet* fleet_;
-  static WorkloadResult* result_;
+  static EbsSimulation* sim_;
+  static const Fleet* fleet_;
 };
 
-Fleet* RollupEquivalenceFixture::fleet_ = nullptr;
-WorkloadResult* RollupEquivalenceFixture::result_ = nullptr;
+EbsSimulation* RollupEquivalenceFixture::sim_ = nullptr;
+const Fleet* RollupEquivalenceFixture::fleet_ = nullptr;
 
 TEST_F(RollupEquivalenceFixture, ComputeSideRollupsMatchLegacyBitForBit) {
-  const MetricDataset& metrics = result_->metrics;
+  const MetricDataset& metrics = sim_->metrics();
   const auto vd_ref = LegacyComputeRollup(fleet_->vds.size(),
                                           [](const Qp& qp) { return qp.vd.value(); });
   const auto vd_got = RollupToVd(*fleet_, metrics);
@@ -120,7 +132,7 @@ TEST_F(RollupEquivalenceFixture, ComputeSideRollupsMatchLegacyBitForBit) {
 }
 
 TEST_F(RollupEquivalenceFixture, StorageSideRollupsMatchLegacyBitForBit) {
-  const MetricDataset& metrics = result_->metrics;
+  const MetricDataset& metrics = sim_->metrics();
   const auto bs_ref = LegacyStorageRollup(
       fleet_->block_servers.size(),
       [](const Segment& segment) { return segment.server.value(); });
@@ -141,7 +153,7 @@ TEST_F(RollupEquivalenceFixture, StorageSideRollupsMatchLegacyBitForBit) {
 }
 
 TEST_F(RollupEquivalenceFixture, VmAndComputeNodeRollupsMatchLegacyBitForBit) {
-  const MetricDataset& metrics = result_->metrics;
+  const MetricDataset& metrics = sim_->metrics();
   const auto vm_ref = LegacyComputeRollup(fleet_->vms.size(),
                                           [](const Qp& qp) { return qp.vm.value(); });
   const auto vm_got = RollupToVm(*fleet_, metrics);
@@ -160,10 +172,68 @@ TEST_F(RollupEquivalenceFixture, VmAndComputeNodeRollupsMatchLegacyBitForBit) {
   }
 }
 
+TEST_F(RollupEquivalenceFixture, SegSeriesMatchesMaterializedSegmentsBitForBit) {
+  const SegmentSeriesMap& segments = sim_->metrics().segment_series;
+  const std::vector<RwSeries>& seg = sim_->SegSeries();
+  ASSERT_EQ(seg.size(), segments.size());
+  for (size_t i = 0; i < segments.size(); ++i) {
+    ExpectSeriesBitIdentical(seg[i], segments[i].Materialize(), "seg", i);
+  }
+}
+
+// Conservation across layers: at every step, each channel's entity sum equals
+// the QP sum (compute levels) or the segment-cell sum (storage levels), up to
+// the rounding of a different addition order.
+TEST_F(RollupEquivalenceFixture, EveryLevelConservesItsSourceCells) {
+  const MetricDataset& metrics = sim_->metrics();
+  const auto sum = [&metrics](const std::vector<RwSeries>& series) {
+    RwSeries total(metrics.window_steps, metrics.step_seconds);
+    for (const RwSeries& s : series) {
+      // An entity left unfilled fails here instead of tripping Accumulate.
+      EXPECT_EQ(s.read_bytes.size(), metrics.window_steps);
+      if (s.read_bytes.size() == metrics.window_steps) {
+        total.Accumulate(s);
+      }
+    }
+    return total;
+  };
+  std::vector<RwSeries> cells;
+  metrics.segment_series.ForEachSorted(
+      [&cells](uint32_t, const RwSeries& series) { cells.push_back(series); });
+  const RwSeries qp_total = sum(metrics.qp_series);
+  const RwSeries cell_total = sum(cells);
+  ASSERT_GT(qp_total.TotalBytes(), 0.0);
+
+  const auto expect_conserved = [](const RwSeries& got, const RwSeries& want,
+                                   const char* level) {
+    const std::pair<const TimeSeries*, const TimeSeries*> channels[] = {
+        {&got.read_bytes, &want.read_bytes},
+        {&got.write_bytes, &want.write_bytes},
+        {&got.read_ops, &want.read_ops},
+        {&got.write_ops, &want.write_ops}};
+    for (size_t c = 0; c < 4; ++c) {
+      const TimeSeries& g = *channels[c].first;
+      const TimeSeries& w = *channels[c].second;
+      ASSERT_EQ(g.size(), w.size()) << level;
+      for (size_t t = 0; t < w.size(); ++t) {
+        EXPECT_NEAR(g[t], w[t], 1e-12 * std::abs(w[t])) << level << " channel " << c << " t=" << t;
+      }
+    }
+  };
+  expect_conserved(sum(sim_->VdSeries()), qp_total, "vd");
+  expect_conserved(sum(sim_->VmSeries()), qp_total, "vm");
+  expect_conserved(sum(sim_->UserSeries()), qp_total, "user");
+  expect_conserved(sum(sim_->WtSeries()), qp_total, "wt");
+  expect_conserved(sum(sim_->CnSeries()), qp_total, "cn");
+  expect_conserved(sum(sim_->BsSeries()), cell_total, "bs");
+  expect_conserved(sum(sim_->SnSeries()), cell_total, "sn");
+  expect_conserved(sum(sim_->SegSeries()), cell_total, "seg");
+}
+
 TEST_F(RollupEquivalenceFixture, BsPeriodTrafficMatchesLegacyMapWalk) {
   // The balancer's prediction input must be unchanged by the SegmentSeriesMap
   // conversion: recompute it with an explicit ordered-map walk.
-  const MetricDataset& metrics = result_->metrics;
+  const MetricDataset& metrics = sim_->metrics();
   const StorageClusterId cluster(0);
   const size_t period_steps = 60;
   const auto got = BsPeriodTraffic(*fleet_, metrics, cluster, period_steps);
