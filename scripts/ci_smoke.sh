@@ -18,9 +18,11 @@
 # the merge thread while the shards generate, and the EBST codec: the store
 # battery (tests/trace_store_test.cc), store replay
 # (tests/store_replay_test.cc), whose metrics load is the parallel decode,
-# the ordered ParallelFor underneath (tests/util_parallel_test.cc), and the
+# the ordered ParallelFor underneath (tests/util_parallel_test.cc), the
 # rollup folds, which fill chunks of entities on its helpers
-# (tests/rollup_dense_test.cc).
+# (tests/rollup_dense_test.cc), and the online cache replay and the skew
+# kernel, which run chunks of VDs and of entities on them
+# (tests/cache_test.cc, tests/analysis_test.cc).
 #
 # The ASan and UBSan stages also run the trace-store corruption battery
 # (tests/trace_store_test.cc): its truncation and byte-flip sweeps mutate
@@ -155,9 +157,10 @@ cmake -S "${repo_root}" -B "${build_root}/tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEBS_SANITIZE=thread >/dev/null
 cmake --build "${build_root}/tsan" -j "${jobs}" \
   --target replay_test fault_test obs_test control_test scenario_test workload_test \
-  qmodel_test trace_store_test store_replay_test util_parallel_test rollup_dense_test
+  qmodel_test trace_store_test store_replay_test util_parallel_test rollup_dense_test \
+  cache_test analysis_test
 
-echo "== [10/13] Replay + fault chaos + obs registry + control + scenario + generator + qmodel + store codec + rollup fold tests (TSan) =="
+echo "== [10/13] Replay + fault chaos + obs registry + control + scenario + generator + qmodel + store codec + rollup fold + cache replay + skew tests (TSan) =="
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/replay_test"
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/fault_test"
 # The metric registry takes registrations from 8 threads at once (shared
@@ -185,6 +188,10 @@ TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/store_replay_test"
 # fold battery runs its split levels under the race detector (replay_test's
 # RollupCachesAreThreadSafe above starts helpers from each concurrent reader).
 TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/rollup_dense_test"
+# OnlineCacheSink::OnFinish replays chunks of VDs on ParallelFor helpers, and
+# ComputeLevelSkewness folds chunks of entities on them.
+TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/cache_test"
+TSAN_OPTIONS=halt_on_error=1 "${build_root}/tsan/tests/analysis_test"
 
 echo "== [11/13] Latency bench vs committed baseline =="
 "${build_root}/release/bench/bench_latency" "${build_root}/BENCH_LATENCY.fresh.json" \

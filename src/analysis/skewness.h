@@ -25,6 +25,25 @@ struct LevelSkewness {
   RwPair p2a50 = {};   // 50%ile Peak-to-Average ratio
 };
 
+// One entity's channel, read once: `total` is the left-to-right sum from 0.0
+// (TimeSeries::SumAll), `peak` the first maximum under `<` (std::max_element;
+// 0 for an empty channel) and `p2a` PeakToAverage(): peak / mean, 0 when the
+// channel is empty or its mean is <= 0. All three are bit-identical to those
+// functions.
+struct ChannelFold {
+  double total = 0.0;
+  double peak = 0.0;
+  double p2a = 0.0;
+};
+ChannelFold FoldChannel(std::span<const double> values);
+
+// The three functions below read every entity's channel once through
+// FoldChannel, in chunks of entities of about 2^16 series steps on
+// DefaultGenerateWorkers() helpers (a level under one chunk stays on the
+// calling thread and starts no thread). A chunk writes only its own entities'
+// folds, and CCR, percentile and the idle filter then run in entity order, so
+// the results do not depend on the helper count.
+
 // Aggregated skewness for one aggregation level (one entity per RwSeries).
 LevelSkewness ComputeLevelSkewness(std::span<const RwSeries> entities);
 

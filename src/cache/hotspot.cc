@@ -162,25 +162,23 @@ CacheReplayResult ReplayVdCache(std::span<const TraceRecord* const> vd_traces,
     cache = MakeCache(policy, capacity_pages);
   }
 
-  uint64_t hits = 0;
-  uint64_t accesses = 0;
+  // One run per record. A timed-out IO never reached the data path
+  // (OnlineCacheSink skips it too), so its run touches no page.
+  std::vector<PageRun> runs(vd_traces.size());
   for (size_t i = 0; i < vd_traces.size(); ++i) {
     const TraceRecord* r = vd_traces[i];
-    if (r->fault_timed_out) {
-      continue;  // never reached the data path; OnlineCacheSink skips it too
+    if (!r->fault_timed_out) {
+      runs[i] = {r->offset / kPageBytes,
+                 std::max<uint32_t>(1, static_cast<uint32_t>(r->size_bytes / kPageBytes))};
     }
-    const uint64_t start_page = r->offset / kPageBytes;
-    const size_t pages = std::max<size_t>(1, r->size_bytes / kPageBytes);
-    const uint64_t record_hits = AccessRange(*cache, start_page, pages);
-    if (full_hits != nullptr && record_hits == pages) {
-      (*full_hits)[i] = 1;
-    }
-    hits += record_hits;
-    accesses += pages;
   }
-  result.page_accesses = accesses;
-  result.hit_ratio =
-      accesses == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(accesses);
+  const PageReplayTotals totals =
+      ReplayRuns(*cache, runs,
+                 full_hits != nullptr ? std::span<uint8_t>(*full_hits) : std::span<uint8_t>());
+  result.page_accesses = totals.accesses;
+  result.hit_ratio = totals.accesses == 0 ? 0.0
+                                          : static_cast<double>(totals.hits) /
+                                                static_cast<double>(totals.accesses);
   return result;
 }
 

@@ -2,11 +2,21 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "src/topology/entities.h"
+#include "src/util/parallel.h"
 
 namespace ebs {
+
+namespace {
+
+// A replay chunk's VDs hold about this many recorded entries (the last chunk
+// takes what is left), so a run's VDs spread over the helpers by work.
+constexpr size_t kChunkEntries = size_t{1} << 12;
+
+}  // namespace
 
 OnlineCacheSink::OnlineCacheSink(CachePolicy policy, uint64_t block_bytes)
     : policy_(policy), capacity_pages_(static_cast<size_t>(block_bytes / kPageBytes)) {
@@ -22,7 +32,7 @@ OnlineCacheSink::OnlineCacheSink(CachePolicy policy, uint64_t block_bytes)
 void OnlineCacheSink::OnStart(const Fleet& fleet, size_t /*window_steps*/,
                               double /*step_seconds*/) {
   recorded_.clear();
-  per_vd_.assign(fleet.vds.size(), VdTotals{});
+  per_vd_.assign(fleet.vds.size(), PageReplayTotals{});
   total_hits_ = 0;
   total_accesses_ = 0;
   fault_bypassed_ = 0;
@@ -58,30 +68,35 @@ void OnlineCacheSink::OnFinish() {
   for (size_t vd = 0; vd < vds; ++vd) {
     begin[vd + 1] += begin[vd];
   }
-  std::vector<Access> grouped(recorded_.size());
+  std::vector<PageRun> grouped(recorded_.size());
   std::vector<size_t> next(begin.begin(), begin.end() - 1);
   for (const Access& access : recorded_) {
-    grouped[next[access.vd]++] = access;
+    grouped[next[access.vd]++] = {access.start_page, access.pages};
   }
   std::vector<Access>().swap(recorded_);  // replayed once; free the buffer
 
-  for (size_t vd = 0; vd < vds; ++vd) {
-    if (begin[vd] == begin[vd + 1]) {
-      continue;
-    }
-    const std::unique_ptr<PageCache> cache = MakeCache(policy_, capacity_pages_);
-    VdTotals& totals = per_vd_[vd];
-    for (size_t i = begin[vd]; i < begin[vd + 1]; ++i) {
-      totals.hits += AccessRange(*cache, grouped[i].start_page, grouped[i].pages);
-      totals.accesses += grouped[i].pages;
-    }
+  // Consecutive chunks of VDs on the helpers: a chunk builds, fills and frees
+  // its own VDs' caches, one at a time, and writes only their per_vd_ entries.
+  const std::span<const PageRun> runs(grouped);
+  ForEachChunk(
+      vds, kChunkEntries, [&](size_t vd) { return begin[vd + 1] - begin[vd]; },
+      [&](size_t first, size_t last) {
+        for (size_t vd = first; vd < last; ++vd) {
+          if (begin[vd] == begin[vd + 1]) {
+            continue;
+          }
+          const std::unique_ptr<PageCache> cache = MakeCache(policy_, capacity_pages_);
+          per_vd_[vd] = ReplayRuns(*cache, runs.subspan(begin[vd], begin[vd + 1] - begin[vd]));
+        }
+      });
+  for (const PageReplayTotals& totals : per_vd_) {
     total_hits_ += totals.hits;
     total_accesses_ += totals.accesses;
   }
 }
 
 CacheReplayResult OnlineCacheSink::ResultFor(VdId vd) const {
-  const VdTotals& totals = per_vd_[vd.value()];
+  const PageReplayTotals& totals = per_vd_[vd.value()];
   CacheReplayResult result;
   result.page_accesses = totals.accesses;
   result.hit_ratio = totals.accesses == 0 ? 0.0

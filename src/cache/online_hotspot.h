@@ -4,11 +4,15 @@
 // materializing the trace dataset. OnEvent only records each admitted IO as a
 // compact (start page, VD, pages) entry; OnFinish groups the entries by VD,
 // keeping each VD's stream order, and replays each VD through its own page
-// cache, which it builds for that VD and frees once the VD is done. A VD's
-// hits depend only on its own access order, so the results equal
-// ReplayVdCache over each VD's trace records. Works for the eviction-based
-// policies (FIFO, LRU, LFU, CLOCK, 2Q); FrozenHot needs a hottest-block
-// pre-pass over the finished trace and stays offline-only.
+// cache with ReplayRuns, the loop ReplayVdCache runs. The VDs replay in
+// chunks of consecutive VDs on the calling thread plus
+// DefaultGenerateWorkers() helpers; a chunk builds each of its VDs' caches,
+// fills it and frees it before the next, so at most helpers + 1 caches are
+// alive at once. A VD's hits depend only on its own access order, so the
+// results equal ReplayVdCache over each VD's trace records at any helper
+// count. Works for the eviction-based policies (FIFO, LRU, LFU, CLOCK, 2Q);
+// FrozenHot needs a hottest-block pre-pass over the finished trace and stays
+// offline-only.
 
 #ifndef SRC_CACHE_ONLINE_HOTSPOT_H_
 #define SRC_CACHE_ONLINE_HOTSPOT_H_
@@ -32,12 +36,15 @@ class OnlineCacheSink : public ReplaySink {
 
   void OnStart(const Fleet& fleet, size_t window_steps, double step_seconds) override;
   void OnEvent(const ReplayEvent& event) override;
-  // Replays the recorded IOs VD by VD (timer `sink.cache.replay`).
+  // Replays the recorded IOs VD by VD (timer `sink.cache.replay`). A replay
+  // that throws (an allocation failure) is rethrown, the first in VD order,
+  // once every started chunk has returned.
   void OnFinish() override;
 
   // The replay results below are final once OnFinish returns. OnStart resets
   // them to zero and nothing replays before OnFinish, so during a run, and
-  // after a run that aborted before OnFinish, they read zero.
+  // after a run that aborted before OnFinish, they read zero; after an
+  // OnFinish that threw they are incomplete.
   //
   // Per-VD replay outcome, equal to ReplayVdCache over the same VD's trace
   // records (zero-initialized for VDs that saw no sampled IO).
@@ -73,15 +80,10 @@ class OnlineCacheSink : public ReplaySink {
   };
   static_assert(sizeof(Access) == 16);
 
-  struct VdTotals {
-    uint64_t hits = 0;
-    uint64_t accesses = 0;
-  };
-
   CachePolicy policy_;
   size_t capacity_pages_;
   std::vector<Access> recorded_;  // this run's admitted IOs, until OnFinish
-  std::vector<VdTotals> per_vd_;
+  std::vector<PageReplayTotals> per_vd_;
   uint64_t total_hits_ = 0;
   uint64_t total_accesses_ = 0;
   uint64_t fault_bypassed_ = 0;

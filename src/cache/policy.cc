@@ -29,9 +29,12 @@ namespace {
 
 // Every eviction policy below shares one flat layout: a PageIndex from page to
 // a 32-bit slot, and (except CLOCK, which keeps its frame ring) nodes in one
-// Pool, linked into Lists by 32-bit index. Storage grows on demand up to the
-// capacity and is never preallocated: a fleet holds one cache per VD, and most
-// never fill.
+// Pool, linked into Lists by 32-bit index. A replay sizes index, pool and
+// frames once (Reserve), for min(its page accesses, the policy's bound): a
+// stream of n accesses touches at most n distinct pages. Past that, and in a
+// cache nobody reserved, storage grows on demand; the size never changes a
+// hit. Each class runs a whole IO's pages itself (PolicyCache::AccessRange),
+// so no page goes through a virtual call.
 
 constexpr uint32_t kNil = std::numeric_limits<uint32_t>::max();
 
@@ -57,6 +60,17 @@ class PageIndex {
 
   size_t size() const { return size_; }
 
+  // Room for `count` pages before the next growth.
+  void Reserve(size_t count) {
+    int bits = kMinBits;
+    while (bits < 32 && (size_t{1} << (bits - 1)) < count) {
+      ++bits;
+    }
+    if (bits > Bits()) {
+      Rehash(bits);
+    }
+  }
+
   // The page's slot, or kNil.
   template <class PageOf>
   uint32_t Find(uint64_t page, PageOf page_of) const {
@@ -72,7 +86,7 @@ class PageIndex {
   // `page` must be absent.
   void Insert(uint64_t page, uint32_t slot) {
     if (2 * (size_ + 1) > buckets_.size()) {
-      Grow();
+      Rehash(Bits() + 1);
     }
     Place({slot, Hash(page)});
     ++size_;
@@ -109,6 +123,7 @@ class PageIndex {
   static uint32_t Hash(uint64_t page) {
     return static_cast<uint32_t>((page * 0x9E3779B97F4A7C15ULL) >> 32);
   }
+  int Bits() const { return 32 - shift_; }
   size_t Home(uint32_t hash) const { return hash >> shift_; }
   size_t Next(size_t i) const { return (i + 1) & (buckets_.size() - 1); }
   // Probe steps from bucket `from` forward to bucket `to`.
@@ -122,13 +137,13 @@ class PageIndex {
     buckets_[i] = entry;
   }
 
-  void Grow() {
-    if (shift_ == 0) {
+  void Rehash(int bits) {
+    if (bits > 32) {
       throw std::length_error("PageCache: index past 2^32 buckets");
     }
-    std::vector<Bucket> old(2 * buckets_.size());
+    std::vector<Bucket> old(size_t{1} << bits);
     old.swap(buckets_);
-    --shift_;
+    shift_ = 32 - bits;
     for (const Bucket& bucket : old) {
       if (bucket.slot != kNil) {
         Place(bucket);
@@ -147,6 +162,8 @@ template <class Node>
 class Pool {
  public:
   Node& operator[](uint32_t n) { return nodes_[n]; }
+
+  void Reserve(size_t count) { nodes_.reserve(std::min<size_t>(count, kNil)); }
 
   uint32_t Acquire() {
     if (free_ != kNil) {
@@ -216,9 +233,26 @@ struct PageNode {
   uint32_t next;
 };
 
+// The per-IO loop, compiled into each final policy class below: every page
+// is a direct call of the policy's own Access, with no virtual dispatch.
+template <class Policy>
+class PolicyCache : public PageCache {
+ public:
+  size_t AccessRange(uint64_t start_page, size_t pages) final {
+    Policy& policy = static_cast<Policy&>(*this);
+    size_t hits = 0;
+    for (size_t i = 0; i < pages; ++i) {
+      if (policy.Policy::Access(start_page + i)) {
+        ++hits;
+      }
+    }
+    return hits;
+  }
+};
+
 // FIFO and LRU: one list, head = next victim. LRU moves each hit to the tail;
 // FIFO never reorders.
-class QueueCache final : public PageCache {
+class QueueCache final : public PolicyCache<QueueCache> {
  public:
   QueueCache(size_t capacity, bool lru) : capacity_(capacity), lru_(lru) {}
 
@@ -244,6 +278,12 @@ class QueueCache final : public PageCache {
     return false;
   }
 
+  void Reserve(size_t accesses) override {
+    const size_t pages = std::min(accesses, capacity_);
+    index_.Reserve(pages);
+    pool_.Reserve(pages);
+  }
+
   size_t capacity_pages() const override { return capacity_; }
   std::string name() const override { return lru_ ? "LRU" : "FIFO"; }
 
@@ -257,7 +297,7 @@ class QueueCache final : public PageCache {
 
 // O(1) LFU: one list per frequency, its buckets chained in ascending
 // frequency order. The victim is the oldest page of the lowest bucket.
-class LfuCache final : public PageCache {
+class LfuCache final : public PolicyCache<LfuCache> {
  public:
   explicit LfuCache(size_t capacity) : capacity_(capacity) {}
 
@@ -280,6 +320,13 @@ class LfuCache final : public PageCache {
     Attach(slot, first != kNil && buckets_[first].freq == 1 ? first : NewBucket(1, first));
     index_.Insert(page, slot);
     return false;
+  }
+
+  // Frequency buckets stay on demand: most streams reach few frequencies.
+  void Reserve(size_t accesses) override {
+    const size_t pages = std::min(accesses, capacity_);
+    index_.Reserve(pages);
+    pages_.Reserve(pages);
   }
 
   size_t capacity_pages() const override { return capacity_; }
@@ -341,7 +388,7 @@ class LfuCache final : public PageCache {
   List chain_;  // buckets, lowest frequency at the head
 };
 
-class ClockCache final : public PageCache {
+class ClockCache final : public PolicyCache<ClockCache> {
  public:
   explicit ClockCache(size_t capacity) : capacity_(capacity) {}
 
@@ -366,6 +413,12 @@ class ClockCache final : public PageCache {
     index_.Insert(page, hand_);
     Advance();
     return false;
+  }
+
+  void Reserve(size_t accesses) override {
+    const size_t pages = std::min(accesses, capacity_);
+    index_.Reserve(pages);
+    frames_.reserve(pages);
   }
 
   size_t capacity_pages() const override { return capacity_; }
@@ -393,7 +446,7 @@ class ClockCache final : public PageCache {
 // re-referenced pages, A1out ghost history of recently evicted first-touch
 // pages. A page is in at most one queue, so the three share one index and one
 // pool, and each node records its queue.
-class TwoQCache final : public PageCache {
+class TwoQCache final : public PolicyCache<TwoQCache> {
  public:
   explicit TwoQCache(size_t capacity)
       : capacity_(capacity),
@@ -421,6 +474,14 @@ class TwoQCache final : public PageCache {
     }
     Push(am_, Queue::kAm, n);
     return false;
+  }
+
+  // The index and pool hold A1out's ghosts as well as the resident pages.
+  void Reserve(size_t accesses) override {
+    const size_t pages =
+        std::min(accesses, a1in_capacity_ + am_capacity_ + a1out_capacity_);
+    index_.Reserve(pages);
+    pool_.Reserve(pages);
   }
 
   size_t capacity_pages() const override { return capacity_; }
@@ -474,7 +535,7 @@ class TwoQCache final : public PageCache {
   List a1out_;  // oldest at the head
 };
 
-class FrozenCache final : public PageCache {
+class FrozenCache final : public PolicyCache<FrozenCache> {
  public:
   FrozenCache(uint64_t first_page, size_t capacity)
       : first_(first_page), capacity_(capacity) {}
@@ -482,6 +543,8 @@ class FrozenCache final : public PageCache {
   bool Access(uint64_t page) override {
     return page >= first_ && page < first_ + capacity_;
   }
+
+  void Reserve(size_t /*accesses*/) override {}
 
   size_t capacity_pages() const override { return capacity_; }
   std::string name() const override { return "FrozenHot"; }
@@ -518,14 +581,24 @@ std::unique_ptr<PageCache> MakeFrozenCache(uint64_t first_page, size_t capacity_
   return std::make_unique<FrozenCache>(first_page, capacity_pages);
 }
 
-size_t AccessRange(PageCache& cache, uint64_t start_page, size_t pages) {
-  size_t hits = 0;
-  for (size_t i = 0; i < pages; ++i) {
-    if (cache.Access(start_page + i)) {
-      ++hits;
-    }
+PageReplayTotals ReplayRuns(PageCache& cache, std::span<const PageRun> runs,
+                            std::span<uint8_t> full_runs) {
+  if (!full_runs.empty() && full_runs.size() != runs.size()) {
+    throw std::invalid_argument("ReplayRuns: full_runs must hold one flag per run");
   }
-  return hits;
+  PageReplayTotals totals;
+  for (const PageRun& run : runs) {
+    totals.accesses += run.pages;
+  }
+  cache.Reserve(static_cast<size_t>(totals.accesses));
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const size_t hits = cache.AccessRange(runs[i].start_page, runs[i].pages);
+    if (!full_runs.empty()) {
+      full_runs[i] = runs[i].pages > 0 && hits == runs[i].pages ? 1 : 0;
+    }
+    totals.hits += hits;
+  }
+  return totals;
 }
 
 }  // namespace ebs

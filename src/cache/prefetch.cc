@@ -1,8 +1,20 @@
 #include "src/cache/prefetch.h"
 
+#include <stdexcept>
+
 namespace ebs {
 
-PrefetchCache::PrefetchCache(PrefetchConfig config) : config_(config) {}
+PrefetchCache::PrefetchCache(PrefetchConfig config) : config_(config) {
+  if (config.min_run_ios == 0) {
+    throw std::invalid_argument("PrefetchCache: min_run_ios must be at least 1");
+  }
+  if (config.readahead_bytes == 0) {
+    throw std::invalid_argument("PrefetchCache: readahead_bytes must be positive");
+  }
+  if (config.capacity_bytes < config.readahead_bytes) {
+    throw std::invalid_argument("PrefetchCache: capacity_bytes must hold one readahead");
+  }
+}
 
 bool PrefetchCache::Covered(SegmentId segment, uint64_t begin, uint64_t end) const {
   for (const Range& range : ranges_) {

@@ -25,6 +25,11 @@ struct PrefetchConfig {
 
 class PrefetchCache {
  public:
+  // Throws std::invalid_argument for a config that cannot prefetch: a zero
+  // min_run_ios (every read would trigger, bypassing both the large-read and
+  // the sequential-run rule), a zero readahead_bytes, or a capacity_bytes
+  // below readahead_bytes (each readahead would be evicted as it lands). A
+  // capacity equal to readahead_bytes holds one window.
   explicit PrefetchCache(PrefetchConfig config = {});
 
   // A read IO against `segment` at byte `offset` (segment-relative offsets

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -26,30 +25,6 @@ namespace {
 // one per member it adds. A level under one chunk of work runs on the calling
 // thread and starts no thread.
 constexpr size_t kChunkSteps = size_t{1} << 16;
-
-// Runs fill(first, last) over consecutive ranges of the outputs [0, count),
-// each range the first to reach kChunkSteps of work, where output i costs
-// (members_of(i) + 1) * steps. The chunks run as one ParallelFor on the
-// calling thread plus DefaultGenerateWorkers() helpers; a chunk writes only
-// its own outputs, so no cell depends on which thread filled it.
-template <typename MembersOf>
-void ForEachChunk(size_t count, size_t steps, MembersOf members_of,
-                  const std::function<void(size_t, size_t)>& fill) {
-  std::vector<size_t> starts = {0};
-  size_t work = 0;
-  for (size_t i = 0; i + 1 < count; ++i) {
-    work += (members_of(i) + 1) * steps;
-    if (work >= kChunkSteps) {
-      starts.push_back(i + 1);
-      work = 0;
-    }
-  }
-  starts.push_back(count);
-  const size_t chunks = starts.size() - 1;
-  ParallelFor(
-      chunks, DefaultGenerateWorkers(), chunks, {},
-      [&](size_t c) { fill(starts[c], starts[c + 1]); }, {});
-}
 
 // Members grouped by output with a stable counting sort: output b's members
 // are members[offsets[b], offsets[b + 1]), in ascending member index.
@@ -84,8 +59,8 @@ std::vector<RwSeries> FoldGroups(const Groups& groups, const RollupSources& sour
   const size_t bucket_count = groups.offsets.size() - 1;
   std::vector<RwSeries> out(bucket_count);
   ForEachChunk(
-      bucket_count, sources.steps,
-      [&groups](size_t b) { return groups.offsets[b + 1] - groups.offsets[b]; },
+      bucket_count, kChunkSteps,
+      [&](size_t b) { return (groups.offsets[b + 1] - groups.offsets[b] + 1) * sources.steps; },
       [&](size_t first, size_t last) {
         for (size_t b = first; b < last; ++b) {
           out[b] = RwSeries(sources.steps, sources.step_seconds);
@@ -183,7 +158,7 @@ std::vector<RwSeries> MaterializeSegments(const RollupSources& sources) {
   const SegmentSeriesMap& segments = *sources.segment_series;
   std::vector<RwSeries> out(segments.size());
   ForEachChunk(
-      segments.size(), sources.steps, [](size_t) { return size_t{0}; },
+      segments.size(), kChunkSteps, [&](size_t) { return sources.steps; },
       [&](size_t first, size_t last) {
         for (size_t i = first; i < last; ++i) {
           out[i] = segments[i].Materialize();

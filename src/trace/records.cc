@@ -34,6 +34,12 @@ RwSeries::RwSeries(size_t steps, double step_seconds)
       write_ops(steps, step_seconds) {}
 
 void RwSeries::Accumulate(const RwSeries& other) {
+  // Every channel is checked before any is added, so a throw adds nothing.
+  if (other.read_bytes.size() != read_bytes.size() ||
+      other.write_bytes.size() != write_bytes.size() ||
+      other.read_ops.size() != read_ops.size() || other.write_ops.size() != write_ops.size()) {
+    throw std::invalid_argument("RwSeries::Accumulate: a channel differs in length");
+  }
   read_bytes.Accumulate(other.read_bytes);
   write_bytes.Accumulate(other.write_bytes);
   read_ops.Accumulate(other.read_ops);

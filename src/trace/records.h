@@ -83,6 +83,8 @@ struct RwSeries {
   RwSeries() = default;
   RwSeries(size_t steps, double step_seconds);
 
+  // Channel-wise addition. Throws std::invalid_argument, adding nothing,
+  // unless every channel of `other` has the length of this one's.
   void Accumulate(const RwSeries& other);
   const TimeSeries& Bytes(OpType op) const;
   const TimeSeries& Ops(OpType op) const;

@@ -199,4 +199,22 @@ void ParallelFor(size_t n, size_t helpers, size_t window,
   }
 }
 
+void ForEachChunk(size_t count, size_t chunk_cost, const std::function<size_t(size_t)>& cost_of,
+                  const std::function<void(size_t, size_t)>& fill) {
+  std::vector<size_t> starts = {0};
+  size_t cost = 0;
+  for (size_t i = 0; i + 1 < count; ++i) {
+    cost += cost_of(i);
+    if (cost >= chunk_cost) {
+      starts.push_back(i + 1);
+      cost = 0;
+    }
+  }
+  starts.push_back(count);
+  const size_t chunks = starts.size() - 1;
+  ParallelFor(
+      chunks, DefaultGenerateWorkers(), chunks, {},
+      [&](size_t c) { fill(starts[c], starts[c + 1]); }, {});
+}
+
 }  // namespace ebs

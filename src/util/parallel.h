@@ -1,8 +1,10 @@
 // Worker threads shared by the data-parallel layers: the replay engine's
 // shard count (src/replay/parallel_generate.h), the EBST codec's helpers
-// (src/trace/store.cc) and the rollup folds' helpers (src/trace/aggregate.cc)
-// come from one DefaultGenerateWorkers(). The codec runs its pieces, and each
-// rollup level its chunks of entities, through ParallelFor.
+// (src/trace/store.cc), the rollup folds' helpers (src/trace/aggregate.cc),
+// the skew kernel's (src/analysis/skewness.cc) and the online cache replay's
+// (src/cache/online_hotspot.cc) come from one DefaultGenerateWorkers(). The
+// codec runs its pieces through ParallelFor; each rollup level, skew level
+// and cache replay runs its chunks of entities through ForEachChunk.
 
 #ifndef SRC_UTIL_PARALLEL_H_
 #define SRC_UTIL_PARALLEL_H_
@@ -31,6 +33,17 @@ void ParallelFor(size_t n, size_t helpers, size_t window,
                  const std::function<void(size_t)>& feed,
                  const std::function<void(size_t)>& work,
                  const std::function<void(size_t)>& done);
+
+// Runs fill(first, last) over consecutive ranges of [0, count), each range the
+// first to reach `chunk_cost` once item i costs cost_of(i) (the last range
+// takes what is left). The ranges run as one ParallelFor on the calling thread
+// plus DefaultGenerateWorkers() helpers, so fill must write only its own
+// range's outputs; then no output depends on which thread filled it. A count
+// under one chunk of cost is one range on the calling thread and starts no
+// thread. A throw from any range is ParallelFor's: the lowest range's error
+// is rethrown once every started range has returned.
+void ForEachChunk(size_t count, size_t chunk_cost, const std::function<size_t(size_t)>& cost_of,
+                  const std::function<void(size_t, size_t)>& fill);
 
 }  // namespace ebs
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "src/util/stats.h"
 
@@ -14,7 +15,9 @@ TimeSeries::TimeSeries(std::vector<double> values, double step_seconds)
     : values_(std::move(values)), step_seconds_(step_seconds) {}
 
 void TimeSeries::Accumulate(const TimeSeries& other) {
-  assert(other.size() == size());
+  if (other.size() != size()) {
+    throw std::invalid_argument("TimeSeries::Accumulate: the series differ in length");
+  }
   for (size_t i = 0; i < values_.size(); ++i) {
     values_[i] += other.values_[i];
   }

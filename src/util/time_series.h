@@ -27,7 +27,8 @@ class TimeSeries {
   std::span<const double> values() const { return values_; }
   std::vector<double>& mutable_values() { return values_; }
 
-  // Element-wise addition; other must have the same length and step.
+  // Element-wise addition; other must have the same step. Throws
+  // std::invalid_argument, adding nothing, unless it has the same length.
   void Accumulate(const TimeSeries& other);
   void Scale(double factor);
 

@@ -3,7 +3,9 @@
 // caches must return the same hit/miss as these on every access.
 //
 // These are the std::list / std::unordered_map classes src/cache/policy.cc
-// used before its flat rewrite, unchanged apart from their namespace.
+// used before its flat rewrite, unchanged apart from their namespace and
+// their base: ReferenceCache is PageCache's single-page interface, without
+// the run loop and sizing the flat caches add.
 
 #ifndef TESTS_CACHE_REFERENCE_H_
 #define TESTS_CACHE_REFERENCE_H_
@@ -21,7 +23,15 @@
 
 namespace ebs::reference {
 
-class FifoCache final : public PageCache {
+class ReferenceCache {
+ public:
+  virtual ~ReferenceCache() = default;
+  virtual bool Access(uint64_t page) = 0;
+  virtual size_t capacity_pages() const = 0;
+  virtual std::string name() const = 0;
+};
+
+class FifoCache final : public ReferenceCache {
  public:
   explicit FifoCache(size_t capacity) : capacity_(capacity) {}
 
@@ -47,7 +57,7 @@ class FifoCache final : public PageCache {
   std::unordered_set<uint64_t> resident_;
 };
 
-class LruCache final : public PageCache {
+class LruCache final : public ReferenceCache {
  public:
   explicit LruCache(size_t capacity) : capacity_(capacity) {}
 
@@ -76,7 +86,7 @@ class LruCache final : public PageCache {
 };
 
 // O(1) LFU with frequency buckets.
-class LfuCache final : public PageCache {
+class LfuCache final : public ReferenceCache {
  public:
   explicit LfuCache(size_t capacity) : capacity_(capacity) {}
 
@@ -151,7 +161,7 @@ class LfuCache final : public PageCache {
   std::unordered_map<uint64_t, Handle> index_;
 };
 
-class ClockCache final : public PageCache {
+class ClockCache final : public ReferenceCache {
  public:
   explicit ClockCache(size_t capacity) : capacity_(capacity) {
     frames_.reserve(capacity);
@@ -197,7 +207,7 @@ class ClockCache final : public PageCache {
 // 2Q (simplified full version): A1in FIFO for first-touch pages, Am LRU for
 // re-referenced pages, A1out ghost history of recently evicted first-touch
 // pages.
-class TwoQCache final : public PageCache {
+class TwoQCache final : public ReferenceCache {
  public:
   explicit TwoQCache(size_t capacity)
       : capacity_(capacity),
@@ -280,7 +290,7 @@ class TwoQCache final : public PageCache {
 
 // The reference cache for one eviction policy (nullptr for kFrozenHot, which
 // does not evict).
-inline std::unique_ptr<PageCache> MakeReferenceCache(CachePolicy policy, size_t capacity) {
+inline std::unique_ptr<ReferenceCache> MakeReferenceCache(CachePolicy policy, size_t capacity) {
   switch (policy) {
     case CachePolicy::kFifo:
       return std::make_unique<FifoCache>(capacity);

@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cache/hotspot.h"
@@ -119,8 +120,8 @@ TEST(CachePolicyTest, StressNoCrashAndBoundedHits) {
 
 TEST(AccessRangeTest, CountsPerPageHits) {
   auto cache = MakeCache(CachePolicy::kLru, 10);
-  EXPECT_EQ(AccessRange(*cache, 0, 4), 0u);
-  EXPECT_EQ(AccessRange(*cache, 2, 4), 2u);  // pages 2,3 hit; 4,5 miss
+  EXPECT_EQ(cache->AccessRange(0, 4), 0u);
+  EXPECT_EQ(cache->AccessRange(2, 4), 2u);  // pages 2,3 hit; 4,5 miss
 }
 
 // --- Differential check against the node-based reference ----------------------
@@ -177,6 +178,120 @@ TEST(CacheDifferentialTest, EveryAccessMatchesTheNodeReference) {
       }
     }
   }
+}
+
+// The sized, run-level path: Reserve, then one AccessRange per IO. A seeded
+// stream of runs with Zipf-skewed starts and 1-16 pages, every tenth a
+// sequential burst of up to 64; `stride` spreads the starts so the index sees
+// clustered as well as dense keys.
+std::vector<PageRun> SkewedRuns(uint64_t universe, size_t count, uint64_t stride, uint64_t seed) {
+  Rng rng(seed);
+  const ZipfDistribution zipf(universe, 0.9);
+  std::vector<PageRun> runs;
+  for (size_t i = 0; i < count; ++i) {
+    const bool burst = i % 10 == 9;
+    const uint64_t start = burst ? rng.NextBounded(universe) : zipf.Sample(rng);
+    runs.push_back({start * stride, static_cast<uint32_t>(1 + rng.NextBounded(burst ? 64 : 16))});
+  }
+  return runs;
+}
+
+size_t DistinctPages(std::span<const PageRun> runs) {
+  std::vector<uint64_t> pages;
+  for (const PageRun& run : runs) {
+    for (uint32_t i = 0; i < run.pages; ++i) {
+      pages.push_back(run.start_page + i);
+    }
+  }
+  std::sort(pages.begin(), pages.end());
+  return static_cast<size_t>(std::unique(pages.begin(), pages.end()) - pages.begin());
+}
+
+// Reserves `reserve` pages, then replays `runs` one AccessRange per run; each
+// run's hits must equal the reference's page-by-page Access over the run.
+::testing::AssertionResult SameRunHitsAsReference(CachePolicy policy, size_t capacity,
+                                                  size_t reserve, std::span<const PageRun> runs) {
+  auto flat = MakeCache(policy, capacity);
+  auto ref = reference::MakeReferenceCache(policy, capacity);
+  flat->Reserve(reserve);
+  for (size_t r = 0; r < runs.size(); ++r) {
+    size_t want = 0;
+    for (uint32_t i = 0; i < runs[r].pages; ++i) {
+      want += ref->Access(runs[r].start_page + i) ? 1 : 0;
+    }
+    const size_t got = flat->AccessRange(runs[r].start_page, runs[r].pages);
+    if (got != want) {
+      return ::testing::AssertionFailure() << "run " << r << ": " << got << " hits, want " << want;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CacheDifferentialTest, SizedRunReplayMatchesTheNodeReference) {
+  for (const uint64_t seed : {1, 2}) {
+    const std::vector<PageRun> runs = SkewedRuns(3000, 1500, seed == 1 ? 1 : 4096, seed);
+    size_t accesses = 0;
+    for (const PageRun& run : runs) {
+      accesses += run.pages;
+    }
+    const size_t distinct = DistinctPages(runs);
+    ASSERT_GT(accesses, distinct);
+    for (const CachePolicy policy : kEvictionPolicies) {
+      // Capacities at or above the distinct pages fill without evicting (2Q
+      // still ages A1in); the rest overflow, so eviction runs once the sized
+      // storage is full.
+      for (const size_t capacity : {distinct + 100, distinct, distinct / 3, size_t{64}, size_t{1}}) {
+        // Reserves below, at and above the distinct pages, and ReplayRuns'
+        // own choice, the page accesses.
+        for (const size_t reserve : {size_t{0}, distinct / 2, distinct, 2 * distinct, accesses}) {
+          EXPECT_TRUE(SameRunHitsAsReference(policy, capacity, reserve, runs))
+              << CachePolicyName(policy) << " capacity " << capacity << " reserve " << reserve
+              << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(CacheDifferentialTest, ReplayRunsCountsAndFlagsMatchTheNodeReference) {
+  std::vector<PageRun> runs = SkewedRuns(2000, 1200, 1, 3);
+  runs[7].pages = 0;  // a zero-page run touches nothing and is never full
+  runs.push_back({runs[0].start_page, 1});
+  for (const CachePolicy policy : kEvictionPolicies) {
+    for (const size_t capacity : {size_t{50}, size_t{500}, size_t{5000}}) {
+      auto ref = reference::MakeReferenceCache(policy, capacity);
+      PageReplayTotals want;
+      std::vector<uint8_t> want_full;
+      for (const PageRun& run : runs) {
+        size_t hits = 0;
+        for (uint32_t i = 0; i < run.pages; ++i) {
+          hits += ref->Access(run.start_page + i) ? 1 : 0;
+        }
+        want.hits += hits;
+        want.accesses += run.pages;
+        want_full.push_back(run.pages > 0 && hits == run.pages ? 1 : 0);
+      }
+      std::vector<uint8_t> full(runs.size(), 7);
+      const PageReplayTotals got = ReplayRuns(*MakeCache(policy, capacity), runs, full);
+      EXPECT_EQ(got.hits, want.hits) << CachePolicyName(policy) << " " << capacity;
+      EXPECT_EQ(got.accesses, want.accesses) << CachePolicyName(policy) << " " << capacity;
+      EXPECT_EQ(full, want_full) << CachePolicyName(policy) << " " << capacity;
+      // Without flags the totals are the same.
+      const PageReplayTotals bare = ReplayRuns(*MakeCache(policy, capacity), runs);
+      EXPECT_EQ(bare.hits, want.hits) << CachePolicyName(policy) << " " << capacity;
+      EXPECT_EQ(bare.accesses, want.accesses) << CachePolicyName(policy) << " " << capacity;
+    }
+  }
+  std::vector<uint8_t> short_flags(runs.size() - 1);
+  EXPECT_THROW(ReplayRuns(*MakeCache(CachePolicy::kLru, 8), runs, short_flags),
+               std::invalid_argument);
+  // FrozenHot stores nothing to size; its runs hit inside the pinned range.
+  const PageRun pinned[] = {{100, 4}, {98, 4}, {110, 1}};
+  std::vector<uint8_t> frozen_full(3);
+  const PageReplayTotals frozen = ReplayRuns(*MakeFrozenCache(100, 10), pinned, frozen_full);
+  EXPECT_EQ(frozen.hits, 6u);
+  EXPECT_EQ(frozen.accesses, 9u);
+  EXPECT_EQ(frozen_full, (std::vector<uint8_t>{1, 0, 0}));
 }
 
 // --- Hotspot analysis --------------------------------------------------------
@@ -445,6 +560,58 @@ TEST(OnlineCacheSinkTest, DeferredReplayMatchesReplayVdCacheOverTheAdmittedRecor
     std::stable_sort(by_page.begin(), by_page.end(), by_offset);
     EXPECT_NE(ReplayVdCache(by_page, 0, kBlockBytes, CachePolicy::kLru).hit_ratio,
               sink.ResultFor(VdId(0)).hit_ratio);
+  }
+}
+
+TEST(OnlineCacheSinkTest, ReplayInChunksOnHelpersMatchesReplayVdCachePerVd) {
+  // 48 VDs, 38,832 entries: VD 0 has 5,000 and VD v the other 200 + (v * 7919)
+  // % 900. At 4,096 entries per replay chunk they replay as 9 chunks (VD 0
+  // alone, then VDs 1-6, 7-12, 13-18, 19-25, 26-31, 32-37, 38-44 and 45-47),
+  // on helper threads wherever the machine has more than one core. Every VD
+  // touches the same 64 pages through a 16-page cache, so a cache shared by a
+  // chunk's VDs, or a chunk left out, changes some VD's result.
+  constexpr size_t kVds = 48;
+  const Fleet fleet = MakeTinyFleet({TinyVmSpec{std::vector<int>(kVds, 1)}});
+  std::vector<uint32_t> order;
+  for (uint32_t vd = 0; vd < kVds; ++vd) {
+    order.insert(order.end(), vd == 0 ? 5000 : 200 + (vd * 7919) % 900, vd);
+  }
+  ASSERT_EQ(order.size(), 38832u);
+  Rng rng(11);
+  for (size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextBounded(i + 1)]);
+  }
+  std::vector<TraceRecord> records(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    records[i].timestamp = static_cast<double>(i) * 1e-4;
+    records[i].vd = VdId(order[i]);
+    records[i].vm = fleet.vds[order[i]].vm;
+    records[i].size_bytes = static_cast<uint32_t>((1 + rng.NextBounded(4)) * kPageBytes);
+    records[i].offset = kPageBytes * rng.NextBounded(61);
+  }
+
+  constexpr uint64_t kBlockBytes = 16 * kPageBytes;
+  for (const CachePolicy policy : kEvictionPolicies) {
+    SCOPED_TRACE(CachePolicyName(policy));
+    OnlineCacheSink sink(policy, kBlockBytes);
+    const auto admitted =
+        DriveCacheSink(fleet, records, records.size(), records.size(), &sink);
+    sink.OnFinish();
+    uint64_t accesses = 0;
+    uint64_t hits = 0;
+    for (uint32_t vd = 0; vd < kVds; ++vd) {
+      const CacheReplayResult expected =
+          ReplayVdCache(admitted[vd], /*capacity_bytes=*/0, kBlockBytes, policy);
+      const CacheReplayResult online = sink.ResultFor(VdId(vd));
+      ASSERT_GT(expected.page_accesses, 0u) << vd;
+      EXPECT_EQ(online.page_accesses, expected.page_accesses) << vd;
+      EXPECT_EQ(online.hit_ratio, expected.hit_ratio) << vd;
+      accesses += expected.page_accesses;
+      hits += static_cast<uint64_t>(
+          std::llround(expected.hit_ratio * static_cast<double>(expected.page_accesses)));
+    }
+    EXPECT_EQ(sink.total_page_accesses(), accesses);
+    EXPECT_EQ(sink.total_page_hits(), hits);
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/analysis/latency.h"
 #include "src/cache/prefetch.h"
 #include "tests/test_helpers.h"
@@ -78,6 +80,36 @@ TEST(PrefetchTest, CapacityEvictsOldestRanges) {
   }
   EXPECT_LE(cache.resident_bytes(), config.capacity_bytes);
   EXPECT_FALSE(cache.AccessRead(SegmentId(0), 4 * kIo, kIo));
+}
+
+TEST(PrefetchTest, RejectsConfigsItCannotRun) {
+  // Each of these used to run: a zero min_run_ios issued a readahead for
+  // every read, small and random ones included; a zero readahead counted
+  // prefetches that held no byte; a capacity below one readahead evicted each
+  // window as it landed, so nothing was ever served.
+  const auto make = [](PrefetchConfig config) { return PrefetchCache(config); };
+  PrefetchConfig zero_run;
+  zero_run.min_run_ios = 0;
+  EXPECT_THROW(make(zero_run), std::invalid_argument);
+  PrefetchConfig zero_readahead;
+  zero_readahead.readahead_bytes = 0;
+  EXPECT_THROW(make(zero_readahead), std::invalid_argument);
+  PrefetchConfig small;
+  small.capacity_bytes = 1024 * 1024;  // below the default 8 MiB readahead
+  EXPECT_THROW(make(small), std::invalid_argument);
+  small.capacity_bytes = small.readahead_bytes - 1;
+  EXPECT_THROW(make(small), std::invalid_argument);
+
+  // The edges run: one sequential read per run, and a capacity of exactly one
+  // readahead window (CapacityEvictsOldestRanges drives that one).
+  PrefetchConfig edge;
+  edge.min_run_ios = 1;
+  edge.capacity_bytes = edge.readahead_bytes;
+  PrefetchCache cache = make(edge);
+  EXPECT_FALSE(cache.AccessRead(SegmentId(0), 0, kIo));
+  EXPECT_EQ(cache.prefetch_issued(), 1u);
+  EXPECT_TRUE(cache.AccessRead(SegmentId(0), kIo, kIo));
+  EXPECT_EQ(cache.resident_bytes(), edge.readahead_bytes);
 }
 
 TEST(LatencyAnalysisTest, SharesSumToOnePerOp) {

@@ -183,6 +183,42 @@ TEST(RwSeriesTest, AccumulateAddsAllFour) {
   EXPECT_DOUBLE_EQ(a.write_ops[2], 5.0);
 }
 
+TEST(RwSeriesTest, AccumulateChecksEveryChannelBeforeAddingAny) {
+  // A channel of another length throws in every build, and since all four are
+  // checked first, the target keeps every cell: a mismatch in the last
+  // channel must not leave the first three added.
+  RwSeries before(3, 1.0);
+  for (size_t t = 0; t < 3; ++t) {
+    before.read_bytes[t] = 1.0 + static_cast<double>(t);
+    before.write_bytes[t] = 10.0 + static_cast<double>(t);
+    before.read_ops[t] = 100.0 + static_cast<double>(t);
+    before.write_ops[t] = 1000.0 + static_cast<double>(t);
+  }
+  const auto channels = [](RwSeries& series) {
+    return std::vector<TimeSeries*>{&series.read_bytes, &series.write_bytes, &series.read_ops,
+                                    &series.write_ops};
+  };
+  for (size_t channel = 0; channel < 4; ++channel) {
+    for (const size_t length : {size_t{0}, size_t{2}, size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "channel " << channel << " length " << length);
+      RwSeries other(3, 1.0);
+      for (TimeSeries* series : channels(other)) {
+        *series = TimeSeries(3, 1.0, 5.0);
+      }
+      *channels(other)[channel] = TimeSeries(length, 1.0, 5.0);
+      RwSeries target = before;
+      EXPECT_THROW(target.Accumulate(other), std::invalid_argument);
+      const std::vector<TimeSeries*> got = channels(target);
+      const std::vector<TimeSeries*> want = channels(before);
+      for (size_t c = 0; c < 4; ++c) {
+        EXPECT_EQ(std::vector<double>(got[c]->values().begin(), got[c]->values().end()),
+                  std::vector<double>(want[c]->values().begin(), want[c]->values().end()))
+            << c;
+      }
+    }
+  }
+}
+
 TEST(RwSeriesTest, OpSelectors) {
   RwSeries series(2, 1.0);
   series.MutableBytes(OpType::kRead)[0] = 1.0;

@@ -4,6 +4,8 @@
 
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "src/util/histogram.h"
 #include "src/util/table.h"
@@ -125,6 +127,24 @@ TEST(TimeSeriesTest, AccumulateAndScale) {
   EXPECT_DOUBLE_EQ(a[2], 33.0);
   a.Scale(0.5);
   EXPECT_DOUBLE_EQ(a[1], 11.0);
+}
+
+TEST(TimeSeriesTest, AccumulateRejectsAnotherLengthAndAddsNothing) {
+  // Checked in every build, not only with assertions on: a shorter argument
+  // used to be read past its end.
+  const std::vector<double> before = {1.0, 2.0, 3.0};
+  TimeSeries series(before, 1.0);
+  for (const size_t length : {size_t{0}, size_t{2}, size_t{4}, size_t{600}}) {
+    EXPECT_THROW(series.Accumulate(TimeSeries(length, 1.0, 5.0)), std::invalid_argument)
+        << length;
+    EXPECT_EQ(std::vector<double>(series.values().begin(), series.values().end()), before)
+        << length;
+  }
+  TimeSeries empty;
+  EXPECT_THROW(empty.Accumulate(series), std::invalid_argument);
+  EXPECT_TRUE(empty.empty());
+  empty.Accumulate(TimeSeries());  // two empty series have one length
+  EXPECT_TRUE(empty.empty());
 }
 
 TEST(TimeSeriesTest, Aggregates) {
